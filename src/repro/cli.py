@@ -61,6 +61,7 @@ from repro.errors import ReproError
 from repro.exec import ExecutionEngine
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
+from repro.pipeline.collect import CollectStage, TraceSource
 from repro.profiling import PHASE_TIMER
 from repro.traffic import save_trace_jsonl
 
@@ -516,18 +517,27 @@ def _cmd_design(args) -> int:
     config = _config_from_args(args)
     profile = _PhaseProfile(args.profile, args.jobs)
     print(f"designing crossbars for {app.name} ({app.num_cores} cores) ...")
-    full_run = app.simulate_full_crossbar()
+    if args.validate:
+        # The reference latencies need the full-crossbar run itself.
+        full_run = app.simulate_full_crossbar()
+        source = TraceSource.of(full_run.trace)
+    else:
+        # Input-keyed: a warm cache answers without simulating, and a
+        # whole-result hit without even loading the stored trace.
+        source = CollectStage.for_cache(engine.cache).source(app)
     result = engine.synthesize(
-        full_run.trace,
+        source.trace,
         config,
         window_size=args.window or app.default_window,
         application=app.name,
+        # Only a cache lookup needs the digest; without one, no hashing.
+        trace_digest=source.digest if engine.cache is not None else None,
     )
     print(
         format_synthesis_result(
             result,
-            target_names=full_run.trace.target_names,
-            initiator_names=full_run.trace.initiator_names,
+            target_names=source.target_names,
+            initiator_names=source.initiator_names,
         )
     )
     if args.validate:
@@ -796,7 +806,12 @@ def _cmd_pipeline_inspect(args) -> int:
     from pathlib import Path
 
     from repro.exec.cache import ResultCache
-    from repro.pipeline import ArtifactStore, PipelineRunner, describe_stages
+    from repro.pipeline import (
+        ArtifactStore,
+        CollectedTraffic,
+        PipelineRunner,
+        describe_stages,
+    )
     from repro.scenarios import SUITES
 
     if args.app not in APPLICATIONS and (
@@ -812,8 +827,13 @@ def _cmd_pipeline_inspect(args) -> int:
         f"running the staged flow for {app.name} "
         f"(window {window}, threshold {config.overlap_threshold:.0%}) ..."
     )
-    trace = app.simulate_full_crossbar().trace
-    outcome = runner.design(trace, config, window, label=app.name)
+    # Collection shares the runner's store, so the breakdown below
+    # shows whether this run simulated (computed) or read (disk-hit).
+    source = CollectStage(runner.store).source(app)
+    collected = CollectedTraffic(
+        trace=source.trace(), fingerprint=source.digest, label=app.name
+    )
+    outcome = runner.design(collected, config, window, label=app.name)
     rows = [
         [stage, fingerprint[:12], summary]
         for stage, fingerprint, summary in describe_stages(outcome)

@@ -181,6 +181,10 @@ def _replay_in_worker(
         return index, _run_replay_task(task)
 
 
+TraceArg = Union[TrafficTrace, Callable[[], TrafficTrace]]
+"""A trace, or a zero-argument callable that produces it on demand."""
+
+
 class StaleWorkerTraceError(RuntimeError):
     """A pool worker held a trace other than the sweep's.
 
@@ -512,13 +516,14 @@ class ExecutionEngine:
 
     def synthesize(
         self,
-        trace: TrafficTrace,
+        trace: TraceArg,
         config: Optional[SynthesisConfig] = None,
         window_size: Optional[int] = None,
         application: Optional[str] = None,
         trace_digest: Optional[str] = None,
     ) -> SynthesisResult:
-        """Solve (or fetch) a single synthesis point."""
+        """Solve (or fetch) a single synthesis point (see
+        :meth:`run_sweep` for ``trace`` and ``trace_digest``)."""
         config = config or SynthesisConfig()
         window = window_size or config.window_size or 1_000
         task = SynthesisTask(config=config, window_size=window)
@@ -528,7 +533,7 @@ class ExecutionEngine:
 
     def run_sweep(
         self,
-        trace: TrafficTrace,
+        trace: TraceArg,
         tasks: Sequence[SynthesisTask],
         application: Optional[str] = None,
         trace_digest: Optional[str] = None,
@@ -539,10 +544,19 @@ class ExecutionEngine:
         remainder is fanned out over the pool (or solved serially for
         ``jobs=1``). The returned list is ordered and valued identically
         whichever path each point took.
+
+        ``trace`` may be a zero-argument callable returning the trace
+        (e.g. :meth:`repro.pipeline.collect.TraceSource.trace`): with
+        ``trace_digest`` given it is only called when some point misses
+        the cache, so a fully cached sweep never loads its trace. A
+        loaded trace whose digest is not ``trace_digest`` restarts the
+        sweep under its own digest, so no result is read or stored
+        under a key its trace does not have.
         """
         results: List[Optional[SynthesisResult]] = [None] * len(tasks)
         pending: List[Tuple[int, Optional[str], SynthesisTask]] = []
         if self.cache is not None and trace_digest is None:
+            trace = trace() if callable(trace) else trace
             trace_digest = trace_fingerprint(trace)
         for index, task in enumerate(tasks):
             key = None
@@ -556,6 +570,10 @@ class ExecutionEngine:
                     continue
             pending.append((index, key, task))
 
+        if pending and callable(trace):
+            trace = trace()
+            if self.cache is not None and trace_fingerprint(trace) != trace_digest:
+                return self.run_sweep(trace, tasks, application)
         if pending:
             # Identical points (e.g. several windows clamped to the trace
             # length) share one solve; every pending slot maps onto it.

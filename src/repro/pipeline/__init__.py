@@ -53,6 +53,7 @@ from repro.pipeline.runner import (
     shared_runner,
 )
 from repro.pipeline.store import ArtifactStore, StageCounters
+from repro.pipeline.collect import SIMULATOR_SALT, CollectStage, TraceSource
 
 __all__ = [
     "STAGE_SCHEMA_VERSION",
@@ -70,4 +71,7 @@ __all__ = [
     "describe_stages",
     "ArtifactStore",
     "StageCounters",
+    "SIMULATOR_SALT",
+    "CollectStage",
+    "TraceSource",
 ]

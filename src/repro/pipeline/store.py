@@ -530,6 +530,19 @@ class ArtifactStore:
         if _shm.enabled():
             self._put_arrays_mmap(fingerprint, arrays)
 
+    def drop_arrays(self, fingerprint: str) -> None:
+        """Delete both sidecar tiers of ``fingerprint`` (no-op without a
+        disk layer). For callers that find a sidecar decodes cleanly
+        but holds the wrong content: :meth:`put_arrays` skips existing
+        sidecars, so a bad one must go before it can be rewritten."""
+        if self.disk is None:
+            return
+        try:
+            os.unlink(self._sidecar_path(fingerprint))
+        except OSError:
+            pass
+        shutil.rmtree(self._mmap_path(fingerprint), ignore_errors=True)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         disk = self.disk.cache_dir if self.disk is not None else None
         return f"<ArtifactStore memory={len(self._memory)} disk={disk}>"

@@ -23,7 +23,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.traffic.profiles import (
@@ -38,6 +38,9 @@ from repro.traffic.profiles import (
 )
 from repro.traffic.synthetic import SyntheticTrafficConfig, generate_synthetic_trace
 from repro.traffic.trace import TrafficTrace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.pipeline.collect import CollectStage
 
 __all__ = [
     "PROFILES",
@@ -151,12 +154,17 @@ class Scenario:
         """The profile or application registry name."""
         return self.source.partition(":")[2]
 
-    def build_trace(self) -> TrafficTrace:
+    def build_trace(
+        self, collector: Optional["CollectStage"] = None
+    ) -> TrafficTrace:
         """Materialize this scenario's full-crossbar traffic trace.
 
         Deterministic: equal scenarios always produce record-identical
         traces (generators draw from config-seeded RNG instances, never
-        interpreter-global state).
+        interpreter-global state). A default ``app:`` build comes from
+        ``collector`` (a :class:`~repro.pipeline.CollectStage`; by
+        default one without a disk layer, which shares the per-process
+        simulation memo); customized builds always simulate.
         """
         if self.source_kind == "profile":
             config_cls, generate = PROFILES[self.source_name]
@@ -172,7 +180,7 @@ class Scenario:
                 ) from exc
             return generate(scaled_config(config, self.load_scale))
         from repro.apps import build_application
-        from repro.apps.registry import default_full_crossbar_trace
+        from repro.pipeline.collect import CollectStage
 
         if self.params:
             application = build_application(self.source_name, **dict(self.params))
@@ -181,7 +189,8 @@ class Scenario:
             # Default builds share one memoized Phase-1 simulation per
             # process -- suites that reuse an application at several
             # load scales simulate it once.
-            trace = default_full_crossbar_trace(self.source_name)
+            collector = collector if collector is not None else CollectStage()
+            trace = collector.source(build_application(self.source_name)).trace()
         if self.load_scale == 1.0:
             return trace
         if self.load_scale > 1.0:

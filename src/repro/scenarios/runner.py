@@ -64,6 +64,7 @@ from repro.pipeline.artifacts import (
     ReplayArtifact,
     stage_fingerprint,
 )
+from repro.pipeline.collect import CollectStage
 from repro.pipeline.runner import PipelineRunner
 from repro.pipeline.store import ArtifactStore, StageCounters
 from repro.platform.drivers import TraceDrivenInitiator, replay_platform
@@ -358,6 +359,12 @@ class ScenarioSuiteRunner:
         across :meth:`run` calls on this runner (the incremental path)
         and -- when the engine has a cache directory -- persists
         serializable stages there too.
+    collector:
+        Where default ``app:`` scenarios get their full-crossbar trace.
+        By default a :class:`~repro.pipeline.CollectStage` on the
+        pipeline's store: with a disk layer a fresh process reads the
+        stored trace instead of simulating, and :meth:`explain_cache`
+        shows a ``collect`` row either way.
     """
 
     def __init__(
@@ -368,6 +375,7 @@ class ScenarioSuiteRunner:
         min_weight: float = 0.5,
         replay_latency: bool = False,
         pipeline: Optional[PipelineRunner] = None,
+        collector: Optional[CollectStage] = None,
     ) -> None:
         _check_policy(policy)
         self.engine = engine if engine is not None else ExecutionEngine(jobs=1)
@@ -387,6 +395,9 @@ class ScenarioSuiteRunner:
                 store=ArtifactStore(disk=disk), memoize_bindings=True
             )
         self.pipeline = pipeline
+        self.collector = (
+            collector if collector is not None else CollectStage(pipeline.store)
+        )
         self.last_run_breakdown: Dict[str, Dict[str, int]] = {}
         self.last_stage_rows: List[Tuple[str, str, str, str]] = []
         """(scenario, stage, fingerprint, summary) rows of the last run's
@@ -530,7 +541,8 @@ class ScenarioSuiteRunner:
             "scenario-trace",
             self._scenario_trace_key(scenario),
             lambda: CollectedTraffic.from_trace(
-                scenario.build_trace(), label=scenario.name
+                scenario.build_trace(self.collector),
+                label=scenario.name,
             ),
         )
 

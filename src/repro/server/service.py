@@ -21,7 +21,10 @@ Warm paths stack beneath the coalescer: a design request whose task key
 is already in the whole-result cache completes instantly (disposition
 ``"cached"``) without ever enqueueing, and a request that must run still
 reuses persisted stage artifacts (windows, conflicts, bindings) through
-its job-scoped :class:`~repro.pipeline.PipelineRunner` store.
+its job-scoped :class:`~repro.pipeline.PipelineRunner` store. The task
+key's trace digest comes from the input-keyed ``collect`` stage
+(:class:`~repro.pipeline.CollectStage`), so even a restarted daemon
+answers a repeat request without simulating the application.
 
 Per-job progress is streamed by subscribing the job's
 :meth:`~repro.server.jobs.Job.record_progress` to the runner's
@@ -43,7 +46,7 @@ from repro.core import CrossbarSynthesizer, SynthesisConfig
 from repro.core.instrumentation import SOLVE_COUNTER
 from repro.exec.cache import ResultCache
 from repro.exec.engine import ExecutionEngine
-from repro.exec.fingerprint import task_key, trace_fingerprint
+from repro.exec.fingerprint import task_key
 from repro.exec.serialize import (
     RESULT_FORMAT,
     SynthesisResult,
@@ -52,7 +55,7 @@ from repro.exec.serialize import (
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.obs.jsonlog import JsonLogger
-from repro.pipeline import ArtifactStore, PipelineRunner
+from repro.pipeline import ArtifactStore, CollectStage, PipelineRunner
 from repro.pipeline import shm as _shm
 from repro.resilience import fault_summary
 from repro.server.coalesce import RequestCoalescer
@@ -156,6 +159,10 @@ class SynthesisService:
             _tracing.arm_tracing()
             self._armed_tracing = True
         self.engine = ExecutionEngine(jobs=engine_jobs, cache=cache_dir)
+        # One collector for the service's lifetime: its memory layer
+        # keeps each app's trace across requests, its disk layer (when
+        # there is a cache directory) across restarts.
+        self._collector = CollectStage.for_cache(self.engine.cache)
         self.coalescer = RequestCoalescer(finished_ttl=finished_ttl)
         self.queue = JobQueue(
             self._execute, workers=workers, job_timeout=job_timeout
@@ -282,14 +289,14 @@ class SynthesisService:
             return None
         if self.engine.cache is None:
             return None
-        trace, config, window = self._design_inputs(request)
-        key = task_key(
-            trace_fingerprint(trace), config, window, request.app
-        )
+        source, config, window = self._design_inputs(request)
+        key = task_key(source.digest, config, window, request.app)
         cached = self.engine.cache.get(key)
         if cached is None:
             return None
-        return self._design_payload(request, trace, config, window, cached)
+        return self._design_payload(
+            request, source.digest, config, window, cached
+        )
 
     # -- execution ----------------------------------------------------
 
@@ -353,23 +360,26 @@ class SynthesisService:
             store=ArtifactStore(disk=disk), memoize_bindings=True
         )
 
-    @staticmethod
-    def _design_inputs(request: DesignRequest):
-        from repro.apps import default_full_crossbar_trace
+    def _design_inputs(self, request: DesignRequest):
+        """The request's trace as a :class:`TraceSource` (digest now,
+        records on demand), its configuration and window. With a cache
+        directory the digest of a once-simulated app is a disk read, so
+        a restarted daemon's warm lookup simulates nothing."""
+        from repro.apps import build_application
 
-        trace = default_full_crossbar_trace(request.app)
+        source = self._collector.source(build_application(request.app))
         config = SynthesisConfig(
             window_size=request.window,
             overlap_threshold=request.threshold,
             max_targets_per_bus=request.maxtb,
             backend=request.backend,
         )
-        return trace, config, request.resolved_window()
+        return source, config, request.resolved_window()
 
     def _design_payload(
         self,
         request: DesignRequest,
-        trace,
+        trace_digest: str,
         config: SynthesisConfig,
         window: int,
         result: SynthesisResult,
@@ -380,7 +390,7 @@ class SynthesisService:
             "app": request.app,
             "window": window,
             "design_fingerprint": runner.design_fingerprint(
-                trace_fingerprint(trace), config, window
+                trace_digest, config, window
             ),
             "result": result_to_dict(result),
             "result_format": RESULT_FORMAT,
@@ -389,22 +399,22 @@ class SynthesisService:
     def _run_design(
         self, job: Job, request: DesignRequest
     ) -> Dict[str, Any]:
-        trace, config, window = self._design_inputs(request)
+        source, config, window = self._design_inputs(request)
         runner = self._job_runner()
         runner.counters.subscribe(job.record_progress)
         try:
             report = CrossbarSynthesizer(
                 config, pipeline=runner
-            ).design_from_trace(trace, window)
+            ).design_from_trace(source.trace(), window)
         finally:
             runner.counters.unsubscribe(job.record_progress)
         result = SynthesisResult.from_report(report)
         if self.engine.cache is not None:
-            key = task_key(
-                trace_fingerprint(trace), config, window, request.app
-            )
+            key = task_key(source.digest, config, window, request.app)
             self.engine.cache.put(key, result)
-        return self._design_payload(request, trace, config, window, result)
+        return self._design_payload(
+            request, source.digest, config, window, result
+        )
 
     def _run_suite(self, job: Job, request: SuiteRequest) -> Dict[str, Any]:
         from repro.scenarios import (
@@ -427,6 +437,7 @@ class SynthesisService:
             min_weight=request.min_weight,
             replay_latency=request.replay_latency,
             pipeline=self._job_runner(),
+            collector=self._collector,
         )
         runner.pipeline.counters.subscribe(job.record_progress)
         try:

@@ -15,10 +15,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.apps import build_application
 from repro.apps.synthetic import synthetic_trace
+from repro.cli import main
 from repro.core import SynthesisConfig
 from repro.exec import ExecutionEngine, ResultCache, SynthesisTask, result_to_dict
-from repro.pipeline import ArtifactStore
+from repro.pipeline import ArtifactStore, CollectStage
+from repro.platform import SIMULATION_COUNTER
 from repro.resilience import FaultPlan, FaultRule, clear_plan, install_plan
 
 WINDOWS = [150, 2_400]
@@ -36,6 +39,10 @@ def small_trace():
 @pytest.fixture(scope="module")
 def tasks():
     return [SynthesisTask(config=CONFIG, window_size=w) for w in WINDOWS]
+
+
+def collector_at(cache_dir):
+    return CollectStage(ArtifactStore(disk=ResultCache(cache_dir)))
 
 
 def sweep_bytes(results):
@@ -192,3 +199,127 @@ class TestTensorSidecars:
         assert store.get_arrays("fp3") is None
         # The temp file was cleaned up on the failure path.
         assert list(tmp_path.glob(".tmp-*")) == []
+
+
+class TestCollectEntries:
+    """A damaged input-keyed ``collect`` entry re-simulates; it never
+    answers with the wrong trace."""
+
+    @pytest.fixture()
+    def filled(self, tmp_path):
+        """A cache holding qsort's collect entry, plus the fresh trace."""
+        fresh = collector_at(tmp_path).source(build_application("qsort"))
+        return tmp_path, fresh.trace()
+
+    @staticmethod
+    def reload(cache_dir):
+        """A fresh collector's trace for qsort and how many times it had
+        to collect it anew (simulate, or take this process's memo of an
+        earlier simulation) instead of loading the stored entry."""
+        collector = collector_at(cache_dir)
+        trace = collector.source(build_application("qsort")).trace()
+        return trace, collector.counters.computed.get("collect", 0)
+
+    @staticmethod
+    def sidecars(cache_dir):
+        (npz,) = cache_dir.glob("stage-*.npz")
+        return npz, npz.with_suffix(".mmap")
+
+    def test_intact_entry_loads_without_simulating(self, filled):
+        cache_dir, fresh = filled
+        trace, recollected = self.reload(cache_dir)
+        assert recollected == 0
+        assert trace.records == fresh.records
+
+    def test_injected_payload_corruption_resimulates(self, filled):
+        cache_dir, fresh = filled
+        install_plan(
+            FaultPlan(
+                rules={"cache.corrupt": FaultRule(rate=1.0, match=["stage-*"])}
+            )
+        )
+        trace, recollected = self.reload(cache_dir)
+        assert recollected == 1
+        assert trace.records == fresh.records
+
+    def test_truncated_sidecar_resimulates_and_heals(self, filled):
+        cache_dir, fresh = filled
+        npz, mmap = self.sidecars(cache_dir)
+        npz.write_bytes(npz.read_bytes()[:64])  # torn mid-write
+        shutil.rmtree(mmap)  # else the hot tier masks the damage
+        trace, recollected = self.reload(cache_dir)
+        assert recollected == 1
+        assert trace.records == fresh.records
+        trace, recollected = self.reload(cache_dir)  # rewritten: loads again
+        assert recollected == 0
+        assert trace.records == fresh.records
+
+    def test_missing_sidecar_resimulates(self, filled):
+        cache_dir, fresh = filled
+        npz, mmap = self.sidecars(cache_dir)
+        npz.unlink()
+        shutil.rmtree(mmap)
+        trace, recollected = self.reload(cache_dir)
+        assert recollected == 1
+        assert trace.records == fresh.records
+
+    def test_digest_mismatch_resimulates_and_heals(self, filled):
+        cache_dir, fresh = filled
+        # A well-formed sidecar with different content: one record's
+        # burst changed, which the stored digest no longer matches.
+        npz, _ = self.sidecars(cache_dir)
+        store = ArtifactStore(disk=ResultCache(cache_dir))
+        key = npz.name[len("stage-"):-len(".npz")]
+        arrays = {
+            name: np.array(array) for name, array in
+            store.get_arrays(key).items()
+        }
+        arrays["records"][0, 3] += 1
+        store.drop_arrays(key)
+        store.put_arrays(key, arrays)
+        trace, recollected = self.reload(cache_dir)
+        assert recollected == 1
+        assert trace.records == fresh.records
+        trace, recollected = self.reload(cache_dir)
+        assert recollected == 0
+        assert trace.records == fresh.records
+
+    def test_tampered_digest_never_changes_a_design(self, tmp_path, capsys):
+        argv = ["design", "qsort", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        # Point the collect entry at a digest no trace has: the result
+        # lookup misses, and the loaded records fail the digest check.
+        (entry,) = [
+            path for path in tmp_path.glob("stage-*.json")
+            if "digest" in json.loads(path.read_text())["payload"]
+        ]
+        payload = json.loads(entry.read_text())
+        payload["payload"]["digest"] = "0" * 64
+        entry.write_text(json.dumps(payload))
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert warm.splitlines()[:-1] == cold.splitlines()[:-1]
+        # The re-collected trace's own digest finds the stored result,
+        # and nothing is stored under the bogus one.
+        assert warm.splitlines()[-1] == (
+            "cache: 1/2 hits, 0 stores, 0 invalid entries, 0 write errors"
+        )
+        # The entry was rewritten: the next run is a plain warm run.
+        SIMULATION_COUNTER.reset()
+        assert main(argv) == 0
+        healed = capsys.readouterr().out
+        assert SIMULATION_COUNTER.runs == 0
+        assert healed.splitlines()[:-1] == cold.splitlines()[:-1]
+        assert healed.splitlines()[-1] == (
+            "cache: 1/1 hits, 0 stores, 0 invalid entries, 0 write errors"
+        )
+
+    def test_prune_evicts_collect_entries(self, filled, capsys):
+        cache_dir, fresh = filled
+        assert main(["cache", "prune", str(cache_dir), "--max-bytes", "0"]) == 0
+        capsys.readouterr()
+        assert list(cache_dir.glob("stage-*")) == []
+        trace, recollected = self.reload(cache_dir)
+        assert recollected == 1
+        assert trace.records == fresh.records

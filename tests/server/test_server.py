@@ -460,6 +460,28 @@ class TestHTTP:
         status, body = http_method(base, "/v1/jobs", "DELETE")
         assert status == 405
 
+    def test_keep_alive_requests_do_not_stall(self, server):
+        """Twenty requests on one HTTP/1.1 connection: with Nagle's
+        algorithm on, each response body waits ~40 ms for the delayed
+        ACK of its headers; with TCP_NODELAY they take milliseconds."""
+        import http.client
+        import time
+
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=30
+        )
+        try:
+            began = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/v1/health")
+                response = connection.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+            elapsed = time.perf_counter() - began
+        finally:
+            connection.close()
+        assert elapsed < 0.3, f"20 keep-alive requests took {elapsed:.3f} s"
+
     def test_stats_endpoint(self, base):
         status, stats = http_get(base, "/v1/stats")
         assert status == 200

@@ -245,11 +245,12 @@ class TestCacheCommands:
         out = capsys.readouterr().out
         # two persisted binding stages + two windowed-tensor npz
         # sidecars + two uncompressed mmap tiers + two warm-start hint
-        # slots (one per crossbar side)
-        assert "8 entries" in out
+        # slots (one per crossbar side), plus the collect stage's
+        # payload, npz sidecar and mmap tier
+        assert "11 entries" in out
 
         assert main(["cache", "prune", cache_dir, "--max-bytes", "0"]) == 0
-        assert "pruned 8 entries" in capsys.readouterr().out
+        assert "pruned 11 entries" in capsys.readouterr().out
 
         assert main(["cache", "stats", cache_dir]) == 0
         assert "0 entries" in capsys.readouterr().out

@@ -6,9 +6,9 @@ near-full crossbar; windows of 1-4 burst lengths compact sharply; very
 large windows degenerate toward the average-traffic design.
 
 The timed kernel is the full sweep (assignment backend, for baseline
-comparability); an untimed tier split then re-solves a window subset
-through each exact MILP backend tier (``--milp-backend``) and charts
-seconds per window size per tier.
+comparability); an untimed split then re-solves a window subset through
+the literal MILP (``--backend milp``, HiGHS) and charts seconds per
+window size.
 """
 
 import time
@@ -22,8 +22,7 @@ from _bench_utils import emit, engine_from_env, note_kernel_speedup
 BURST = 1_000
 WINDOWS = [200, 300, 400, 750, 1_000, 2_000, 3_000, 4_000, 50_000, 120_000]
 
-MILP_TIERS = ("highs", "portfolio")
-TIER_WINDOWS = [200, 1_000, 4_000, 120_000]
+MILP_WINDOWS = [200, 1_000, 4_000, 120_000]
 
 
 def test_fig5a_window_size_sweep(benchmark, results_dir):
@@ -62,54 +61,36 @@ def test_fig5a_window_size_sweep(benchmark, results_dir):
 
     sizes = {int(point.value): point.it_buses for point in points}
 
-    # PR 9 follow-up: the same sweep points through each exact MILP
-    # backend tier. The assignment sweep above already warmed the
-    # shared window store, so every tier resolves windows from the
-    # plane and the split isolates *solver* cost per window size.
-    # All tiers are exact -- bus counts must match point for point.
-    tier_split = {}
-    for tier in MILP_TIERS:
-        tier_config = SynthesisConfig(
-            max_targets_per_bus=None, backend="milp", milp_backend=tier
+    # The same sweep points through the literal MILP. The assignment
+    # sweep above already warmed the shared window store, so the split
+    # isolates *solver* cost per window size. Both backends are exact --
+    # bus counts must match point for point.
+    milp_config = SynthesisConfig(max_targets_per_bus=None, backend="milp")
+    milp_split = {}
+    for window in MILP_WINDOWS:
+        begin = time.perf_counter()
+        (point,) = window_size_sweep(trace, [window], milp_config, engine=engine)
+        milp_split[window] = round(time.perf_counter() - begin, 4)
+        assert point.it_buses == sizes[window], (
+            f"milp disagrees with assignment at window {window}"
         )
-        per_window = {}
-        for window in TIER_WINDOWS:
-            begin = time.perf_counter()
-            (point,) = window_size_sweep(
-                trace, [window], tier_config, engine=engine
-            )
-            per_window[window] = round(time.perf_counter() - begin, 4)
-            assert point.it_buses == sizes[window], (
-                f"milp:{tier} disagrees with assignment at window {window}"
-            )
-        tier_split[tier] = per_window
-    benchmark.extra_info["milp_tier_split_s"] = tier_split
+    benchmark.extra_info["milp_split_s"] = milp_split
 
-    tier_table = format_table(
-        ["window (cy)"] + [f"{tier} (s)" for tier in MILP_TIERS],
-        [
-            [window] + [tier_split[tier][window] for tier in MILP_TIERS]
-            for window in TIER_WINDOWS
-        ],
+    milp_table = format_table(
+        ["window (cy)", "milp (s)"],
+        [[window, milp_split[window]] for window in MILP_WINDOWS],
         title=(
-            "Fig. 5(a) sweep, MILP backend tier split "
+            "Fig. 5(a) sweep on the literal MILP "
             "(seconds per design point, windows pre-warmed)"
         ),
     )
-    tier_charts = [
-        bar_chart(
-            [str(window) for window in TIER_WINDOWS],
-            [tier_split[tier][window] * 1e3 for window in TIER_WINDOWS],
-            title=f"milp:{tier} ms per window size",
-            unit=" ms",
-        )
-        for tier in MILP_TIERS
-    ]
-    emit(
-        results_dir,
-        "fig5a_milp_tiers",
-        "\n\n".join([tier_table] + tier_charts),
+    milp_chart = bar_chart(
+        [str(window) for window in MILP_WINDOWS],
+        [milp_split[window] * 1e3 for window in MILP_WINDOWS],
+        title="milp ms per window size",
+        unit=" ms",
     )
+    emit(results_dir, "fig5a_milp", milp_table + "\n\n" + milp_chart)
 
     full_size = trace.num_targets
     # below the burst size: close to a full crossbar

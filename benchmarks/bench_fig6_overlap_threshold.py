@@ -8,9 +8,9 @@ shrinks. The plot ends at 50% because beyond it the window bandwidth
 constraint is violated anyway (Sec. 7.4).
 
 The timed kernel is the full threshold sweep (assignment backend, for
-baseline comparability); an untimed tier split then re-solves a
-threshold subset through each exact MILP backend tier
-(``--milp-backend``) and charts seconds per threshold per tier.
+baseline comparability); an untimed split then re-solves a threshold
+subset through the literal MILP (``--backend milp``, HiGHS) and charts
+seconds per threshold.
 """
 
 import time
@@ -24,8 +24,7 @@ from _bench_utils import emit, engine_from_env, note_kernel_speedup
 THRESHOLDS = [0.0, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50]
 WINDOW = 2_000  # twice the typical burst
 
-MILP_TIERS = ("highs", "portfolio")
-TIER_THRESHOLDS = [0.0, 0.20, 0.50]
+MILP_THRESHOLDS = [0.0, 0.20, 0.50]
 
 
 def test_fig6_overlap_threshold_sweep(benchmark, results_dir):
@@ -56,60 +55,42 @@ def test_fig6_overlap_threshold_sweep(benchmark, results_dir):
     )
     emit(results_dir, "fig6", table + "\n\n" + chart)
 
-    # PR 9 follow-up: the same design points through each exact MILP
-    # backend tier. The sweep above warmed the shared window store
-    # (threshold lives in the conflict stage, so every threshold shares
-    # one window fingerprint) -- the split isolates solver cost.
+    # The same design points through the literal MILP. The sweep above
+    # warmed the shared window store (threshold lives in the conflict
+    # stage, so every threshold shares one window fingerprint) -- the
+    # split isolates solver cost.
     reference = {point.value: point.it_buses for point in points}
-    tier_split = {}
-    for tier in MILP_TIERS:
-        tier_config = SynthesisConfig(
-            max_targets_per_bus=None, backend="milp", milp_backend=tier
+    milp_config = SynthesisConfig(max_targets_per_bus=None, backend="milp")
+    milp_split = {}
+    for threshold in MILP_THRESHOLDS:
+        begin = time.perf_counter()
+        (point,) = overlap_threshold_sweep(
+            trace, [threshold], WINDOW, milp_config, engine=engine
         )
-        per_threshold = {}
-        for threshold in TIER_THRESHOLDS:
-            begin = time.perf_counter()
-            (point,) = overlap_threshold_sweep(
-                trace, [threshold], WINDOW, tier_config, engine=engine
-            )
-            per_threshold[threshold] = round(
-                time.perf_counter() - begin, 4
-            )
-            assert point.it_buses == reference[threshold], (
-                f"milp:{tier} disagrees with assignment at {threshold:.0%}"
-            )
-        tier_split[tier] = per_threshold
-    benchmark.extra_info["milp_tier_split_s"] = tier_split
+        milp_split[threshold] = round(time.perf_counter() - begin, 4)
+        assert point.it_buses == reference[threshold], (
+            f"milp disagrees with assignment at {threshold:.0%}"
+        )
+    benchmark.extra_info["milp_split_s"] = milp_split
 
-    tier_table = format_table(
-        ["threshold"] + [f"{tier} (s)" for tier in MILP_TIERS],
+    milp_table = format_table(
+        ["threshold", "milp (s)"],
         [
-            [f"{threshold:.0%}"]
-            + [tier_split[tier][threshold] for tier in MILP_TIERS]
-            for threshold in TIER_THRESHOLDS
+            [f"{threshold:.0%}", milp_split[threshold]]
+            for threshold in MILP_THRESHOLDS
         ],
         title=(
-            "Fig. 6 sweep, MILP backend tier split "
+            "Fig. 6 sweep on the literal MILP "
             "(seconds per design point, windows pre-warmed)"
         ),
     )
-    tier_charts = [
-        bar_chart(
-            [f"{threshold:.0%}" for threshold in TIER_THRESHOLDS],
-            [
-                tier_split[tier][threshold] * 1e3
-                for threshold in TIER_THRESHOLDS
-            ],
-            title=f"milp:{tier} ms per threshold",
-            unit=" ms",
-        )
-        for tier in MILP_TIERS
-    ]
-    emit(
-        results_dir,
-        "fig6_milp_tiers",
-        "\n\n".join([tier_table] + tier_charts),
+    milp_chart = bar_chart(
+        [f"{threshold:.0%}" for threshold in MILP_THRESHOLDS],
+        [milp_split[threshold] * 1e3 for threshold in MILP_THRESHOLDS],
+        title="milp ms per threshold",
+        unit=" ms",
     )
+    emit(results_dir, "fig6_milp", milp_table + "\n\n" + milp_chart)
 
     sizes = [point.it_buses for point in points]
     # monotone non-increasing in the threshold

@@ -138,7 +138,6 @@ class _PhaseProfile:
             PHASE_TIMER.reset()
             self._stages_begin = _stage_seconds_snapshot()
             self._solves_begin = _counter_snapshot("repro_solves_total")
-            self._races_begin = _counter_snapshot("repro_race_wins_total")
         self._begin = time.perf_counter()
 
     def report(self) -> None:
@@ -176,12 +175,6 @@ class _PhaseProfile:
             if delta:
                 kind, backend = key
                 solve_rows.append([kind, backend, int(delta)])
-        for key, value in sorted(
-            _counter_snapshot("repro_race_wins_total").items()
-        ):
-            delta = value - self._races_begin.get(key, 0)
-            if delta:
-                solve_rows.append(["race win", key[0], int(delta)])
         if solve_rows:
             print()
             print(
@@ -228,12 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument(
         "--backend", choices=("assignment", "milp"), default="assignment",
         help="feasibility/binding solver backend",
-    )
-    design.add_argument(
-        "--milp-backend", choices=("reference", "highs", "portfolio"),
-        default=None,
-        help="MILP solver tier for --backend milp (default: "
-        "$REPRO_MILP_BACKEND, else the pure-Python reference solver)",
     )
     design.add_argument(
         "--validate", action="store_true",
@@ -374,12 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="feasibility/binding solver backend",
     )
     inspect.add_argument(
-        "--milp-backend", choices=("reference", "highs", "portfolio"),
-        default=None,
-        help="MILP solver tier for --backend milp (default: "
-        "$REPRO_MILP_BACKEND, else the pure-Python reference solver)",
-    )
-    inspect.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist serializable stage artifacts here; a repeated "
         "inspect reuses the solved binding stages",
@@ -499,7 +480,6 @@ def _config_from_args(args) -> SynthesisConfig:
         overlap_threshold=args.threshold,
         max_targets_per_bus=args.maxtb or None,
         backend=args.backend,
-        milp_backend=getattr(args, "milp_backend", None),
     )
 
 
@@ -886,6 +866,7 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import gc
     import signal
 
     from repro.server import serve as start_server
@@ -904,6 +885,10 @@ def _cmd_serve(args) -> int:
 
         shm.set_enabled(False)
 
+    # Everything alive now (modules, classes, registries) lives as long
+    # as the daemon: freeze it, so the collector's full passes over
+    # request-time garbage never re-walk it.
+    gc.freeze()
     server = start_server(
         host=args.host,
         port=args.port,

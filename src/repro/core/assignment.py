@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.preprocess import ConflictAnalysis
 from repro.core.problem import CrossbarDesignProblem
 from repro.errors import SolverError
+from repro.resilience.faults import solver_slowdown
 
 __all__ = ["AssignmentResult", "solve_assignment"]
 
@@ -121,6 +122,7 @@ def solve_assignment(
     best_binding: Optional[List[int]] = None
     best_objective: Optional[int] = None
     nodes = 0
+    slow = solver_slowdown()
 
     def capacity_bound_violated(depth: int) -> bool:
         residual = num_buses * capacities - total_load
@@ -130,6 +132,9 @@ def solve_assignment(
         """DFS; returns True to stop the whole search (feasibility mode)."""
         nonlocal best_binding, best_objective, nodes, total_load
         nodes += 1
+        if slow is not None:
+            # Injection point ``solver.slow``, keyed by node ordinal.
+            slow(str(nodes))
         if nodes > node_limit:
             raise _BudgetExceeded
         if depth == num_targets:

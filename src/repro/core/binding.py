@@ -9,18 +9,18 @@ average-latency gap between random and optimal bindings, which
 
 Backend equivalence
 -------------------
-The MILP path may run on any of the :mod:`repro.milp` backends
-(reference B&B, native HiGHS, or the racing portfolio). All are exact,
-so they agree on the optimal *objective* -- but not necessarily on
-which optimal *point* they return when the optimum is degenerate.
-Reports and artifacts must be byte-identical regardless of backend, so
-once a solve proves the optimal objective ``V``, the returned binding
-is re-derived canonically: a deterministic assignment DFS
+The MILP path (:mod:`repro.milp`, HiGHS on the literal Eq. 3-11 model)
+and the default assignment DFS are both exact, so they agree on the
+optimal *objective* -- but not necessarily on which optimal *point*
+they return when the optimum is degenerate. Reports and artifacts must
+be byte-identical regardless of backend, so once a MILP solve proves
+the optimal objective ``V``, the returned binding is re-derived
+canonically: a deterministic assignment DFS
 (:func:`repro.core.assignment.solve_assignment` with
 ``overlap_budget=V``) finds the first binding of overlap ``<= V`` in a
-fixed search order. The backend's own solution vector only surfaces
-when the solve was *not* proven optimal (limit-degraded incumbents) or
-the canonical search exhausts its node budget. The DFS doubles as an
+fixed search order. The MILP's own solution vector only surfaces when
+the solve was *not* proven optimal (limit-degraded incumbents) or the
+canonical search exhausts its node budget. The DFS doubles as an
 oracle cross-check: a proven-optimal objective the DFS cannot realize
 means two exact solvers disagree, which is raised, not papered over.
 """
@@ -51,10 +51,8 @@ def milp_solver_options(
 ) -> BranchBoundOptions:
     """The :func:`solve_milp` options a synthesis config translates to."""
     return BranchBoundOptions(
-        lp_engine=config.lp_engine,
         node_limit=config.node_limit,
         feasibility_only=feasibility_only,
-        backend=config.milp_backend,
     )
 
 
@@ -86,9 +84,9 @@ def _canonical_optimal_binding(
 ):
     """The deterministic optimal binding realizing a proven objective.
 
-    See the module docstring: every exact backend funnels through this
+    See the module docstring: a proven MILP optimum funnels through this
     budget-bounded DFS so degenerate ties resolve identically. Falls
-    back to the backend's own point only when the DFS runs out of node
+    back to the MILP's own point only when the DFS runs out of node
     budget; raises when the DFS *proves* the objective unrealizable.
     """
     try:
@@ -123,12 +121,12 @@ def optimize_binding(
 
     ``warm_binding`` is an optional target->bus tuple from a previous
     solve of a similar problem (the pipeline's warm-hint store); the
-    MILP backends use it as an advisory initial incumbent. Warm or
-    cold, proven-optimal results return the same canonical binding.
+    MILP path uses it as an advisory objective cutoff. Warm or cold,
+    proven-optimal results return the same canonical binding.
     """
     if config.backend == "milp":
         options = milp_solver_options(config)
-        record_solve("binding", backend=options.resolve_backend())
+        record_solve("binding", backend="highs")
         crossbar_model = build_binding_model(
             problem, conflicts, num_buses, config.max_targets_per_bus
         )

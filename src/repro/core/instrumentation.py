@@ -100,9 +100,8 @@ class SolveCounter:
     def record(self, kind: str, backend: str = "assignment") -> None:
         """Record one solver invocation of ``kind`` on ``backend``.
 
-        ``backend`` names the solver tier that ran: ``"assignment"``
-        (the specialized solver, default) or a MILP backend
-        (``reference`` / ``highs`` / ``portfolio``).
+        ``backend`` names the solver that ran: ``"assignment"`` (the
+        specialized solver, default) or ``"highs"`` (the literal MILP).
         """
         if kind not in ("feasibility", "binding"):
             raise ValueError(f"unknown solve kind {kind!r}")

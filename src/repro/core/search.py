@@ -62,14 +62,14 @@ def _canonical_witness(
 ):
     """Re-derive a MILP feasibility witness deterministically.
 
-    Exact MILP backends agree that a witness *exists* but not on which
-    one they find, and the witness is serialized into binding
-    artifacts -- so byte-identity across backends (and across warm vs
-    cold solves) requires deriving it from the verdict, not the solve:
-    the same deterministic assignment DFS the default backend runs.
-    Falls back to the backend's own witness if the DFS exhausts its
-    node budget; a DFS *proof* of infeasibility contradicting the MILP
-    verdict is a solver bug and raises.
+    Exact solvers agree that a witness *exists* but not on which one
+    they find, and the witness is serialized into binding artifacts --
+    so byte-identity across backends (and across warm vs cold solves)
+    requires deriving it from the verdict, not the solve: the same
+    deterministic assignment DFS the default backend runs. Falls back
+    to the MILP's own witness if the DFS exhausts its node budget; a
+    DFS *proof* of infeasibility contradicting the MILP verdict is a
+    solver bug and raises.
     """
     try:
         result = solve_assignment(
@@ -109,7 +109,7 @@ def _is_feasible(
         from repro.core.binding import milp_solver_options
 
         options = milp_solver_options(config, feasibility_only=True)
-        record_solve("feasibility", backend=options.resolve_backend())
+        record_solve("feasibility", backend="highs")
         crossbar_model = build_feasibility_model(
             problem, conflicts, num_buses, config.max_targets_per_bus
         )

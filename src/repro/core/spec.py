@@ -32,18 +32,8 @@ class SynthesisConfig:
     backend:
         ``"assignment"`` (specialized exact solver, default) or
         ``"milp"`` (the literal Eq. 3-11 formulation via
-        :mod:`repro.milp`).
-    lp_engine:
-        LP relaxation engine for the MILP backend.
-    milp_backend:
-        MILP solver tier used when ``backend="milp"``: ``"reference"``
-        (pure-Python branch and bound, the correctness oracle),
-        ``"highs"`` (native HiGHS MIP via scipy), ``"portfolio"``
-        (both raced, first proof wins), or ``None`` to resolve
-        ``REPRO_MILP_BACKEND`` at solve time. All tiers are exact, so
-        the choice never changes reported designs -- only how fast
-        they arrive (it is deliberately excluded from pipeline stage
-        fingerprints for the same reason).
+        :mod:`repro.milp`, solved by HiGHS). Both are exact and
+        report byte-identical designs.
     use_criticality:
         Whether overlapping real-time streams force conflicts.
     node_limit:
@@ -63,12 +53,10 @@ class SynthesisConfig:
     overlap_threshold: float = 0.3
     max_targets_per_bus: Optional[int] = 4
     backend: str = "assignment"
-    lp_engine: str = "scipy"
     use_criticality: bool = True
     node_limit: int = 2_000_000
     variable_windows: bool = False
     variable_window_ratio: int = 5
-    milp_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.window_size is not None and self.window_size < 1:
@@ -83,13 +71,6 @@ class SynthesisConfig:
         if self.backend not in ("assignment", "milp"):
             raise ConfigurationError(
                 f"backend must be 'assignment' or 'milp', got {self.backend!r}"
-            )
-        if self.milp_backend is not None and self.milp_backend not in (
-            "reference", "highs", "portfolio",
-        ):
-            raise ConfigurationError(
-                "milp_backend must be 'reference', 'highs', 'portfolio' "
-                f"or None, got {self.milp_backend!r}"
             )
         if self.node_limit < 1:
             raise ConfigurationError("node_limit must be positive")

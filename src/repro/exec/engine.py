@@ -313,9 +313,8 @@ def _evaluate_in_worker(
 def preferred_mp_context() -> multiprocessing.context.BaseContext:
     """Prefer ``fork`` (cheap model/trace hand-off) where the OS offers it.
 
-    Shared by the engine's worker pools and the MILP racing portfolio
-    (:mod:`repro.milp.portfolio`), so every process the platform spawns
-    follows one start-method policy.
+    Every worker pool the engine builds uses it, so every process the
+    platform spawns follows one start-method policy.
     """
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
 from typing import Any, Optional
 
 from repro.core.spec import SynthesisConfig
+from repro.exec.serialize import config_to_dict
 from repro.traffic.trace import TrafficTrace
 
 __all__ = [
@@ -97,7 +97,7 @@ def trace_fingerprint(trace: TrafficTrace) -> str:
 
 def config_fingerprint(config: SynthesisConfig) -> str:
     """Content hash of a synthesis configuration (all fields)."""
-    return sha256_hex(canonical_json(asdict(config)))
+    return sha256_hex(canonical_json(config_to_dict(config)))
 
 
 def task_key(
@@ -117,7 +117,7 @@ def task_key(
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "trace": trace_digest,
-        "config": asdict(config),
+        "config": config_to_dict(config),
         "window_size": int(window_size),
         "application": application or "",
     }

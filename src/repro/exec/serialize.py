@@ -18,9 +18,20 @@ from typing import Any, Dict
 from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
 from repro.errors import ReproError
 
-__all__ = ["SynthesisResult", "result_to_dict", "result_from_dict"]
+__all__ = [
+    "SynthesisResult",
+    "config_to_dict",
+    "result_to_dict",
+    "result_from_dict",
+]
 
 RESULT_FORMAT = "repro-result-v1"
+
+# Configuration fields that no longer exist but that every
+# ``repro-result-v1`` record -- and every cache key hashed from a
+# record's config -- still carries, at the only values they ever took.
+# Writing them keeps records and keys byte-identical; reading drops them.
+_RETIRED_CONFIG_FIELDS = {"lp_engine": "scipy", "milp_backend": None}
 
 
 @dataclass(frozen=True)
@@ -95,12 +106,17 @@ def _binding_from_dict(payload: Dict[str, Any]) -> BusBinding:
     )
 
 
+def config_to_dict(config: SynthesisConfig) -> Dict[str, Any]:
+    """The configuration as ``repro-result-v1`` records and hashes it."""
+    return {**asdict(config), **_RETIRED_CONFIG_FIELDS}
+
+
 def result_to_dict(result: SynthesisResult) -> Dict[str, Any]:
     """Encode a result as a JSON-ready dictionary."""
     return {
         "format": RESULT_FORMAT,
         "window_size": result.window_size,
-        "config": asdict(result.config),
+        "config": config_to_dict(result.config),
         "design": {
             "label": result.design.label,
             "it": _binding_to_dict(result.design.it),
@@ -132,6 +148,11 @@ def result_from_dict(payload: Dict[str, Any]) -> SynthesisResult:
     try:
         design_payload = payload["design"]
         diagnostics = payload.get("diagnostics", {})
+        config_fields = {
+            name: value
+            for name, value in payload["config"].items()
+            if name not in _RETIRED_CONFIG_FIELDS
+        }
         design = CrossbarDesign(
             it=_binding_from_dict(design_payload["it"]),
             ti=_binding_from_dict(design_payload["ti"]),
@@ -140,7 +161,7 @@ def result_from_dict(payload: Dict[str, Any]) -> SynthesisResult:
         return SynthesisResult(
             design=design,
             window_size=int(payload["window_size"]),
-            config=SynthesisConfig(**payload["config"]),
+            config=SynthesisConfig(**config_fields),
             it_conflicts=int(diagnostics.get("it_conflicts", 0)),
             ti_conflicts=int(diagnostics.get("ti_conflicts", 0)),
             it_probes={

@@ -2,38 +2,22 @@
 
 The paper solves its crossbar feasibility and binding formulations with
 ILOG CPLEX. This subpackage is the offline stand-in: a small modeling
-layer (:class:`~repro.milp.model.Model`), a pure-Python two-phase simplex
-LP solver (:mod:`repro.milp.simplex`), a branch-and-bound MILP solver
-(:mod:`repro.milp.branch_bound`) that can use either the built-in simplex
-or scipy's HiGHS for LP relaxations, and solution/status objects.
+layer (:class:`~repro.milp.model.Model`) that keeps the paper's
+Eqs. 3-11 readable as code, solution/status objects, and one exact
+solver, :func:`~repro.milp.solver.solve_milp`, which hands the whole
+model to HiGHS through ``scipy.optimize.milp``.
 
-:func:`~repro.milp.branch_bound.solve_milp` is the single entry point;
-behind it sit three interchangeable backends (``reference`` -- the
-pure-Python B&B and correctness oracle; ``highs`` -- the whole model
-handed to HiGHS native branch and bound in
-:mod:`repro.milp.highs_backend`; ``portfolio`` -- both raced in
-parallel, first proof wins, :mod:`repro.milp.portfolio`) selected via
-``BranchBoundOptions.backend`` or ``REPRO_MILP_BACKEND``.
-
-The solvers are exact on the problem sizes the paper works with (at most
-32 targets, a few thousand binaries) and are validated against brute-force
-enumeration, scipy, and each other (the backend equivalence gate) in the
-test suite.
+Importing this package loads no scipy module; the solve imports it.
+The default synthesis backend (the assignment DFS in
+:mod:`repro.core.assignment`) never enters the solver, and the test
+suite checks the two against each other and against brute-force
+enumeration.
 """
 
 from repro.milp.expr import LinExpr, Variable, VarType
 from repro.milp.model import Constraint, Model, Sense, StandardForm
 from repro.milp.solution import Solution, SolveStatus, solution_from_vector
-from repro.milp.simplex import SimplexResult, solve_lp_simplex
-from repro.milp.scipy_backend import make_lp_solver, solve_lp_scipy
-from repro.milp.branch_bound import (
-    MILP_BACKENDS,
-    BranchBoundOptions,
-    resolve_default_backend,
-    solve_milp,
-)
-from repro.milp.highs_backend import solve_milp_highs
-from repro.milp.portfolio import race_portfolio, race_win_counts
+from repro.milp.solver import BranchBoundOptions, solve_milp
 
 __all__ = [
     "Variable",
@@ -46,15 +30,6 @@ __all__ = [
     "Solution",
     "SolveStatus",
     "solution_from_vector",
-    "SimplexResult",
-    "solve_lp_simplex",
-    "solve_lp_scipy",
-    "make_lp_solver",
     "solve_milp",
-    "solve_milp_highs",
-    "race_portfolio",
-    "race_win_counts",
     "BranchBoundOptions",
-    "MILP_BACKENDS",
-    "resolve_default_backend",
 ]

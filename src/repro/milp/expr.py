@@ -50,9 +50,7 @@ class Variable:
         if math.isnan(lower) or math.isnan(upper):
             raise ModelError(f"variable {name!r} has NaN bounds")
         if lower > upper:
-            raise ModelError(
-                f"variable {name!r} has empty domain [{lower}, {upper}]"
-            )
+            raise ModelError(f"variable {name!r} has empty domain [{lower}, {upper}]")
         self.name = name
         self.lower = float(lower)
         self.upper = float(upper)
@@ -70,16 +68,33 @@ class Variable:
         """This variable as a single-term linear expression."""
         return LinExpr({self: 1.0}, 0.0)
 
-    def __add__(self, other): return self.to_expr() + other
-    def __radd__(self, other): return self.to_expr() + other
-    def __sub__(self, other): return self.to_expr() - other
-    def __rsub__(self, other): return (-self.to_expr()) + other
-    def __mul__(self, other): return self.to_expr() * other
-    def __rmul__(self, other): return self.to_expr() * other
-    def __neg__(self): return -self.to_expr()
+    def __add__(self, other):
+        return self.to_expr() + other
 
-    def __le__(self, other): return self.to_expr() <= other
-    def __ge__(self, other): return self.to_expr() >= other
+    def __radd__(self, other):
+        return self.to_expr() + other
+
+    def __sub__(self, other):
+        return self.to_expr() - other
+
+    def __rsub__(self, other):
+        return (-self.to_expr()) + other
+
+    def __mul__(self, other):
+        return self.to_expr() * other
+
+    def __rmul__(self, other):
+        return self.to_expr() * other
+
+    def __neg__(self):
+        return -self.to_expr()
+
+    def __le__(self, other):
+        return self.to_expr() <= other
+
+    def __ge__(self, other):
+        return self.to_expr() >= other
+
     def __eq__(self, other):  # type: ignore[override]
         if isinstance(other, Variable):
             return self is other

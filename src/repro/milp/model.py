@@ -1,7 +1,7 @@
 """Optimization model container and standard-form conversion.
 
 A :class:`Model` owns variables and constraints and converts itself to the
-dense matrix form consumed by the LP engines::
+dense matrix form the solver hands to HiGHS::
 
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class Constraint:
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Dense matrices of a model, ready for an LP engine."""
+    """Dense matrices of a model, ready for the solver."""
 
     objective: np.ndarray
     a_ub: np.ndarray
@@ -183,22 +183,11 @@ class Model:
 
     # -- conversion -------------------------------------------------------------
 
-    def to_standard_form(
-        self, bound_overrides: Optional[Dict[int, tuple]] = None
-    ) -> StandardForm:
-        """Convert to dense matrices.
-
-        ``bound_overrides`` maps variable column indices to ``(lower,
-        upper)`` pairs; the branch-and-bound solver uses it to tighten
-        domains without mutating the model.
-        """
+    def to_standard_form(self) -> StandardForm:
+        """Convert to dense matrices."""
         num_vars = len(self._variables)
         lower = np.array([var.lower for var in self._variables], dtype=float)
         upper = np.array([var.upper for var in self._variables], dtype=float)
-        if bound_overrides:
-            for index, (new_lower, new_upper) in bound_overrides.items():
-                lower[index] = max(lower[index], new_lower)
-                upper[index] = min(upper[index], new_upper)
         objective = np.zeros(num_vars)
         for var, coeff in self._objective.terms.items():
             objective[var.index] = coeff

@@ -24,7 +24,7 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class Solution:
-    """Result of :func:`repro.milp.branch_bound.solve_milp`.
+    """Result of :func:`repro.milp.solver.solve_milp`.
 
     Attributes
     ----------

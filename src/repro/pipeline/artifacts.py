@@ -99,18 +99,9 @@ def conflict_stage_spec(config: SynthesisConfig) -> Dict[str, Any]:
 
 
 def binding_stage_spec(config: SynthesisConfig) -> Dict[str, Any]:
-    """The configuration slice the search/binding stage reads.
-
-    ``milp_backend`` is *deliberately absent*: every MILP backend is
-    exact and the binding layer canonicalizes optimal solutions, so the
-    artifact content is backend-independent by construction. Keying it
-    would split the cache by a knob that cannot change the bytes --
-    switching backends (or racing them) must keep reusing the same
-    solved bindings.
-    """
+    """The configuration slice the search/binding stage reads."""
     return {
         "backend": config.backend,
-        "lp_engine": config.lp_engine,
         "max_targets_per_bus": config.max_targets_per_bus,
         "node_limit": config.node_limit,
     }

@@ -31,9 +31,9 @@ from repro.resilience.faults import (
     install_plan,
     maybe_crash_worker,
     maybe_io_error,
-    maybe_slow_solver,
     should_corrupt_cache,
     should_inject,
+    solver_slowdown,
 )
 from repro.resilience.retry import EngineStats, RetryPolicy
 
@@ -52,7 +52,7 @@ __all__ = [
     "install_plan",
     "maybe_crash_worker",
     "maybe_io_error",
-    "maybe_slow_solver",
     "should_corrupt_cache",
     "should_inject",
+    "solver_slowdown",
 ]

@@ -20,8 +20,8 @@ Known injection points
     corrupted (the same path a truncated or garbage file takes), so the
     caller must re-solve and overwrite.
 ``solver.slow``
-    The branch-and-bound node loop sleeps ``delay_s`` per matching
-    node, forcing wall-clock deadlines to trigger deterministically.
+    The assignment solver's search sleeps ``delay_s`` per matching node
+    (keyed by node ordinal), stretching solve latency deterministically.
 ``io.transient``
     A cache write raises :class:`OSError` on matching attempts,
     exercising the write-retry + degrade-to-recomputation path.
@@ -50,7 +50,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import metrics as _metrics
@@ -68,7 +68,7 @@ __all__ = [
     "should_inject",
     "maybe_crash_worker",
     "should_corrupt_cache",
-    "maybe_slow_solver",
+    "solver_slowdown",
     "maybe_io_error",
     "fault_summary",
 ]
@@ -381,15 +381,23 @@ def should_corrupt_cache(key: str) -> bool:
     return should_inject("cache.corrupt", key)
 
 
-def maybe_slow_solver(key: str) -> None:
-    """Sleep the rule's ``delay_s`` if ``solver.slow`` fires."""
+def solver_slowdown() -> Optional[Callable[[str], None]]:
+    """The ``solver.slow`` hook for one solve, or ``None`` when disarmed.
+
+    Read once per solve, so a solve without a ``solver.slow`` rule does
+    no per-node work. The hook sleeps the rule's ``delay_s`` for every
+    node key the plan fires on.
+    """
     plan = active_plan()
-    if plan is None:
-        return
-    if plan.decide("solver.slow", key):
-        rule = plan.rule("solver.slow")
-        if rule is not None and rule.delay_s > 0:
+    rule = plan.rule("solver.slow") if plan is not None else None
+    if rule is None:
+        return None
+
+    def slow(key: str) -> None:
+        if plan.decide("solver.slow", key) and rule.delay_s > 0:
             time.sleep(rule.delay_s)
+
+    return slow
 
 
 def maybe_io_error(key: str) -> None:

@@ -58,7 +58,11 @@ from repro.core.validate import audit_binding
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.engine import ExecutionEngine, ReplayTask, SynthesisTask
-from repro.exec.serialize import SynthesisResult, result_to_dict
+from repro.exec.serialize import (
+    SynthesisResult,
+    config_to_dict,
+    result_to_dict,
+)
 from repro.pipeline.artifacts import (
     CollectedTraffic,
     ReplayArtifact,
@@ -583,7 +587,7 @@ class ScenarioSuiteRunner:
                 "individual-solve",
                 artifact.fingerprint,
                 {
-                    "config": asdict(task.config),
+                    "config": config_to_dict(task.config),
                     "window": task.window_size,
                     "tag": tag,
                 },

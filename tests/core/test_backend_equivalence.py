@@ -1,16 +1,13 @@
 """The cross-backend equivalence gate (byte-identity).
 
-Every MILP backend is exact and the binding layer canonicalizes optimal
-solutions, so the *serialized* search/binding outputs -- what reports
-and persisted artifacts are built from -- must be byte-identical across
-``reference``, ``highs``, and ``portfolio``, and must match the default
-assignment backend (whose deterministic DFS is the canonical form).
-This is what licenses sharing binding artifacts across backends
-(``binding_stage_spec`` deliberately omits ``milp_backend``) and racing
-them in the portfolio without perturbing any output.
+The MILP path (HiGHS on the literal Eq. 3-11 model) is exact and the
+binding layer canonicalizes its optimal solutions, so the *serialized*
+search/binding outputs -- what reports and persisted artifacts are
+built from -- must be byte-identical to the default assignment
+backend's (whose deterministic DFS is the canonical form), warm or
+cold.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -21,7 +18,6 @@ from repro.core import (
     optimize_binding,
     search_minimum_buses,
 )
-from repro.milp import MILP_BACKENDS
 
 from tests.core.conftest import problem_from_activity
 
@@ -67,29 +63,15 @@ def _solve_serialized(problem, config):
 
 
 class TestByteIdentity:
-    def test_all_milp_backends_identical(self, problem):
-        outputs = {
-            backend: _solve_serialized(
-                problem,
-                SynthesisConfig(backend="milp", milp_backend=backend),
-            )
-            for backend in MILP_BACKENDS
-        }
-        reference = outputs["reference"]
-        for backend, payload in outputs.items():
-            assert payload == reference, f"{backend} diverged from reference"
-
     def test_milp_matches_assignment_backend(self, problem):
         # The canonicalization DFS *is* the assignment solver, so the
-        # milp tier converges onto the default backend's exact bytes.
+        # milp backend converges onto the default backend's exact bytes.
         assignment = _solve_serialized(problem, SynthesisConfig())
-        milp = _solve_serialized(
-            problem, SynthesisConfig(backend="milp", milp_backend="reference")
-        )
+        milp = _solve_serialized(problem, SynthesisConfig(backend="milp"))
         assert milp == assignment
 
     def test_warm_start_does_not_change_bytes(self, problem):
-        config = SynthesisConfig(backend="milp", milp_backend="highs")
+        config = SynthesisConfig(backend="milp")
         conflicts = build_conflicts(problem, config)
         cold_search = search_minimum_buses(problem, conflicts, config)
         cold_binding = optimize_binding(
@@ -109,31 +91,10 @@ class TestByteIdentity:
     def test_stale_warm_hint_rejected_not_corrupting(self, problem):
         # A hint of the wrong length (edited suite changed target count)
         # must be ignored, leaving the outcome untouched.
-        config = SynthesisConfig(backend="milp", milp_backend="reference")
+        config = SynthesisConfig(backend="milp")
         conflicts = build_conflicts(problem, config)
         cold = search_minimum_buses(problem, conflicts, config)
         stale = search_minimum_buses(
             problem, conflicts, config, warm_binding=(0, 0)
         )
         assert stale == cold
-
-
-class TestConfigValidation:
-    def test_unknown_milp_backend_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            SynthesisConfig(milp_backend="cplex")
-
-    def test_milp_backend_excluded_from_stage_spec(self):
-        from repro.pipeline.artifacts import binding_stage_spec
-
-        config = SynthesisConfig(backend="milp")
-        specs = {
-            backend: binding_stage_spec(
-                dataclasses.replace(config, milp_backend=backend)
-            )
-            for backend in MILP_BACKENDS
-        }
-        first = specs["reference"]
-        assert all(spec == first for spec in specs.values())

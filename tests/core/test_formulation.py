@@ -5,6 +5,8 @@ feasibility verdicts and binding objectives -- the paper's results cannot
 depend on which solver answered.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,9 +17,33 @@ from repro.core.formulation import (
     build_binding_model,
     build_feasibility_model,
 )
+from repro.core.search import search_minimum_buses
 from repro.milp import BranchBoundOptions, SolveStatus, solve_milp
 
+from tests.core.conftest import problem_from_activity
 from tests.traffic.test_windows import random_trace
+
+
+@st.composite
+def design_problems(draw):
+    """A random trace cut into short windows, or (three times as often)
+    five or seven targets each busy 30-50% of one shared window.
+
+    Random traces this small always design at the analytic lower bound,
+    so the search never asks the solver a hard question. In the shared
+    window at most two or three targets fit on a bus, and the minimum
+    bus count exceeds the bound in about a quarter of the draws: the
+    solver, not the bound, decides it."""
+    if draw(st.integers(0, 3)) == 0:
+        trace = draw(random_trace())
+        return CrossbarDesignProblem.from_trace(
+            trace, window_size=draw(st.integers(4, 40))
+        )
+    activity = [
+        [(draw(st.integers(0, 60)), draw(st.integers(30, 50)))]
+        for _ in range(draw(st.sampled_from([5, 7])))
+    ]
+    return problem_from_activity(activity, total_cycles=200, window_size=100)
 
 
 def conflicts_for(problem, threshold=0.3):
@@ -111,3 +137,25 @@ class TestSolverAgreement:
             )
         else:
             assert milp.status is SolveStatus.INFEASIBLE
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        design_problems(),
+        st.sampled_from([0.25, 0.5]),
+        st.sampled_from([None, 2, 3]),
+    )
+    def test_minimum_bus_count_agreement_on_random_problems(
+        self, problem, threshold, maxtb
+    ):
+        # The whole Sec. 6 configuration search, once on HiGHS over the
+        # literal Eq. 3-10 model and once on the DFS: every probe's
+        # verdict, hence the minimum bus count, must match.
+        dfs_config = SynthesisConfig(
+            overlap_threshold=threshold, max_targets_per_bus=maxtb
+        )
+        milp_config = replace(dfs_config, backend="milp")
+        conflicts = build_conflicts(problem, dfs_config)
+        dfs = search_minimum_buses(problem, conflicts, dfs_config)
+        milp = search_minimum_buses(problem, conflicts, milp_config)
+        assert milp.num_buses == dfs.num_buses
+        assert milp.probes == dfs.probes

@@ -77,6 +77,15 @@ class TestConfigFingerprint:
         assert len(digests) == len(variants)
 
 
+    def test_key_predates_the_single_milp_backend(self):
+        # Pinned before SynthesisConfig lost ``lp_engine`` and
+        # ``milp_backend``: config_to_dict writes them back at their
+        # only values, so every cached result keeps its key.
+        assert config_fingerprint(SynthesisConfig()) == (
+            "ea02204a9feb63c727b51913cbdb42213cc147cc9a11492d04a291d31e279a08"
+        )
+
+
 class TestTaskKey:
     def test_distinguishes_window_and_application(self):
         config = SynthesisConfig()
@@ -85,6 +94,12 @@ class TestTaskKey:
         assert task_key(digest, config, 501) != base
         assert task_key(digest, config, 500, application="mat2") != base
         assert task_key("0" * 64, config, 500) != base
+
+    def test_key_predates_the_single_milp_backend(self):
+        config = SynthesisConfig(overlap_threshold=0.2, backend="milp")
+        assert task_key("0" * 64, config, 800, application="qsort") == (
+            "af8f345be74e16f41616e73fd743179f4e127a12b5cdf1b2091ca8f9065b1c20"
+        )
 
     def test_repeatable(self):
         config = SynthesisConfig(overlap_threshold=0.2)

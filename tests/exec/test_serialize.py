@@ -31,6 +31,13 @@ def _sample_result() -> SynthesisResult:
     )
 
 
+class TestRetiredConfigFields:
+    def test_records_keep_the_retired_fields_at_their_only_values(self):
+        config = result_to_dict(_sample_result())["config"]
+        assert config["lp_engine"] == "scipy"
+        assert config["milp_backend"] is None
+
+
 class TestRoundTrip:
     def test_dict_round_trip_is_exact(self):
         result = _sample_result()

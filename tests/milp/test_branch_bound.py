@@ -1,15 +1,12 @@
-"""Unit and property tests for the branch-and-bound MILP solver.
+"""Unit and property tests for the MILP solver (HiGHS branch and bound).
 
 Random small MILPs are verified against brute-force enumeration of the
-integer grid, with both LP engines.
+integer grid.
 """
 
-import itertools
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from repro.errors import SolverError
 from repro.milp import (
     BranchBoundOptions,
     LinExpr,
@@ -18,6 +15,8 @@ from repro.milp import (
     SolveStatus,
     solve_milp,
 )
+
+from tests.milp.oracles import brute_force, random_milp
 
 
 class TestKnownMILPs:
@@ -107,61 +106,18 @@ class TestKnownMILPs:
         solution = solve_milp(model, BranchBoundOptions(node_limit=3))
         assert solution.status in (SolveStatus.NODE_LIMIT, SolveStatus.INFEASIBLE)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SolverError):
-            BranchBoundOptions(lp_engine="gurobi").resolve_engine()
-
-    def test_simplex_engine_agrees_on_knapsack(self):
-        model = Model()
-        xs = [model.binary_var(f"x{i}") for i in range(4)]
-        model.add(LinExpr.total([3 * xs[0], 4 * xs[1], 2 * xs[2], 3 * xs[3]]) <= 6)
-        model.minimize(
-            LinExpr.total([-10 * xs[0], -13 * xs[1], -7 * xs[2], -8 * xs[3]])
-        )
-        solution = solve_milp(model, BranchBoundOptions(lp_engine="simplex"))
-        assert solution.objective == pytest.approx(-20)
-
-
-def brute_force(c, rows, ub):
-    """Enumerate the integer grid; return the best objective or None."""
-    best = None
-    ranges = [range(0, u + 1) for u in ub]
-    for point in itertools.product(*ranges):
-        if all(
-            sum(a * v for a, v in zip(row, point)) <= b for row, b in rows
-        ):
-            value = sum(ci * v for ci, v in zip(c, point))
-            if best is None or value < best:
-                best = value
-    return best
-
-
-@st.composite
-def random_milp(draw):
-    num_vars = draw(st.integers(1, 4))
-    num_rows = draw(st.integers(1, 4))
-    ints = st.integers(-5, 5)
-    c = [draw(ints) for _ in range(num_vars)]
-    rows = []
-    for _ in range(num_rows):
-        row = [draw(ints) for _ in range(num_vars)]
-        rhs = draw(st.integers(-8, 15))
-        rows.append((row, rhs))
-    ub = [draw(st.integers(0, 4)) for _ in range(num_vars)]
-    return c, rows, ub
-
 
 class TestAgainstBruteForce:
     @settings(max_examples=60, deadline=None)
-    @given(random_milp(), st.sampled_from(["scipy", "simplex"]))
-    def test_matches_enumeration(self, milp, engine):
+    @given(random_milp())
+    def test_matches_enumeration(self, milp):
         c, rows, ub = milp
         model = Model()
         xs = [model.integer_var(f"x{i}", upper=u) for i, u in enumerate(ub)]
         for row, rhs in rows:
             model.add(LinExpr.total(a * x for a, x in zip(row, xs)) <= rhs)
         model.minimize(LinExpr.total(ci * x for ci, x in zip(c, xs)))
-        solution = solve_milp(model, BranchBoundOptions(lp_engine=engine))
+        solution = solve_milp(model)
         expected = brute_force(c, rows, ub)
         if expected is None:
             assert solution.status is SolveStatus.INFEASIBLE

@@ -1,26 +1,22 @@
-"""The native HiGHS MILP backend and the backend dispatch.
+"""HiGHS through ``scipy.optimize.milp``: edge cases and warm starts.
 
-The reference branch and bound is the correctness oracle: on every
-model the HiGHS tier must agree on the feasibility verdict and (when
-optimal) the objective value. It need not return the same *point* on
-degenerate optima -- callers canonicalize (see
+HiGHS need not return the same *point* on degenerate optima as the
+assignment DFS -- callers canonicalize (see
 ``tests/core/test_backend_equivalence.py`` for the byte-identity gate).
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from repro.errors import SolverError
 from repro.milp import (
     BranchBoundOptions,
     LinExpr,
     Model,
     SolveStatus,
     solve_milp,
-    solve_milp_highs,
 )
 
-from tests.milp.test_branch_bound import brute_force, random_milp
+from tests.milp.oracles import brute_force, random_milp
 
 
 def _knapsack():
@@ -33,13 +29,10 @@ def _knapsack():
     return model, xs
 
 
-HIGHS = BranchBoundOptions(backend="highs")
-
-
 class TestHighsBackend:
     def test_knapsack_optimal(self):
         model, _ = _knapsack()
-        solution = solve_milp(model, HIGHS)
+        solution = solve_milp(model)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(-20)
         assert solution.nodes >= 0
@@ -48,35 +41,35 @@ class TestHighsBackend:
         model = Model()
         x = model.binary_var("x")
         model.add(x >= 2)
-        solution = solve_milp(model, HIGHS)
+        solution = solve_milp(model)
         assert solution.status is SolveStatus.INFEASIBLE
 
     def test_infeasible_integrality(self):
         model = Model()
         x = model.integer_var("x", upper=5)
         model.add(2 * x.to_expr() == 3)
-        solution = solve_milp(model, HIGHS)
+        solution = solve_milp(model)
         assert solution.status is SolveStatus.INFEASIBLE
 
     def test_unbounded(self):
         model = Model()
         y = model.continuous_var("y")  # upper defaults to +inf
         model.minimize(-1 * y)
-        solution = solve_milp(model, HIGHS)
+        solution = solve_milp(model)
         assert solution.status is SolveStatus.UNBOUNDED
 
     def test_degenerate_ties_agree_on_objective(self):
-        # Two symmetric optima: backends may pick either point but must
-        # report the same optimal value.
+        # Two symmetric optima: HiGHS may pick either point but must
+        # report the one optimal value.
         model = Model()
         a = model.binary_var("a")
         b = model.binary_var("b")
         model.add(a + b == 1)
         model.minimize(a + b)
-        reference = solve_milp(model, BranchBoundOptions(backend="reference"))
-        highs = solve_milp(model, HIGHS)
-        assert reference.status is highs.status is SolveStatus.OPTIMAL
-        assert highs.objective == pytest.approx(reference.objective)
+        highs = solve_milp(model)
+        assert highs.status is SolveStatus.OPTIMAL
+        assert highs.objective == pytest.approx(1.0)
+        assert (highs[a], highs[b]) in ((0.0, 1.0), (1.0, 0.0))
 
     def test_zero_objective_feasibility(self):
         # MILP1 has no objective; the HiGHS tier solves it with a zero
@@ -85,7 +78,7 @@ class TestHighsBackend:
         xs = [model.binary_var(f"x{i}") for i in range(6)]
         model.add(LinExpr.total(xs) >= 3)
         solution = solve_milp(
-            model, BranchBoundOptions(feasibility_only=True, backend="highs")
+            model, BranchBoundOptions(feasibility_only=True)
         )
         assert solution.status is SolveStatus.OPTIMAL
         assert sum(solution[x] for x in xs) >= 3
@@ -96,7 +89,7 @@ class TestHighsBackend:
         y = model.continuous_var("y", upper=10)
         model.add(x + y <= 5.5)
         model.minimize(-2 * x - y)
-        solution = solve_milp(model, HIGHS)
+        solution = solve_milp(model)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution[x] == 4
         assert solution.value(y) == pytest.approx(1.5)
@@ -106,7 +99,7 @@ class TestHighsBackend:
         # stays OPTIMAL because HiGHS finishes well within it.
         model, _ = _knapsack()
         solution = solve_milp(
-            model, BranchBoundOptions(backend="highs", time_limit=30.0)
+            model, BranchBoundOptions(time_limit=30.0)
         )
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(-20)
@@ -117,7 +110,7 @@ class TestWarmStart:
         model, xs = _knapsack()
         # Feasible but sub-optimal start: item 0 only (value 10).
         warm = {xs[0]: 1.0, xs[1]: 0.0, xs[2]: 0.0, xs[3]: 0.0}
-        solution = solve_milp(model, HIGHS, warm_values=warm)
+        solution = solve_milp(model, warm_values=warm)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(-20)
 
@@ -126,19 +119,17 @@ class TestWarmStart:
         # Violates the weight constraint (3+4+2+3 = 12 > 6): must be
         # rejected by check_point, not corrupt the solve.
         warm = {x: 1.0 for x in xs}
-        solution = solve_milp(model, HIGHS, warm_values=warm)
+        solution = solve_milp(model, warm_values=warm)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(-20)
 
-    def test_reference_warm_start_prunes_nodes(self):
+    def test_warm_start_never_adds_nodes(self):
         model, xs = _knapsack()
-        cold = solve_milp(model, BranchBoundOptions(backend="reference"))
-        # The optimum itself as a hint: nothing can beat it, so the
-        # warm search prunes at least as hard as the cold one.
+        cold = solve_milp(model)
+        # The optimum itself as a hint: the cutoff admits nothing
+        # better, so the warm search prunes at least as hard as cold.
         warm = {x: cold[x] for x in xs}
-        warm_run = solve_milp(
-            model, BranchBoundOptions(backend="reference"), warm_values=warm
-        )
+        warm_run = solve_milp(model, warm_values=warm)
         assert warm_run.objective == pytest.approx(cold.objective)
         assert warm_run.nodes <= cold.nodes
 
@@ -147,61 +138,29 @@ class TestWarmStart:
         xs = [model.binary_var(f"x{i}") for i in range(4)]
         model.add(LinExpr.total(xs) >= 2)
         warm = {xs[0]: 1.0, xs[1]: 1.0, xs[2]: 0.0, xs[3]: 0.0}
-        for backend in ("reference", "highs"):
-            solution = solve_milp(
-                model,
-                BranchBoundOptions(feasibility_only=True, backend=backend),
-                warm_values=warm,
-            )
-            assert solution.status is SolveStatus.OPTIMAL
-            assert solution.nodes == 0
-
-
-class TestBackendDispatch:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SolverError):
-            BranchBoundOptions(backend="gurobi").resolve_backend()
-
-    def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MILP_BACKEND", "highs")
-        assert BranchBoundOptions().resolve_backend() == "highs"
-        model, _ = _knapsack()
-        solution = solve_milp(model)
-        assert solution.objective == pytest.approx(-20)
-
-    def test_env_variable_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MILP_BACKEND", "cplex")
-        with pytest.raises(SolverError):
-            solve_milp(_knapsack()[0])
-
-    def test_explicit_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MILP_BACKEND", "cplex")
-        options = BranchBoundOptions(backend="reference")
-        assert options.resolve_backend() == "reference"
-
-    def test_direct_highs_entry_point(self):
-        model, _ = _knapsack()
-        solution = solve_milp_highs(model, BranchBoundOptions())
-        assert solution.objective == pytest.approx(-20)
+        solution = solve_milp(
+            model, BranchBoundOptions(feasibility_only=True), warm_values=warm
+        )
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.nodes == 0
 
 
 class TestHighsAgainstBruteForce:
     @settings(max_examples=40, deadline=None)
     @given(random_milp())
     def test_matches_enumeration(self, milp):
+        # With a deadline that never fires, the answer is the oracle's.
         c, rows, ub = milp
         model = Model()
         xs = [model.integer_var(f"x{i}", upper=u) for i, u in enumerate(ub)]
         for row, rhs in rows:
             model.add(LinExpr.total(a * x for a, x in zip(row, xs)) <= rhs)
         model.minimize(LinExpr.total(ci * x for ci, x in zip(c, xs)))
-        solution = solve_milp(model, HIGHS)
+        solution = solve_milp(model, BranchBoundOptions(time_limit=60.0))
         expected = brute_force(c, rows, ub)
         if expected is None:
             assert solution.status is SolveStatus.INFEASIBLE
         else:
             assert solution.status is SolveStatus.OPTIMAL
+            assert not solution.timed_out
             assert solution.objective == pytest.approx(expected, abs=1e-6)
-            point = [solution[x] for x in xs]
-            for row, rhs in rows:
-                assert sum(a * v for a, v in zip(row, point)) <= rhs + 1e-6

@@ -83,13 +83,6 @@ class TestStandardForm:
         form = model.to_standard_form()
         assert form.integer_mask.tolist() == [False, True, True]
 
-    def test_bound_overrides_tighten_only(self):
-        model = Model()
-        x = model.integer_var("x", lower=0, upper=10)
-        form = model.to_standard_form(bound_overrides={0: (2.0, 12.0)})
-        assert form.lower[0] == 2.0
-        assert form.upper[0] == 10.0  # cannot loosen past declared bound
-
     def test_check_assignment_lists_violations(self):
         model = Model()
         x = model.binary_var("x")

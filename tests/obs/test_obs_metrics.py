@@ -271,7 +271,7 @@ class TestExpositionGolden:
 
         # Touch the instrumented layers so their families exist.
         import repro.exec.cache  # noqa: F401
-        import repro.milp.branch_bound  # noqa: F401
+        import repro.milp.solver  # noqa: F401
         import repro.pipeline.runner  # noqa: F401
         import repro.resilience.retry  # noqa: F401
         import repro.server.app  # noqa: F401

@@ -61,7 +61,7 @@ def _bind(runner, trace, config):
 
 @pytest.fixture
 def config():
-    return SynthesisConfig(backend="milp", milp_backend="reference")
+    return SynthesisConfig(backend="milp")
 
 
 class TestWarmHintSlot:

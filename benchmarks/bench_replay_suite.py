@@ -11,12 +11,24 @@ This bench doubles as the CI gate for replay caching: it asserts the
 warm run performs **zero** fabric simulations (the platform-level
 :data:`~repro.platform.soc.SIMULATION_COUNTER`) and still produces a
 report byte-identical to the cold run.
+
+``test_replay_kernel_vs_des`` times the simulation underneath a cold
+replay: the five ``mixed`` scenario traces replayed on their full
+crossbars by the trace-replay kernel (:mod:`repro.platform.replay`, the
+timed kernel) and by the general DES it mirrors. Latency statistics
+must be equal and the kernel at least twice as fast.
 """
 
 import json
 import time
 
-from repro.platform import SIMULATION_COUNTER
+from repro.platform import (
+    SIMULATION_COUNTER,
+    SoC,
+    TraceDrivenInitiator,
+    full_crossbar_binding,
+    simulate_workload,
+)
 from repro.scenarios import ScenarioSuiteRunner, build_suite
 
 from _bench_utils import emit
@@ -73,6 +85,79 @@ def test_replay_suite_warm(benchmark, results_dir):
                 "",
                 "replayed latency of the robust design:",
                 latency_rows,
+            ]
+        ),
+    )
+
+
+def _full_crossbar(trace):
+    return (
+        full_crossbar_binding(trace.num_targets),
+        full_crossbar_binding(trace.num_initiators),
+    )
+
+
+def test_replay_kernel_vs_des(benchmark, results_dir):
+    drivers = [
+        TraceDrivenInitiator(scenario.build_trace(), label=scenario.name)
+        for scenario in build_suite("mixed").scenarios
+    ]
+
+    def des_replays():
+        results = []
+        for driver in drivers:
+            soc = SoC(
+                driver.platform,
+                *_full_crossbar(driver.trace),
+                driver.build_programs(),
+                start_cycles=driver.start_cycles(),
+            )
+            results.append(soc.run(driver.sim_cycles))
+        return results
+
+    def kernel_replays():
+        return [
+            simulate_workload(driver, *_full_crossbar(driver.trace))
+            for driver in drivers
+        ]
+
+    des_begin = time.perf_counter()
+    des = des_replays()
+    des_seconds = time.perf_counter() - des_begin
+    kernel = benchmark.pedantic(kernel_replays, rounds=3, iterations=1)
+    kernel_seconds = benchmark.stats.stats.mean
+
+    for reference, replayed in zip(des, kernel):
+        assert replayed.latency_stats() == reference.latency_stats()
+        assert replayed.latency_stats(critical_only=True) == (
+            reference.latency_stats(critical_only=True)
+        )
+        assert replayed.events == reference.events
+    speedup = des_seconds / kernel_seconds
+    assert speedup >= 2.0, f"kernel only {speedup:.2f}x faster than the DES"
+
+    events = sum(result.events for result in kernel)
+    benchmark.extra_info["des_seconds"] = round(des_seconds, 4)
+    benchmark.extra_info["kernel_vs_des_speedup"] = round(speedup, 2)
+    benchmark.extra_info["events"] = events
+    rows = "\n".join(
+        f"  {driver.label:<22} {result.latency_stats().mean:8.1f} cy over "
+        f"{result.num_transactions} packets, {result.events} events"
+        for driver, result in zip(drivers, kernel)
+    )
+    emit(
+        results_dir,
+        "replay_kernel",
+        "\n".join(
+            [
+                "mixed-suite traces replayed on their full crossbars",
+                f"  DES    : {des_seconds:.3f}s "
+                f"({des_seconds / events * 1e6:.2f} us/event)",
+                f"  kernel : {kernel_seconds:.3f}s "
+                f"({kernel_seconds / events * 1e6:.2f} us/event), "
+                f"{speedup:.1f}x faster",
+                "",
+                rows,
             ]
         ),
     )

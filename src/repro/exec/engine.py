@@ -164,7 +164,7 @@ def _run_replay_task(task: ReplayTask) -> ReplayOutcome:
         stats=result.latency_stats(),
         critical_stats=result.latency_stats(critical_only=True),
         finished=result.finished,
-        num_transactions=len(result.trace),
+        num_transactions=result.num_transactions,
         simulated_cycles=result.simulated_cycles,
     )
 
@@ -207,9 +207,7 @@ _WORKER_TRACE: Optional[TrafficTrace] = None
 _WORKER_TRACE_DIGEST: Optional[str] = None
 
 
-def _install_worker_trace(
-    trace: TrafficTrace, digest: Optional[str] = None
-) -> None:
+def _install_worker_trace(trace: TrafficTrace, digest: Optional[str] = None) -> None:
     global _WORKER_TRACE, _WORKER_TRACE_DIGEST
     _WORKER_TRACE = trace
     _WORKER_TRACE_DIGEST = digest if digest is not None else trace_fingerprint(trace)
@@ -249,9 +247,7 @@ def _solve_task_in_worker(
 
 
 def _solve_task(trace: TrafficTrace, task: SynthesisTask) -> SynthesisResult:
-    report = CrossbarSynthesizer(task.config).design_from_trace(
-        trace, task.window_size
-    )
+    report = CrossbarSynthesizer(task.config).design_from_trace(trace, task.window_size)
     return SynthesisResult.from_report(report)
 
 
@@ -423,9 +419,7 @@ class ExecutionEngine:
         with _tracing.span("engine.pool_map", tasks=count):
             with _tracing.propagate_context():
                 with _shm.propagate_plane():
-                    return self._pool_map_impl(
-                        count, make_pool, submit_one, serial_one
-                    )
+                    return self._pool_map_impl(count, make_pool, submit_one, serial_one)
 
     def _pool_map_impl(
         self,
@@ -560,9 +554,7 @@ class ExecutionEngine:
         for index, task in enumerate(tasks):
             key = None
             if self.cache is not None:
-                key = task_key(
-                    trace_digest, task.config, task.window_size, application
-                )
+                key = task_key(trace_digest, task.config, task.window_size, application)
                 cached = self.cache.get(key)
                 if cached is not None:
                     results[index] = cached
@@ -606,9 +598,7 @@ class ExecutionEngine:
             return [_solve_task(trace, task) for task in tasks]
 
     @staticmethod
-    def _prewindow_shared(
-        trace: TrafficTrace, tasks: Sequence[SynthesisTask]
-    ) -> None:
+    def _prewindow_shared(trace: TrafficTrace, tasks: Sequence[SynthesisTask]) -> None:
         """Window specs shared by >= 2 pending tasks are analyzed once
         in the parent and offered to the shared stage plane before
         fan-out, so every worker resolves them zero-copy (a published
@@ -644,9 +634,7 @@ class ExecutionEngine:
             collected = runner.collect(trace)
             for task in shared:
                 for mirrored in (False, True):
-                    runner.window(
-                        collected, task.config, task.window_size, mirrored
-                    )
+                    runner.window(collected, task.config, task.window_size, mirrored)
         except Exception:  # noqa: BLE001 - accelerator only: the real
             # solve path (worker or serial) surfaces any genuine error.
             return
@@ -762,9 +750,7 @@ class ExecutionEngine:
         workers = min(self.jobs, len(items))
 
         def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context()
-            )
+            return ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
 
         def submit_one(pool: ProcessPoolExecutor, index: int, attempt: int):
             trace, task = items[index]
@@ -800,9 +786,7 @@ class ExecutionEngine:
         workers = min(self.jobs, len(tasks))
 
         def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context()
-            )
+            return ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
 
         def submit_one(pool: ProcessPoolExecutor, index: int, attempt: int):
             return pool.submit(_replay_in_worker, index, tasks[index], attempt)
@@ -853,9 +837,7 @@ class ExecutionEngine:
         workers = min(self.jobs, len(designs))
 
         def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=workers, mp_context=_pool_context()
-            )
+            return ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context())
 
         def submit_one(pool: ProcessPoolExecutor, index: int, attempt: int):
             design = designs[index]

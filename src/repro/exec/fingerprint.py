@@ -36,9 +36,7 @@ CACHE_SCHEMA_VERSION = 1
 
 def canonical_json(payload: Any) -> str:
     """Serialize ``payload`` deterministically (sorted keys, no spaces)."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 def sha256_hex(text: str) -> str:

@@ -612,7 +612,7 @@ def _run_replay(
         stats=result.latency_stats(),
         critical_stats=result.latency_stats(critical_only=True),
         finished=result.finished,
-        num_transactions=len(result.trace),
+        num_transactions=result.num_transactions,
         simulated_cycles=result.simulated_cycles,
         fingerprint=fingerprint,
         label=label or driver.label,

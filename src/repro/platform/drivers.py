@@ -25,7 +25,8 @@ This module makes the workload a first-class *driver* layer:
 :func:`simulate_workload` is the single simulation entry point both
 drivers share; everything that replays a design (the synthesis
 validation stage, scenario-suite latency replay, engine evaluation)
-routes through it.
+routes through it. It runs trace-driven drivers on the trace-replay
+kernel (:mod:`repro.platform.replay`) and everything else on the DES.
 
 Contracts
 ---------
@@ -51,6 +52,7 @@ from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, runt
 
 from repro.errors import ConfigurationError
 from repro.platform.initiator import Operation, trace_replay_program
+from repro.platform.replay import replay_trace
 from repro.platform.soc import SimulationResult, SoC, SoCConfig
 from repro.platform.target import TargetConfig
 from repro.traffic.trace import TrafficTrace
@@ -309,12 +311,13 @@ class TraceDrivenInitiator:
                 trace_replay_program(records, pace=self.pace, start=start)
             )
             for records, start in zip(
-                self._records_per_initiator(),
+                self.records_per_initiator(),
                 self.start_cycles() or [0] * self.trace.num_initiators,
             )
         ]
 
-    def _records_per_initiator(self) -> List[List]:
+    def records_per_initiator(self) -> List[List]:
+        """Each initiator's recorded transactions, in trace order."""
         per_initiator: List[List] = [
             [] for _ in range(self.trace.num_initiators)
         ]
@@ -359,11 +362,14 @@ def simulate_workload(
 ) -> SimulationResult:
     """Simulate a driver's workload on the given crossbar bindings.
 
-    The one place a workload meets a fabric: program-driven and
-    trace-driven replays build the same :class:`SoC` and differ only in
-    where their operation streams come from and when each initiator's
-    process enters the fabric.
+    The one place a workload meets a fabric. Trace-driven workloads run
+    on the trace-replay kernel (:mod:`repro.platform.replay`), which
+    reproduces the DES event for event; every other driver builds a
+    :class:`SoC` from its operation streams and start cycles.
     """
+    budget = max_cycles or driver.sim_cycles
+    if isinstance(driver, TraceDrivenInitiator):
+        return replay_trace(driver, it_binding, ti_binding, budget)
     soc = SoC(
         driver.platform,
         it_binding,
@@ -371,4 +377,4 @@ def simulate_workload(
         driver.build_programs(),
         start_cycles=driver.start_cycles(),
     )
-    return soc.run(max_cycles or driver.sim_cycles)
+    return soc.run(budget)

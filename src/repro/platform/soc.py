@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ApplicationError, ConfigurationError, DeadlockError
+from repro.obs import metrics as _metrics
 from repro.platform.adapters import IDENTITY_ADAPTER, AdapterConfig
 from repro.platform.fabric import Fabric
 from repro.platform.initiator import (
@@ -43,6 +44,8 @@ __all__ = [
     "SimulationResult",
     "SimulationCounter",
     "SIMULATION_COUNTER",
+    "SIM_EVENTS",
+    "validate_platform_shape",
 ]
 
 
@@ -67,6 +70,13 @@ class SimulationCounter:
 
 SIMULATION_COUNTER = SimulationCounter()
 """The process-global counter every :meth:`SoC.run` reports to."""
+
+SIM_EVENTS = _metrics.counter(
+    "repro_sim_events_total",
+    "Simulation events scheduled, by simulation kernel: the general DES "
+    "(SoC.run) or the trace-replay kernel.",
+    ("kernel",),
+)
 
 
 @dataclass(frozen=True)
@@ -118,17 +128,55 @@ class SoCConfig:
                 raise ConfigurationError(f"adapter for unknown target {index}")
 
 
-@dataclass
 class SimulationResult:
-    """Outcome of one SoC simulation."""
+    """Outcome of one SoC simulation.
 
-    trace: TrafficTrace
-    simulated_cycles: int
-    finished: bool
-    it_bus_count: int
-    ti_bus_count: int
-    it_utilization: List[float]
-    ti_utilization: List[float]
+    ``latencies`` and ``critical`` are per-transaction columns in
+    completion order: packet latency and the real-time flag. They are
+    all latency replay reads, so the per-transaction
+    :class:`~repro.traffic.trace.TrafficTrace` is built by
+    ``build_trace`` only on first access of :attr:`trace`. ``events``
+    counts the events the simulation scheduled, run or still queued at
+    the cycle budget.
+    """
+
+    def __init__(
+        self,
+        *,
+        simulated_cycles: int,
+        finished: bool,
+        it_bus_count: int,
+        ti_bus_count: int,
+        it_utilization: List[float],
+        ti_utilization: List[float],
+        latencies: List[int],
+        critical: List[bool],
+        events: int,
+        build_trace: Callable[[], TrafficTrace],
+    ) -> None:
+        self.simulated_cycles = simulated_cycles
+        self.finished = finished
+        self.it_bus_count = it_bus_count
+        self.ti_bus_count = ti_bus_count
+        self.it_utilization = it_utilization
+        self.ti_utilization = ti_utilization
+        self.latencies = latencies
+        self.critical = critical
+        self.events = events
+        self._trace: Optional[TrafficTrace] = None
+        self._build_trace = build_trace
+
+    @property
+    def trace(self) -> TrafficTrace:
+        """Every simulated transaction as a trace record."""
+        if self._trace is None:
+            self._trace = self._build_trace()
+        return self._trace
+
+    @property
+    def num_transactions(self) -> int:
+        """Transactions that completed within the simulated period."""
+        return len(self.latencies)
 
     @property
     def bus_count(self) -> int:
@@ -137,12 +185,32 @@ class SimulationResult:
 
     def latency_stats(self, critical_only: bool = False) -> LatencyStats:
         """Packet latency statistics over the simulated transactions."""
-        samples = [
-            record.latency
-            for record in self.trace.records
-            if record.critical or not critical_only
-        ]
-        return summarize_latencies(samples)
+        if not critical_only:
+            return summarize_latencies(self.latencies)
+        return summarize_latencies(
+            [
+                latency
+                for latency, critical in zip(self.latencies, self.critical)
+                if critical
+            ]
+        )
+
+
+def validate_platform_shape(
+    config: SoCConfig, it_binding: Sequence[int], ti_binding: Sequence[int]
+) -> None:
+    """Raise :class:`ConfigurationError` unless the bindings fit ``config``."""
+    config.validate()
+    if len(it_binding) != config.num_targets:
+        raise ConfigurationError(
+            f"it_binding covers {len(it_binding)} targets, platform has "
+            f"{config.num_targets}"
+        )
+    if len(ti_binding) != config.num_initiators:
+        raise ConfigurationError(
+            f"ti_binding covers {len(ti_binding)} initiators, platform "
+            f"has {config.num_initiators}"
+        )
 
 
 class SoC:
@@ -173,17 +241,7 @@ class SoC:
         programs: Sequence[Iterable[Operation]],
         start_cycles: Optional[Sequence[int]] = None,
     ) -> None:
-        config.validate()
-        if len(it_binding) != config.num_targets:
-            raise ConfigurationError(
-                f"it_binding covers {len(it_binding)} targets, platform has "
-                f"{config.num_targets}"
-            )
-        if len(ti_binding) != config.num_initiators:
-            raise ConfigurationError(
-                f"ti_binding covers {len(ti_binding)} initiators, platform "
-                f"has {config.num_initiators}"
-            )
+        validate_platform_shape(config, it_binding, ti_binding)
         if len(programs) != config.num_initiators:
             raise ConfigurationError(
                 f"{len(programs)} programs for {config.num_initiators} initiators"
@@ -229,6 +287,7 @@ class SoC:
             for index, program in enumerate(self._programs)
         ]
         self.engine.run(until=max_cycles)
+        SIM_EVENTS.inc(self.engine.scheduled, kernel="des")
         finished = all(process.finished for process in self._processes)
         if not finished and self.engine.pending_events == 0:
             stuck = [p.name for p in self._processes if not p.finished]
@@ -237,16 +296,19 @@ class SoC:
                 f"stuck initiators: {stuck}"
             )
         total_cycles = max(self.engine.now, 1)
-        trace = TrafficTrace(
-            self._records,
-            num_initiators=self.config.num_initiators,
-            num_targets=self.config.num_targets,
-            total_cycles=total_cycles,
-            target_names=[target.name for target in self.config.targets],
-            initiator_names=list(self.config.initiator_names),
-        )
+        records = self._records
+
+        def build_trace() -> TrafficTrace:
+            return TrafficTrace(
+                records,
+                num_initiators=self.config.num_initiators,
+                num_targets=self.config.num_targets,
+                total_cycles=total_cycles,
+                target_names=[target.name for target in self.config.targets],
+                initiator_names=list(self.config.initiator_names),
+            )
+
         return SimulationResult(
-            trace=trace,
             simulated_cycles=total_cycles,
             finished=finished,
             it_bus_count=len(self.fabric.it_buses),
@@ -257,6 +319,10 @@ class SoC:
             ti_utilization=[
                 bus.utilization(total_cycles) for bus in self.fabric.ti_buses
             ],
+            latencies=[record.latency for record in records],
+            critical=[record.critical for record in records],
+            events=self.engine.scheduled,
+            build_trace=build_trace,
         )
 
     # -- program interpretation -------------------------------------------------

@@ -46,6 +46,11 @@ class Engine:
         return self._now
 
     @property
+    def scheduled(self) -> int:
+        """Number of events scheduled so far (run or still queued)."""
+        return self._sequence
+
+    @property
     def pending_events(self) -> int:
         """Number of events still waiting in the queue."""
         return len(self._queue)

@@ -75,17 +75,26 @@ class TraceRecord:
     stream: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        stamps = (
-            self.issue,
-            self.it_grant,
-            self.it_release,
-            self.service_start,
-            self.service_end,
-            self.ti_grant,
-            self.ti_release,
-            self.complete,
-        )
-        if any(later < earlier for earlier, later in zip(stamps, stamps[1:])):
+        if not (
+            self.issue
+            <= self.it_grant
+            <= self.it_release
+            <= self.service_start
+            <= self.service_end
+            <= self.ti_grant
+            <= self.ti_release
+            <= self.complete
+        ):
+            stamps = (
+                self.issue,
+                self.it_grant,
+                self.it_release,
+                self.service_start,
+                self.service_end,
+                self.ti_grant,
+                self.ti_release,
+                self.complete,
+            )
             raise TraceError(f"non-monotonic timestamps in trace record: {stamps}")
         if self.burst < 1:
             raise TraceError(f"burst length must be >= 1, got {self.burst}")

@@ -5,6 +5,7 @@ feasibility verdicts and binding objectives -- the paper's results cannot
 depend on which solver answered.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -44,6 +45,32 @@ def design_problems(draw):
         for _ in range(draw(st.sampled_from([5, 7])))
     ]
     return problem_from_activity(activity, total_cycles=200, window_size=100)
+
+
+@st.composite
+def odd_conflict_cycles(draw):
+    """Targets whose conflict graph is one odd cycle, labelled at random.
+
+    Window ``w`` holds only the cycle neighbours ``order[w]`` and
+    ``order[w + 1]``, both busy 31-49 of its 100 cycles from the same
+    cycle on: each neighbour pair overlaps above a 0.3 threshold and
+    still fits one bus's bandwidth, and no other pair ever shares a
+    window. The largest conflict clique has two targets, but an odd
+    cycle needs three buses: the solver, not the clique or bandwidth
+    bound, has to rule out two."""
+    length = draw(st.sampled_from([5, 7, 9]))
+    order = draw(st.permutations(range(length)))
+    activity = [[] for _ in range(length)]
+    for window in range(length):
+        durations = [draw(st.integers(31, 49)) for _ in range(2)]
+        start = 100 * window + draw(st.integers(0, 100 - max(durations)))
+        for target, duration in zip(
+            (order[window], order[(window + 1) % length]), durations
+        ):
+            activity[target].append((start, duration))
+    return problem_from_activity(
+        activity, total_cycles=100 * length, window_size=100
+    )
 
 
 def conflicts_for(problem, threshold=0.3):
@@ -157,5 +184,29 @@ class TestSolverAgreement:
         conflicts = build_conflicts(problem, dfs_config)
         dfs = search_minimum_buses(problem, conflicts, dfs_config)
         milp = search_minimum_buses(problem, conflicts, milp_config)
+        assert milp.num_buses == dfs.num_buses
+        assert milp.probes == dfs.probes
+
+    @settings(max_examples=15, deadline=None)
+    @given(odd_conflict_cycles(), st.sampled_from([None, 2, 3]))
+    def test_odd_conflict_cycles_need_three_buses_on_both_solvers(
+        self, problem, maxtb
+    ):
+        # Chromatic number above the clique bound: a formulation whose
+        # Eq. 7 conflict rows let two conflicting targets share a bus
+        # answers two.
+        dfs_config = SynthesisConfig(
+            overlap_threshold=0.3, max_targets_per_bus=maxtb
+        )
+        conflicts = build_conflicts(problem, dfs_config)
+        assert conflicts.clique_lower_bound() == 2
+        dfs = search_minimum_buses(problem, conflicts, dfs_config)
+        milp = search_minimum_buses(
+            problem, conflicts, replace(dfs_config, backend="milp")
+        )
+        per_bus_bound = (
+            1 if maxtb is None else math.ceil(problem.num_targets / maxtb)
+        )
+        assert dfs.num_buses == max(3, per_bus_bound)
         assert milp.num_buses == dfs.num_buses
         assert milp.probes == dfs.probes

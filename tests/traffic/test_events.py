@@ -51,6 +51,39 @@ class TestTraceRecord:
                 complete=8,
             )
 
+    STAMPS = (
+        "issue",
+        "it_grant",
+        "it_release",
+        "service_start",
+        "service_end",
+        "ti_grant",
+        "ti_release",
+        "complete",
+    )
+
+    @pytest.mark.parametrize("later", range(1, len(STAMPS)))
+    def test_each_out_of_order_adjacent_pair_rejected(self, later):
+        """Swapping any adjacent pair of phase stamps out of order is
+        caught, and the message lists all eight stamps."""
+        stamps = dict(zip(self.STAMPS, range(10, 90, 10)))
+        stamps[self.STAMPS[later]] = stamps[self.STAMPS[later - 1]] - 1
+        listed = tuple(stamps[name] for name in self.STAMPS)
+        with pytest.raises(TraceError) as raised:
+            TraceRecord(
+                initiator=0, target=0, kind=TransactionKind.READ, burst=1,
+                **stamps,
+            )
+        assert str(raised.value) == (
+            f"non-monotonic timestamps in trace record: {listed}"
+        )
+
+    def test_equal_adjacent_stamps_accepted(self):
+        record = TraceRecord(
+            0, 0, TransactionKind.WRITE, 1, *([7] * len(self.STAMPS))
+        )
+        assert record.latency == 0
+
     def test_zero_burst_rejected(self):
         with pytest.raises(TraceError):
             make_record(burst=0)

@@ -282,3 +282,45 @@ class TestAnalyticsMemo:
             analytics.comm([0, 10, 10])  # not strictly increasing
         with pytest.raises(TraceError):
             analytics.wo([0])  # need at least two edges
+
+
+MASKED_ARRAY_PROBE = """
+import sys
+import numpy as np
+from repro.traffic import TraceAnalytics, TrafficTrace
+from tests.traffic.conftest import make_record
+
+trace = TrafficTrace(
+    [
+        make_record(initiator=0, target=0, start=0, duration=10),
+        make_record(initiator=1, target=1, start=4, duration=6, critical=True),
+        make_record(initiator=1, target=2, start=2, duration=3),
+    ],
+    2, 3, total_cycles=40,
+)
+analytics = TraceAnalytics.of(trace)
+tensor = analytics.wo(np.arange(0, 48, 8))
+print(tensor.sum(), analytics.critical_targets(), "numpy.ma" in sys.modules)
+"""
+
+
+def test_kernels_leave_numpy_ma_unimported():
+    """``np.unique`` imports ``numpy.ma`` (~12 ms) on first call; the
+    overlap tensor and the critical-target scan avoid it, so a cold
+    design or suite run never pays that import. Runs in a fresh
+    interpreter: this process imported ``numpy.ma`` long ago."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", MASKED_ARRAY_PROBE],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert completed.stdout.split() == ["20", "[1]", "False"]

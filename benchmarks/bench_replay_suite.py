@@ -14,7 +14,7 @@ report byte-identical to the cold run.
 
 ``test_replay_kernel_vs_des`` times the simulation underneath a cold
 replay: the five ``mixed`` scenario traces replayed on their full
-crossbars by the trace-replay kernel (:mod:`repro.platform.replay`, the
+crossbars by the simulation kernel (:mod:`repro.platform.kernel`, the
 timed kernel) and by the general DES it mirrors. Latency statistics
 must be equal and the kernel at least twice as fast.
 """

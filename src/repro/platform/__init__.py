@@ -15,11 +15,11 @@ An event-driven, cycle-resolved model of an STbus-interconnected MPSoC:
 * :mod:`~repro.platform.drivers` -- pluggable workload drivers: the
   program-driven initiator path and trace-driven replay
   (:class:`~repro.platform.drivers.TraceDrivenInitiator`),
-* :mod:`~repro.platform.replay` -- the trace-replay kernel: trace-driven
-  workloads without generators, event for event equal to the DES,
+* :mod:`~repro.platform.kernel` -- the simulation kernel every workload
+  runs on: no generators, event for event equal to the DES,
 * :mod:`~repro.platform.adapters` -- frequency/data-width adapters,
-* :mod:`~repro.platform.soc` -- SoC assembly, simulation driver and trace
-  instrumentation,
+* :mod:`~repro.platform.soc` -- SoC assembly and the general DES, the
+  kernel's reference model, plus the simulation result and counters,
 * :mod:`~repro.platform.metrics` -- latency and utilization statistics.
 
 The fabric follows the paper's STbus structure: *two* crossbars per

@@ -23,10 +23,13 @@ This module makes the workload a first-class *driver* layer:
   and thinning already baked into the trace are respected exactly.
 
 :func:`simulate_workload` is the single simulation entry point both
-drivers share; everything that replays a design (the synthesis
-validation stage, scenario-suite latency replay, engine evaluation)
-routes through it. It runs trace-driven drivers on the trace-replay
-kernel (:mod:`repro.platform.replay`) and everything else on the DES.
+drivers share; everything that simulates a workload (trace collection,
+the synthesis validation stage, scenario-suite latency replay, engine
+evaluation) routes through it. Every driver runs on the simulation
+kernel (:mod:`repro.platform.kernel`): a trace-driven one from its
+flattened records, any other from its programs, pulled lazily. The
+general DES (:class:`~repro.platform.soc.SoC`) is the kernel's
+reference model and has no caller here.
 
 Contracts
 ---------
@@ -43,7 +46,8 @@ Contracts
   simulation and are deterministic given the driver's inputs: the
   program-driven and trace-driven paths produce identical
   per-transaction timestamps when replaying a recording on its source
-  fabric (asserted by ``tests/platform/test_drivers.py``).
+  fabric (asserted by ``tests/platform/test_drivers.py`` against a
+  recording made on the DES).
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, runt
 
 from repro.errors import ConfigurationError
 from repro.platform.initiator import Operation, trace_replay_program
-from repro.platform.replay import replay_trace
-from repro.platform.soc import SimulationResult, SoC, SoCConfig
+from repro.platform.kernel import replay_trace, run_programs
+from repro.platform.soc import SimulationResult, SoCConfig
 from repro.platform.target import TargetConfig
 from repro.traffic.trace import TrafficTrace
 
@@ -362,19 +366,13 @@ def simulate_workload(
 ) -> SimulationResult:
     """Simulate a driver's workload on the given crossbar bindings.
 
-    The one place a workload meets a fabric. Trace-driven workloads run
-    on the trace-replay kernel (:mod:`repro.platform.replay`), which
-    reproduces the DES event for event; every other driver builds a
-    :class:`SoC` from its operation streams and start cycles.
+    The one place a workload meets a fabric. Every workload runs on the
+    simulation kernel (:mod:`repro.platform.kernel`), which reproduces
+    the DES event for event: a trace-driven one replays its records
+    from pre-flattened columns, any other driver's operation streams
+    are pulled one operation at a time, from its start cycles.
     """
     budget = max_cycles or driver.sim_cycles
     if isinstance(driver, TraceDrivenInitiator):
         return replay_trace(driver, it_binding, ti_binding, budget)
-    soc = SoC(
-        driver.platform,
-        it_binding,
-        ti_binding,
-        driver.build_programs(),
-        start_cycles=driver.start_cycles(),
-    )
-    return soc.run(budget)
+    return run_programs(driver, it_binding, ti_binding, budget)

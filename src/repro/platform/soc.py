@@ -3,7 +3,10 @@
 A :class:`SoC` wires initiators, targets and the two STbus crossbars
 together, interprets each initiator's program, stamps every transaction
 phase, and returns a :class:`SimulationResult` holding the traffic trace
-plus fabric statistics.
+plus fabric statistics. It runs on the general discrete-event engine
+(:mod:`repro.sim`) and is the reference model of the simulation kernel
+(:mod:`repro.platform.kernel`), which runs every production simulation
+event for event the same; only tests and benches run a :class:`SoC`.
 
 Synchronization (locks, barriers) is split between *semantics* --
 resolved deterministically by in-SoC managers -- and *traffic* -- the
@@ -45,12 +48,13 @@ __all__ = [
     "SimulationCounter",
     "SIMULATION_COUNTER",
     "SIM_EVENTS",
+    "SIM_CYCLES",
     "validate_platform_shape",
 ]
 
 
 class SimulationCounter:
-    """Counts fabric simulations (:meth:`SoC.run` invocations).
+    """Counts fabric simulations (kernel runs and :meth:`SoC.run` calls).
 
     Process-local, like the solver counter in
     :mod:`repro.core.instrumentation`: replay caching promises that a
@@ -69,12 +73,19 @@ class SimulationCounter:
 
 
 SIMULATION_COUNTER = SimulationCounter()
-"""The process-global counter every :meth:`SoC.run` reports to."""
+"""The process-global counter every simulation run reports to."""
 
 SIM_EVENTS = _metrics.counter(
     "repro_sim_events_total",
-    "Simulation events scheduled, by simulation kernel: the general DES "
-    "(SoC.run) or the trace-replay kernel.",
+    "Simulation events scheduled, by simulator: the simulation kernel "
+    "(every production run) or the reference DES (SoC.run).",
+    ("kernel",),
+)
+
+SIM_CYCLES = _metrics.counter(
+    "repro_sim_cycles_total",
+    "Cycles simulated (each run's cycle budget), by simulator: the "
+    "simulation kernel or the reference DES (SoC.run).",
     ("kernel",),
 )
 
@@ -138,6 +149,13 @@ class SimulationResult:
     ``build_trace`` only on first access of :attr:`trace`. ``events``
     counts the events the simulation scheduled, run or still queued at
     the cycle budget.
+
+    ``simulated_cycles`` is always the cycle budget the run was given,
+    not the cycle its last transaction completed: a run that finishes
+    early still advances the clock to the budget, as a fixed-length
+    hardware simulation does. Bus utilization is therefore measured
+    against the budget, and a generous budget reads as a lightly used
+    bus. The trace's ``total_cycles`` is the same budget.
     """
 
     def __init__(
@@ -287,7 +305,9 @@ class SoC:
             for index, program in enumerate(self._programs)
         ]
         self.engine.run(until=max_cycles)
+        total_cycles = max(self.engine.now, 1)
         SIM_EVENTS.inc(self.engine.scheduled, kernel="des")
+        SIM_CYCLES.inc(total_cycles, kernel="des")
         finished = all(process.finished for process in self._processes)
         if not finished and self.engine.pending_events == 0:
             stuck = [p.name for p in self._processes if not p.finished]
@@ -295,7 +315,6 @@ class SoC:
                 f"simulation deadlocked at cycle {self.engine.now}; "
                 f"stuck initiators: {stuck}"
             )
-        total_cycles = max(self.engine.now, 1)
         records = self._records
 
         def build_trace() -> TrafficTrace:
@@ -415,7 +434,8 @@ class SoC:
 
 
 class _LockManager:
-    """Deterministic lock-semantics arbiter (traffic handled by the SoC)."""
+    """Deterministic lock semantics, shared by the DES and the kernel
+    (each simulates the lock traffic itself)."""
 
     def __init__(self) -> None:
         self._owners: Dict[Tuple[int, int], Optional[int]] = {}

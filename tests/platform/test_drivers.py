@@ -4,7 +4,9 @@ The acceptance property of the driver abstraction is *equivalence*: the
 program-driven path and the trace-driven replay of that same program's
 recorded trace must produce identical per-transaction latencies on the
 same fabric -- every timestamp of every transaction, not just the
-aggregate statistics.
+aggregate statistics. Both drivers run on the simulation kernel, so the
+program run is recorded on the reference DES (:class:`SoC`) directly:
+the kernel's replay is held to the DES, not to itself.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from repro.apps import build_application
 from repro.errors import ConfigurationError
 from repro.platform import (
     ProgramDriver,
+    SoC,
     TraceDrivenInitiator,
     full_crossbar_binding,
     platform_spec,
@@ -74,13 +77,15 @@ def fabrics(app):
 
 
 class TestProgramTraceEquivalence:
-    """Program run on fabric F, recorded; trace replay of the recording
-    on F must be byte-identical, transaction by transaction."""
+    """Program run on fabric F, recorded on the DES; trace replay of the
+    recording on F must be byte-identical, transaction by transaction."""
 
     @pytest.mark.parametrize("fabric", ["full", "shared", "designed"])
     def test_replay_reproduces_program_run_exactly(self, app, fabrics, fabric):
         it_binding, ti_binding = fabrics[fabric]
-        program_run = app.simulate(it_binding, ti_binding, app.sim_cycles * 4)
+        program_run = SoC(
+            app.config, it_binding, ti_binding, app.build_programs()
+        ).run(app.sim_cycles * 4)
         assert program_run.finished
 
         driver = TraceDrivenInitiator(program_run.trace, config=app.config)
@@ -196,8 +201,6 @@ class TestTraceDrivenInitiator:
 
 class TestProgramDriver:
     def test_application_driver_matches_direct_simulation(self, app):
-        from repro.platform import SoC
-
         it_binding = full_crossbar_binding(app.num_targets)
         ti_binding = full_crossbar_binding(app.num_initiators)
         via_driver = simulate_workload(app.driver(), it_binding, ti_binding)

@@ -1,7 +1,7 @@
-"""The trace-replay kernel against the DES, its exactness oracle.
+"""The simulation kernel's trace path against the DES, its exactness oracle.
 
 :func:`~repro.platform.simulate_workload` runs trace-driven workloads on
-the generator-free kernel in :mod:`repro.platform.replay`. The general
+the generator-free kernel in :mod:`repro.platform.kernel`. The general
 DES stays the reference model: for any trace, platform, binding,
 arbitration policy, pacing mode and cycle budget, the kernel must equal
 a :class:`~repro.platform.SoC` built directly from the driver's programs
@@ -29,7 +29,7 @@ from repro.platform import (
     simulate_workload,
 )
 from repro.platform.adapters import AdapterConfig
-from repro.platform.replay import replay_trace
+from repro.platform.kernel import replay_trace
 from repro.traffic.events import TraceRecord, TransactionKind
 from repro.traffic.trace import TrafficTrace
 
@@ -224,15 +224,35 @@ class TestKernelContract:
         assert SIMULATION_COUNTER.runs == 1
 
     def test_event_counter_by_kernel(self, driver):
-        family = metrics.REGISTRY.get("repro_sim_events_total")
-        before = family.value(kernel="replay"), family.value(kernel="des")
-        result = simulate_workload(
-            driver,
+        events = metrics.REGISTRY.get("repro_sim_events_total")
+        cycles = metrics.REGISTRY.get("repro_sim_cycles_total")
+
+        def counts():
+            return [
+                family.value(kernel=kernel)
+                for family in (events, cycles)
+                for kernel in ("kernel", "des")
+            ]
+
+        bindings = (
             full_crossbar_binding(driver.trace.num_targets),
             full_crossbar_binding(driver.trace.num_initiators),
         )
-        assert family.value(kernel="replay") == before[0] + result.events
-        assert family.value(kernel="des") == before[1]
+        before = counts()
+        result = simulate_workload(driver, *bindings)
+        assert counts() == [
+            before[0] + result.events,
+            before[1],
+            before[2] + result.simulated_cycles,
+            before[3],
+        ]
+        des, des_events = des_run(driver, *bindings, driver.sim_cycles)
+        assert counts() == [
+            before[0] + result.events,
+            before[1] + des_events,
+            before[2] + result.simulated_cycles,
+            before[3] + des.simulated_cycles,
+        ]
 
     def test_trace_is_built_on_first_access(self, driver):
         result = simulate_workload(

@@ -9,32 +9,14 @@ that a warm rerun is served entirely from the cache and agrees with the
 cold run.
 """
 
-import os
-import time
-
-from repro.analysis import overlap_threshold_sweep, window_size_sweep
+from repro.analysis import window_size_sweep
 from repro.apps.synthetic import synthetic_trace
 from repro.core import SynthesisConfig
 from repro.exec import ExecutionEngine, ResultCache
-from repro.obs import tracing
-from repro.pipeline import reset_shared_runner, shm
 
 from _bench_utils import emit, engine_from_env
 
 WINDOWS = [150, 400, 1_200, 6_000]
-
-# Threshold sweep for the shared-plane gate: every point shares ONE
-# window fingerprint pair (threshold lives in the conflict spec, not
-# the window spec), the exact shape the plane accelerates.
-THRESHOLDS = [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
-GATE_WINDOW = 1_200
-
-# The plane must not cost wall-clock either: publish + attach overhead
-# stays within 1.5x of the no-plane sweep (generous -- the arms are
-# near parity on this kernel -- with an absolute floor so a sub-50ms
-# run cannot fail on timer noise).
-SHM_MAX_RATIO = 1.5
-SHM_FLOOR_S = 0.05
 
 
 def test_engine_sweep_smoke(benchmark, results_dir, tmp_path):
@@ -70,104 +52,4 @@ def test_engine_sweep_smoke(benchmark, results_dir, tmp_path):
             for point in points
         )
         + f"\n  cache: {cache.stats}",
-    )
-
-
-def _traced_sweep(trace, config, enabled):
-    """One jobs=2 threshold sweep from a cold process-global state with
-    the plane on/off, returning (points, spans, seconds)."""
-    reset_shared_runner()
-    shm.reset_plane()
-    shm.set_enabled(enabled)
-    tracing.arm_tracing()
-    try:
-        with tracing.root_span("bench.shm_gate", plane=enabled):
-            begin = time.perf_counter()
-            points = overlap_threshold_sweep(
-                trace, THRESHOLDS, GATE_WINDOW, config,
-                engine=ExecutionEngine(jobs=2),
-            )
-            seconds = time.perf_counter() - begin
-        spans = tracing.collect_spans()
-    finally:
-        tracing.clear_spans()
-        tracing.disarm_tracing()
-    return points, spans, seconds
-
-
-def test_engine_sweep_shm_plane_gate(benchmark, results_dir):
-    """Multi-worker sweep gate for the shared stage plane.
-
-    With the plane on, the parent analyzes the sweep's shared window
-    spec once pre-fan-out and publishes it; the gate asserts **zero
-    per-worker re-windowing** (every ``pipeline.window`` span carries
-    the parent pid) and that the workers actually attached the
-    published segments (``shm.attach`` spans from worker pids). The
-    no-plane arm must show the redundancy the plane removes -- worker
-    pids re-windowing the same spec -- and both arms must agree on
-    every designed point. Worker spans reach the parent through the
-    ``REPRO_TRACE`` spool, so the assertions see pool-side work.
-    """
-    trace = synthetic_trace(
-        burst_cycles=400, total_cycles=24_000, num_initiators=6,
-        num_targets=6, seed=5,
-    )
-    config = SynthesisConfig(max_targets_per_bus=None)
-    parent = os.getpid()
-    try:
-        # Untimed warmup: the first sweep in a process pays analytics
-        # compilation and pool spin-up; without it the first timed arm
-        # loses on one-time cost, not plane cost.
-        _traced_sweep(trace, config, False)
-        points, spans, shm_seconds = benchmark.pedantic(
-            lambda: _traced_sweep(trace, config, True),
-            rounds=1, iterations=1,
-        )
-        window_pids = [s.pid for s in spans if s.name == "pipeline.window"]
-        attach_pids = [s.pid for s in spans if s.name == "shm.attach"]
-        # Exactly one analysis per side, both in the parent; the pool
-        # resolved every window lookup from the shared plane.
-        assert window_pids == [parent, parent], window_pids
-        assert attach_pids and all(p != parent for p in attach_pids), (
-            attach_pids
-        )
-
-        off_points, off_spans, off_seconds = _traced_sweep(
-            trace, config, False
-        )
-        off_window_pids = [
-            s.pid for s in off_spans if s.name == "pipeline.window"
-        ]
-        # PR 9 behavior: each worker re-windows the shared spec itself.
-        assert off_window_pids and all(
-            p != parent for p in off_window_pids
-        ), off_window_pids
-        assert not any(s.name.startswith("shm.") for s in off_spans)
-        assert points == off_points
-
-        budget = max(off_seconds, SHM_FLOOR_S) * SHM_MAX_RATIO
-        assert shm_seconds <= budget, (
-            f"plane-on sweep out of budget: {shm_seconds:.3f}s vs "
-            f"no-plane {off_seconds:.3f}s (x{SHM_MAX_RATIO} allowed)"
-        )
-    finally:
-        shm.set_enabled(True)
-        shm.reset_plane()
-        reset_shared_runner()
-
-    benchmark.extra_info["plane_on_s"] = round(shm_seconds, 4)
-    benchmark.extra_info["plane_off_s"] = round(off_seconds, 4)
-    benchmark.extra_info["worker_rewindow_spans_removed"] = len(
-        off_window_pids
-    )
-    emit(
-        results_dir,
-        "engine_shm_gate",
-        "shared-plane sweep gate (8 thresholds, jobs=2)\n"
-        f"  plane on : {shm_seconds * 1e3:8.2f} ms "
-        f"(window analyses: {len(window_pids)}, all parent; "
-        f"worker attaches: {len(attach_pids)})\n"
-        f"  plane off: {off_seconds * 1e3:8.2f} ms "
-        f"(worker re-windowings: {len(off_window_pids)})\n"
-        f"  points byte-identical: {[p.it_buses for p in points]}",
     )

@@ -90,12 +90,6 @@ def _add_engine_options(subparser: argparse.ArgumentParser) -> None:
         help="arm span tracing for this run and write the captured "
         "spans as JSONL to FILE (inspect with 'repro trace FILE')",
     )
-    subparser.add_argument(
-        "--no-shm", action="store_true",
-        help="disable the shared stage plane (mmap sidecar tier + "
-        "shared-memory window tensors published to pool workers); "
-        "results are identical either way",
-    )
 
 
 def _stage_seconds_snapshot():
@@ -449,12 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or a path to a JSON file) for chaos testing; exported to "
         "workers via REPRO_FAULTS",
     )
-    serve.add_argument(
-        "--no-shm", action="store_true",
-        help="disable the shared stage plane (cross-job window-tensor "
-        "sharing and the mmap sidecar tier); results are identical "
-        "either way",
-    )
     return parser
 
 
@@ -484,10 +472,6 @@ def _config_from_args(args) -> SynthesisConfig:
 
 
 def _engine_from_args(args) -> ExecutionEngine:
-    if getattr(args, "no_shm", False):
-        from repro.pipeline import shm
-
-        shm.set_enabled(False)
     return ExecutionEngine(jobs=args.jobs, cache=args.cache_dir)
 
 
@@ -879,11 +863,6 @@ def _cmd_serve(args) -> int:
             f"repro serve: fault injection ACTIVE "
             f"(seed={plan.seed}, points={', '.join(sorted(plan.rules))})"
         )
-
-    if args.no_shm:
-        from repro.pipeline import shm
-
-        shm.set_enabled(False)
 
     # Everything alive now (modules, classes, registries) lives as long
     # as the daemon: freeze it, so the collector's full passes over

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import tempfile
 import threading
 import time
@@ -297,46 +296,19 @@ class ResultCache:
             yield entry.stem
 
     def _entry_files(self):
-        """Every managed entry: ``.json`` files, ``.npz`` tensor
-        sidecars, and ``.mmap`` uncompressed-sidecar *directories* (see
+        """Every managed entry file: ``.json`` entries and ``.npz``
+        tensor sidecars (see
         :meth:`repro.pipeline.store.ArtifactStore.put_arrays`), with
         the same foreign-file filtering as :meth:`keys`."""
         if not self.cache_dir.is_dir():
             return
-        for pattern in ("*.json", "*.npz", "*.mmap"):
+        for pattern in ("*.json", "*.npz"):
             for entry in sorted(self.cache_dir.glob(pattern)):
                 if entry.name.startswith("."):
                     continue
                 if any(ch in entry.stem for ch in "/\\."):
                     continue
                 yield entry
-
-    @staticmethod
-    def _entry_size(path: Path) -> int:
-        """One entry's footprint: the file's size, or the summed member
-        sizes for ``.mmap`` directory entries."""
-        stat = path.stat()
-        if not path.is_dir():
-            return stat.st_size
-        total = 0
-        for member in path.iterdir():
-            try:
-                total += member.stat().st_size
-            except OSError:  # member vanished mid-walk: skip
-                continue
-        return total
-
-    @staticmethod
-    def _remove_entry(path: Path) -> None:
-        """Unlink one entry, whichever shape it has; raises ``OSError``
-        on failure like a plain unlink (vanished directories pass)."""
-        if path.is_dir():
-            try:
-                shutil.rmtree(path)
-            except FileNotFoundError:  # concurrent eviction won
-                pass
-        else:
-            path.unlink()
 
     # Temp files older than this are assumed orphaned: no healthy
     # writer holds a mkstemp file open for an hour.
@@ -350,8 +322,7 @@ class ResultCache:
         SIGKILLed server) leaves its temp file behind, invisible to
         :meth:`keys`/:meth:`prune` and accumulating forever. The sweep
         runs on construction and before :meth:`prune`, removing temp
-        files -- and temp *directories* from torn mmap-tier writes --
-        older than ``max_age_s`` (default :attr:`ORPHAN_TMP_AGE_S`);
+        files older than ``max_age_s`` (default :attr:`ORPHAN_TMP_AGE_S`);
         the age guard keeps it from racing a *live* writer's in-flight
         temp file in a shared directory. Returns the number of entries
         removed.
@@ -365,19 +336,19 @@ class ResultCache:
         for entry in list(self.cache_dir.glob(".tmp-*")):
             try:
                 if entry.stat().st_mtime <= cutoff:
-                    self._remove_entry(entry)
+                    entry.unlink()
                     removed += 1
             except OSError:  # vanished mid-walk or unremovable: skip
                 continue
         return removed
 
     def clear(self) -> int:
-        """Delete every entry (JSON, ``.npz`` sidecars, and ``.mmap``
-        sidecar directories); returns the number of entries removed."""
+        """Delete every entry (JSON and ``.npz`` sidecars); returns the
+        number of entries removed."""
         removed = 0
         for path in list(self._entry_files()):
             try:
-                self._remove_entry(path)
+                path.unlink()
                 removed += 1
             except OSError:
                 pass
@@ -395,7 +366,7 @@ class ResultCache:
         total = 0
         for path in self._entry_files():
             try:
-                total += self._entry_size(path)
+                total += path.stat().st_size
                 entries += 1
             except OSError:  # vanished mid-walk: skip, never raise
                 pass
@@ -404,11 +375,10 @@ class ResultCache:
     def prune(self, max_bytes: int) -> int:
         """Evict least-recently-used entries until the cache fits.
 
-        Entries (JSON files, ``.npz`` sidecars and ``.mmap`` sidecar
-        directories alike) are removed oldest-mtime-first (hits refresh
-        mtime, so recently-used entries survive) until the remaining
-        footprint is at most ``max_bytes``. Returns the number of
-        entries removed.
+        Entries (JSON files and ``.npz`` sidecars alike) are removed
+        oldest-mtime-first (hits refresh mtime, so recently-used entries
+        survive) until the remaining footprint is at most ``max_bytes``.
+        Returns the number of entries removed.
 
         Like :meth:`usage`, pruning tolerates concurrent access: files
         that vanish between the walk and their ``stat``/``unlink``
@@ -424,18 +394,17 @@ class ResultCache:
         for path in self._entry_files():
             try:
                 stat = path.stat()
-                size = self._entry_size(path)
             except OSError:  # vanished mid-walk: skip, never raise
                 continue
-            aged.append((stat.st_mtime, str(path), path, size))
-            total += size
+            aged.append((stat.st_mtime, str(path), path, stat.st_size))
+            total += stat.st_size
         aged.sort(key=lambda item: (item[0], item[1]))
         removed = 0
         for _mtime, _name, path, size in aged:
             if total <= max_bytes:
                 break
             try:
-                self._remove_entry(path)
+                path.unlink()
             except OSError:
                 continue
             total -= size

@@ -51,7 +51,6 @@ from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import task_key, trace_fingerprint
 from repro.exec.serialize import SynthesisResult
 from repro.obs import tracing as _tracing
-from repro.pipeline import shm as _shm
 from repro.resilience import EngineStats, RetryPolicy, maybe_crash_worker
 from repro.platform.drivers import TraceDrivenInitiator, simulate_workload
 from repro.platform.metrics import LatencyStats
@@ -216,10 +215,6 @@ def _install_worker_trace(trace: TrafficTrace, digest: Optional[str] = None) -> 
     # the compiled form arrives pre-built; this call is then a no-op,
     # and otherwise guarantees one compilation per worker, not per task.
     warm_analytics(trace)
-    # Likewise attach any published stage segments once per worker (the
-    # REPRO_SHM manifest exported around the fan-out), not per task;
-    # attach failures degrade per segment and cost nothing later.
-    _shm.attach_from_env()
 
 
 def _solve_task_in_worker(
@@ -409,17 +404,13 @@ class ExecutionEngine:
 
         The whole ladder runs inside one ``engine.pool_map`` span with
         the trace context exported to ``REPRO_TRACE``
-        (:func:`repro.obs.propagate_context`) and the shared stage
-        plane's segment manifest exported to ``REPRO_SHM``
-        (:func:`repro.pipeline.shm.propagate_plane`): the initial pool
-        *and* any pool rebuilt mid-batch inherit the same parent span
-        and the same published tensors, so a job's trace tree -- and
-        its zero-copy window lookups -- survive worker crashes.
+        (:func:`repro.obs.propagate_context`): the initial pool *and*
+        any pool rebuilt mid-batch inherit the same parent span, so a
+        job's trace tree survives worker crashes.
         """
         with _tracing.span("engine.pool_map", tasks=count):
             with _tracing.propagate_context():
-                with _shm.propagate_plane():
-                    return self._pool_map_impl(count, make_pool, submit_one, serial_one)
+                return self._pool_map_impl(count, make_pool, submit_one, serial_one)
 
     def _pool_map_impl(
         self,
@@ -597,54 +588,11 @@ class ExecutionEngine:
                 return self._solve_parallel(trace, tasks)
             return [_solve_task(trace, task) for task in tasks]
 
-    @staticmethod
-    def _prewindow_shared(trace: TrafficTrace, tasks: Sequence[SynthesisTask]) -> None:
-        """Window specs shared by >= 2 pending tasks are analyzed once
-        in the parent and offered to the shared stage plane before
-        fan-out, so every worker resolves them zero-copy (a published
-        segment, or the parent's artifact itself under ``fork``)
-        instead of re-windowing the trace per worker.
-
-        Specs used by a single task are left to their worker: windowing
-        them here would serialize exactly the work the pool exists to
-        spread. Strictly an accelerator -- any failure falls through to
-        the normal per-worker path.
-        """
-        if not _shm.enabled():
-            return
-        sample: Dict[Tuple, SynthesisTask] = {}
-        counts: Dict[Tuple, int] = {}
-        for task in tasks:
-            # The fields window_stage_spec() reads; tasks differing only
-            # in solver/threshold knobs share their window fingerprints.
-            key = (
-                task.window_size,
-                task.config.variable_windows,
-                task.config.variable_window_ratio,
-            )
-            sample.setdefault(key, task)
-            counts[key] = counts.get(key, 0) + 1
-        shared = [sample[key] for key, count in counts.items() if count >= 2]
-        if not shared:
-            return
-        from repro.pipeline.runner import shared_runner
-
-        runner = shared_runner()
-        try:
-            collected = runner.collect(trace)
-            for task in shared:
-                for mirrored in (False, True):
-                    runner.window(collected, task.config, task.window_size, mirrored)
-        except Exception:  # noqa: BLE001 - accelerator only: the real
-            # solve path (worker or serial) surfaces any genuine error.
-            return
-
     def _solve_parallel(
         self, trace: TrafficTrace, tasks: Sequence[SynthesisTask]
     ) -> List[SynthesisResult]:
         workers = min(self.jobs, len(tasks))
         digest = trace_fingerprint(trace)
-        self._prewindow_shared(trace, tasks)
 
         def make_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(

@@ -69,7 +69,6 @@ from repro.pipeline.artifacts import (
 from repro.errors import ConfigurationError, SynthesisError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.pipeline import shm as _shm
 from repro.pipeline.store import ArtifactStore
 from repro.platform.drivers import WorkloadDriver, simulate_workload
 from repro.profiling import track_phase
@@ -219,16 +218,13 @@ class PipelineRunner:
         mirrored trace per the paper's "designed in a similar fashion".
 
         When the store has a disk layer, the windowed tensors persist as
-        a compressed ``.npz`` sidecar (plus an uncompressed mmap tier):
-        another process re-analyzing the same trace rebuilds the design
-        problem straight from the arrays without re-windowing (or even
-        holding) the trace.
+        a compressed ``.npz`` sidecar: another process re-analyzing the
+        same trace rebuilds the design problem straight from the arrays
+        without re-windowing (or even holding) the trace.
 
-        Lookup order: store memo -> shared stage plane
-        (:mod:`repro.pipeline.shm` -- another store's live artifact, or
-        a zero-copy view of a pool parent's published segment, tallied
-        as ``shm_hits``) -> disk sidecar -> compute. Every path yields
-        byte-identical tensors; the tiers differ only in cost.
+        Lookup order: store memo -> ``.npz`` sidecar -> compute. Every
+        path yields byte-identical tensors; the tiers differ only in
+        cost.
         """
         spec = window_stage_spec(config, window_size, mirrored)
         fingerprint = stage_fingerprint("window", collected.fingerprint, spec)
@@ -236,33 +232,12 @@ class PipelineRunner:
         if cached is not None:
             self.counters.record_memo_hit("window")
             return cached
-        shared = _shm.lookup_artifact(fingerprint)
-        if (
-            isinstance(shared, WindowedAnalysis)
-            and shared.mirrored == mirrored
-        ):
-            self.counters.record_shm_hit("window")
-            self.store.put(fingerprint, shared)
-            return shared
-        arrays = _shm.lookup_arrays(fingerprint)
-        if arrays is not None:
-            artifact = _window_from_arrays(arrays, fingerprint, mirrored)
-            if artifact is not None:
-                self.counters.record_shm_hit("window")
-                self.store.put(fingerprint, artifact)
-                _shm.offer(
-                    fingerprint, artifact, lambda: _window_arrays(artifact)
-                )
-                return artifact
         arrays = self.store.get_arrays(fingerprint)
         if arrays is not None:
             artifact = _window_from_arrays(arrays, fingerprint, mirrored)
             if artifact is not None:
                 self.counters.record_disk_hit("window")
                 self.store.put(fingerprint, artifact)
-                _shm.offer(
-                    fingerprint, artifact, lambda: _window_arrays(artifact)
-                )
                 return artifact
         self.counters.record_computed("window")
 
@@ -278,7 +253,6 @@ class PipelineRunner:
 
         artifact = _timed_stage("window", fingerprint, _compute)
         self.store.put(fingerprint, artifact)
-        _shm.offer(fingerprint, artifact, lambda: _window_arrays(artifact))
         self.store.put_arrays(fingerprint, _window_arrays(artifact))
         return artifact
 

@@ -25,7 +25,6 @@ what ``repro scenarios run --explain-cache`` prints.
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
 import threading
 import zipfile
@@ -36,8 +35,6 @@ import numpy as np
 
 from repro.exec.cache import ResultCache
 from repro.obs import metrics as _metrics
-from repro.obs import tracing as _tracing
-from repro.pipeline import shm as _shm
 
 __all__ = [
     "StageCounters",
@@ -71,16 +68,14 @@ class StageCounters:
     """Per-stage execution/caching tallies.
 
     ``computed[stage]`` counts real stage executions, ``memo_hits`` the
-    in-memory reuses, ``disk_hits`` the persistent-store reuses, and
-    ``shm_hits`` the reuses served by the shared stage plane
-    (:mod:`repro.pipeline.shm` -- another thread's or process's
-    artifact, resolved zero-copy). The sum of the four is the number of
-    times the stage's output was needed.
+    in-memory reuses and ``disk_hits`` the persistent-store reuses. The
+    sum of the three is the number of times the stage's output was
+    needed.
 
     Counters double as the pipeline's *progress feed*: observers
     registered with :meth:`subscribe` are called synchronously on every
     tally -- ``observer(kind, stage)`` with ``kind`` one of
-    ``"computed"``/``"memo_hit"``/``"disk_hit"``/``"shm_hit"`` -- which is how the
+    ``"computed"``/``"memo_hit"``/``"disk_hit"`` -- which is how the
     ``repro serve`` job registry streams per-stage progress to pollers
     while a solve is still running. Tallies and snapshots are
     lock-protected, so one runner may be driven and observed from
@@ -91,7 +86,6 @@ class StageCounters:
         self.computed: Dict[str, int] = {}
         self.memo_hits: Dict[str, int] = {}
         self.disk_hits: Dict[str, int] = {}
-        self.shm_hits: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._observers: List[Callable[[str, str], None]] = []
 
@@ -125,15 +119,11 @@ class StageCounters:
     def record_disk_hit(self, stage: str) -> None:
         self._bump(self.disk_hits, "disk_hit", stage)
 
-    def record_shm_hit(self, stage: str) -> None:
-        self._bump(self.shm_hits, "shm_hit", stage)
-
     def reset(self) -> None:
         with self._lock:
             self.computed.clear()
             self.memo_hits.clear()
             self.disk_hits.clear()
-            self.shm_hits.clear()
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         """A consistent copy of the tallies (for deltas around one run,
@@ -143,17 +133,13 @@ class StageCounters:
                 "computed": dict(self.computed),
                 "memo_hits": dict(self.memo_hits),
                 "disk_hits": dict(self.disk_hits),
-                "shm_hits": dict(self.shm_hits),
             }
 
     def stages(self) -> List[str]:
         """Every stage name seen so far, sorted."""
         with self._lock:
             names = (
-                set(self.computed)
-                | set(self.memo_hits)
-                | set(self.disk_hits)
-                | set(self.shm_hits)
+                set(self.computed) | set(self.memo_hits) | set(self.disk_hits)
             )
         return sorted(names)
 
@@ -167,7 +153,7 @@ class StageCounters:
     ) -> Dict[str, Dict[str, int]]:
         """Per-stage tallies accumulated between two snapshots."""
         out: Dict[str, Dict[str, int]] = {}
-        for table in ("computed", "memo_hits", "disk_hits", "shm_hits"):
+        for table in ("computed", "memo_hits", "disk_hits"):
             diffs = {
                 stage: count - before.get(table, {}).get(stage, 0)
                 for stage, count in after.get(table, {}).items()
@@ -182,15 +168,14 @@ class StageCounters:
             set().union(*(tables.get(t, {}) for t in tables)) if tables else ()
         )
         lines = [
-            "stage                     computed  memo-hit  disk-hit   shm-hit"
+            "stage                     computed  memo-hit  disk-hit"
         ]
         for stage in names:
             lines.append(
                 f"{stage:<25} "
                 f"{tables.get('computed', {}).get(stage, 0):>8} "
                 f"{tables.get('memo_hits', {}).get(stage, 0):>9} "
-                f"{tables.get('disk_hits', {}).get(stage, 0):>9} "
-                f"{tables.get('shm_hits', {}).get(stage, 0):>9}"
+                f"{tables.get('disk_hits', {}).get(stage, 0):>9}"
             )
         if len(lines) == 1:
             lines.append("(no stage executions recorded)")
@@ -346,105 +331,21 @@ class ArtifactStore:
             )
 
     # -- tensor sidecars ----------------------------------------------
-    #
-    # Two tiers per fingerprint:
-    #
-    # * ``stage-<fp>.npz``  -- compressed, portable, the cold tier.
-    # * ``stage-<fp>.mmap/`` -- a directory of raw ``.npy`` members,
-    #   opened with ``np.load(mmap_mode="r")`` so the OS page cache
-    #   holds ONE physical copy of the tensors however many processes
-    #   on the box read them (the hot tier; note ``mmap_mode`` is
-    #   silently ignored for ``.npz`` members, hence the split files).
-    #
-    # Reads prefer the hot tier and promote the cold tier on first hit;
-    # writes land both. Either tier degrades independently to a miss.
 
     def _sidecar_path(self, fingerprint: str):
         return self.disk.cache_dir / f"{self._disk_key(fingerprint)}.npz"
 
-    def _mmap_path(self, fingerprint: str):
-        return self.disk.cache_dir / f"{self._disk_key(fingerprint)}.mmap"
-
-    def _get_arrays_mmap(
-        self, fingerprint: str
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """Memory-mapped views of the uncompressed sidecar members, or
-        ``None``. A torn member drops the whole directory so the
-        compressed tier heals it on the next read."""
-        path = self._mmap_path(fingerprint)
-        try:
-            members = sorted(path.glob("*.npy"))
-        except OSError:  # pragma: no cover - unreadable cache dir
-            return None
-        if not members:
-            return None
-        arrays: Dict[str, np.ndarray] = {}
-        try:
-            for member in members:
-                arrays[member.stem] = np.load(
-                    member, mmap_mode="r", allow_pickle=False
-                )
-        except (OSError, ValueError, EOFError):
-            shutil.rmtree(path, ignore_errors=True)
-            return None
-        try:
-            os.utime(path)  # keep LRU pruning honest on hot-tier hits
-        except OSError:  # pragma: no cover - best-effort bookkeeping
-            pass
-        return arrays
-
-    def _put_arrays_mmap(
-        self, fingerprint: str, arrays: Mapping[str, np.ndarray]
-    ) -> bool:
-        """Write the uncompressed tier atomically (tmp dir + rename);
-        best-effort like every persistence path here."""
-        path = self._mmap_path(fingerprint)
-        if path.is_dir():
-            return True
-        try:
-            self.disk.cache_dir.mkdir(parents=True, exist_ok=True)
-            tmp = tempfile.mkdtemp(
-                dir=self.disk.cache_dir, prefix=".tmp-", suffix=".mmap"
-            )
-        except OSError:
-            return False
-        try:
-            for name, array in arrays.items():
-                np.save(
-                    os.path.join(tmp, f"{name}.npy"),
-                    np.ascontiguousarray(array),
-                    allow_pickle=False,
-                )
-            os.rename(tmp, path)
-        except OSError:
-            # Includes losing the rename race to a concurrent writer
-            # (ENOTEMPTY): their copy of the same content wins.
-            shutil.rmtree(tmp, ignore_errors=True)
-            return path.is_dir()
-        except BaseException:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-        return True
-
     def get_arrays(self, fingerprint: str) -> Optional[Dict[str, np.ndarray]]:
-        """The persisted tensor sidecar for ``fingerprint`` -- hot mmap
-        tier first, compressed tier as fallback -- or ``None``.
+        """The persisted tensor sidecar for ``fingerprint``, or ``None``.
 
-        Tensor-heavy stages (the windowed ``comm``/``wo`` analysis)
-        persist as NumPy sidecars next to the JSON entries: far denser
-        than JSON and loadable without rebuilding the trace. A hit on
-        the compressed tier promotes it to the mmap tier and serves the
-        mapped views, so subsequent readers across the whole box share
-        pages. Unreadable or truncated sidecars degrade to misses,
-        exactly like corrupt JSON entries.
+        Tensor-heavy stages (the windowed ``comm``/``wo`` analysis, the
+        collect stage's columnar trace) persist as compressed ``.npz``
+        sidecars next to the JSON entries: far denser than JSON and
+        loadable without rebuilding the trace. Unreadable or truncated
+        sidecars degrade to misses, exactly like corrupt JSON entries.
         """
         if self.disk is None:
             return None
-        if _shm.enabled():
-            arrays = self._get_arrays_mmap(fingerprint)
-            if arrays is not None:
-                _shm.record_event("mmap_hit")
-                return arrays
         path = self._sidecar_path(fingerprint)
         try:
             with np.load(path, allow_pickle=False) as data:
@@ -466,28 +367,18 @@ class ArtifactStore:
             os.utime(path)  # keep LRU pruning honest on sidecar hits
         except OSError:  # pragma: no cover - best-effort bookkeeping
             pass
-        if _shm.enabled():
-            with _tracing.span("shm.promote", fingerprint=fingerprint[:12]):
-                promoted = self._put_arrays_mmap(fingerprint, arrays)
-            if promoted:
-                _shm.record_event("promote")
-                mapped = self._get_arrays_mmap(fingerprint)
-                if mapped is not None:
-                    return mapped
         return arrays
 
     def put_arrays(
         self, fingerprint: str, arrays: Mapping[str, np.ndarray]
     ) -> None:
-        """Persist tensors as sidecars atomically (no-op without a disk
-        layer): the compressed ``.npz`` always, plus the uncompressed
-        mmap tier when the shared plane is enabled.
+        """Persist tensors as a compressed ``.npz`` sidecar atomically
+        (no-op without a disk layer).
 
-        Sidecars are content-addressed, so when the compressed entry
-        already exists the serialize/compress work is skipped entirely
-        (its mtime refreshes, and a missing hot tier is backfilled) --
-        warm suite re-runs stop paying ``np.savez_compressed`` for
-        entries already on disk.
+        Sidecars are content-addressed, so when the entry already
+        exists the serialize/compress work is skipped entirely (only
+        its mtime refreshes) -- warm suite re-runs stop paying
+        ``np.savez_compressed`` for entries already on disk.
 
         Like :meth:`ResultCache.put_json`, the write is best-effort: a
         failing disk loses the sidecar (the stage recomputes next time),
@@ -501,8 +392,6 @@ class ArtifactStore:
                 os.utime(path)
             except OSError:  # pragma: no cover - best-effort bookkeeping
                 pass
-            if _shm.enabled():
-                self._put_arrays_mmap(fingerprint, arrays)
             return
         try:
             self.disk.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -527,13 +416,11 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
-        if _shm.enabled():
-            self._put_arrays_mmap(fingerprint, arrays)
 
     def drop_arrays(self, fingerprint: str) -> None:
-        """Delete both sidecar tiers of ``fingerprint`` (no-op without a
-        disk layer). For callers that find a sidecar decodes cleanly
-        but holds the wrong content: :meth:`put_arrays` skips existing
+        """Delete the sidecar of ``fingerprint`` (no-op without a disk
+        layer). For callers that find a sidecar decodes cleanly but
+        holds the wrong content: :meth:`put_arrays` skips existing
         sidecars, so a bad one must go before it can be rewritten."""
         if self.disk is None:
             return
@@ -541,7 +428,6 @@ class ArtifactStore:
             os.unlink(self._sidecar_path(fingerprint))
         except OSError:
             pass
-        shutil.rmtree(self._mmap_path(fingerprint), ignore_errors=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         disk = self.disk.cache_dir if self.disk is not None else None

@@ -125,7 +125,7 @@ class Job:
         with self._lock:
             row = self.progress.setdefault(
                 stage,
-                {"computed": 0, "memo_hit": 0, "disk_hit": 0, "shm_hit": 0},
+                {"computed": 0, "memo_hit": 0, "disk_hit": 0},
             )
             row[kind] = row.get(kind, 0) + 1
 

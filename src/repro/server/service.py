@@ -29,11 +29,7 @@ answers a repeat request without simulating the application.
 Per-job progress is streamed by subscribing the job's
 :meth:`~repro.server.jobs.Job.record_progress` to the runner's
 :class:`~repro.pipeline.store.StageCounters`; pollers see live
-per-stage computed/memo-hit/disk-hit/shm-hit tallies while the job
-runs. Jobs additionally share window artifacts *across* their
-per-job stores through the shared stage plane
-(:mod:`repro.pipeline.shm`): a multi-fingerprint burst -- same trace,
-different solver knobs -- windows the trace once, service-wide.
+per-stage computed/memo-hit/disk-hit tallies while the job runs.
 """
 
 from __future__ import annotations
@@ -56,7 +52,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.obs.jsonlog import JsonLogger
 from repro.pipeline import ArtifactStore, CollectStage, PipelineRunner
-from repro.pipeline import shm as _shm
 from repro.resilience import fault_summary
 from repro.server.coalesce import RequestCoalescer
 from repro.server.jobs import Job, JobQueue
@@ -527,10 +522,6 @@ class SynthesisService:
             },
             "engine": self.engine.stats.snapshot(),
             "faults": fault_summary(),
-            # The shared stage plane: concurrent jobs over different
-            # design fingerprints resolve common window stages from one
-            # process-wide set of tensors (zero-copy), tallied here.
-            "shm": _shm.plane_summary(),
         }
         # Atomic snapshots, not field-by-field reads: the old code read
         # ``SOLVE_COUNTER.feasibility`` and ``.binding`` (and the cache

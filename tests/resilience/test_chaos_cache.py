@@ -9,7 +9,6 @@ never raised into the solve that produced the value.
 
 import json
 import os
-import shutil
 import time
 
 import numpy as np
@@ -177,9 +176,6 @@ class TestTensorSidecars:
 
         path = tmp_path / "stage-fp1.npz"
         path.write_bytes(path.read_bytes()[:10])  # torn mid-write
-        # Drop the uncompressed mmap tier so the torn npz is what gets
-        # read (the hot tier would otherwise mask the corruption).
-        shutil.rmtree(tmp_path / "stage-fp1.mmap", ignore_errors=True)
         assert store.get_arrays("fp1") is None
 
     def test_garbage_npz_sidecar_is_a_miss(self, tmp_path):
@@ -221,9 +217,9 @@ class TestCollectEntries:
         return trace, collector.counters.computed.get("collect", 0)
 
     @staticmethod
-    def sidecars(cache_dir):
+    def sidecar(cache_dir):
         (npz,) = cache_dir.glob("stage-*.npz")
-        return npz, npz.with_suffix(".mmap")
+        return npz
 
     def test_intact_entry_loads_without_simulating(self, filled):
         cache_dir, fresh = filled
@@ -244,9 +240,8 @@ class TestCollectEntries:
 
     def test_truncated_sidecar_resimulates_and_heals(self, filled):
         cache_dir, fresh = filled
-        npz, mmap = self.sidecars(cache_dir)
+        npz = self.sidecar(cache_dir)
         npz.write_bytes(npz.read_bytes()[:64])  # torn mid-write
-        shutil.rmtree(mmap)  # else the hot tier masks the damage
         trace, recollected = self.reload(cache_dir)
         assert recollected == 1
         assert trace.records == fresh.records
@@ -256,9 +251,8 @@ class TestCollectEntries:
 
     def test_missing_sidecar_resimulates(self, filled):
         cache_dir, fresh = filled
-        npz, mmap = self.sidecars(cache_dir)
+        npz = self.sidecar(cache_dir)
         npz.unlink()
-        shutil.rmtree(mmap)
         trace, recollected = self.reload(cache_dir)
         assert recollected == 1
         assert trace.records == fresh.records
@@ -267,7 +261,7 @@ class TestCollectEntries:
         cache_dir, fresh = filled
         # A well-formed sidecar with different content: one record's
         # burst changed, which the stored digest no longer matches.
-        npz, _ = self.sidecars(cache_dir)
+        npz = self.sidecar(cache_dir)
         store = ArtifactStore(disk=ResultCache(cache_dir))
         key = npz.name[len("stage-"):-len(".npz")]
         arrays = {

@@ -244,13 +244,12 @@ class TestCacheCommands:
         assert main(["cache", "stats", cache_dir]) == 0
         out = capsys.readouterr().out
         # two persisted binding stages + two windowed-tensor npz
-        # sidecars + two uncompressed mmap tiers + two warm-start hint
-        # slots (one per crossbar side), plus the collect stage's
-        # payload, npz sidecar and mmap tier
-        assert "11 entries" in out
+        # sidecars + two warm-start hint slots (one per crossbar side),
+        # plus the collect stage's payload and npz sidecar
+        assert "8 entries" in out
 
         assert main(["cache", "prune", cache_dir, "--max-bytes", "0"]) == 0
-        assert "pruned 11 entries" in capsys.readouterr().out
+        assert "pruned 8 entries" in capsys.readouterr().out
 
         assert main(["cache", "stats", cache_dir]) == 0
         assert "0 entries" in capsys.readouterr().out

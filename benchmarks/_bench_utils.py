@@ -15,7 +15,7 @@ TIMINGS_FILE = RESULTS_DIR / "timings.json"
 PRE_KERNEL_REFERENCE_S = {
     # Mean wall-clock of the pure-Python interval pipeline (pre columnar
     # kernels), measured on the reference machine with a cold result
-    # cache and jobs=1. The kernel benches report their speedup against
+    # cache. The kernel benches report their speedup against
     # these so the bench JSON carries the before/after trajectory.
     "test_fig5a_window_size_sweep": 3.15,
     "test_fig6_overlap_threshold_sweep": 2.20,
@@ -58,15 +58,11 @@ def emit(results_dir: Path, name: str, text: str) -> None:
 def engine_from_env() -> ExecutionEngine:
     """Execution engine configured from the environment.
 
-    ``REPRO_BENCH_JOBS`` sets the worker count (``0`` = one per CPU)
-    and ``REPRO_BENCH_CACHE_DIR`` points at a result cache. Both unset
-    gives a serial, uncached engine -- i.e. exactly the historical
-    in-process behaviour, so default timings stay comparable across
-    runs.
+    ``REPRO_BENCH_CACHE_DIR`` points at a result cache; unset gives an
+    uncached engine, so default timings stay comparable across runs.
     """
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR") or None
-    return ExecutionEngine(jobs=jobs, cache=cache_dir)
+    return ExecutionEngine(cache=cache_dir)
 
 
 def write_timings(entries, path: Path = TIMINGS_FILE) -> None:

@@ -58,7 +58,7 @@ def test_obs_overhead_warm_sweep(benchmark, results_dir, tmp_path):
     config = SynthesisConfig(max_targets_per_bus=None)
     cache = ResultCache(tmp_path / "cache")
     cold = window_size_sweep(
-        trace, WINDOWS, config, engine=ExecutionEngine(jobs=1, cache=cache)
+        trace, WINDOWS, config, engine=ExecutionEngine(cache=cache)
     )
 
     def warm_sweep():
@@ -69,7 +69,7 @@ def test_obs_overhead_warm_sweep(benchmark, results_dir, tmp_path):
         # pending), so disarmed rounds exercise the null-span fast path
         # and armed rounds the real record-and-emit path.
         with tracing.span("bench.warm_sweep", windows=len(WINDOWS)):
-            engine = ExecutionEngine(jobs=1, cache=ResultCache(cache.cache_dir))
+            engine = ExecutionEngine(cache=ResultCache(cache.cache_dir))
             points = window_size_sweep(trace, WINDOWS, config, engine=engine)
         assert points == cold
         return points

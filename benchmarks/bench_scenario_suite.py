@@ -2,7 +2,7 @@
 
 Sized for CI: four small, structurally distinct workloads on a 6x6
 platform, each synthesized individually through the execution engine
-(parallel + cached) plus one robust union-policy design replayed against
+(cached) plus one robust union-policy design replayed against
 every scenario. The timed kernel is a cold (cache-empty) run; the
 assertions then verify the acceptance properties -- zero replay
 violations under the union policy, a robust bus count dominating every
@@ -12,15 +12,14 @@ per-scenario optimum, and a warm rerun served from the cache.
 from repro.exec import ExecutionEngine, ResultCache
 from repro.scenarios import ScenarioSuiteRunner, build_suite
 
-from _bench_utils import emit, engine_from_env
+from _bench_utils import emit
 
 
 def test_scenario_suite_smoke(benchmark, results_dir, tmp_path):
     suite = build_suite("smoke")
     cache = ResultCache(tmp_path / "cache")
-    jobs = engine_from_env().jobs
     cold_runner = ScenarioSuiteRunner(
-        engine=ExecutionEngine(jobs=jobs, cache=cache), policy="union"
+        engine=ExecutionEngine(cache=cache), policy="union"
     )
 
     report = benchmark.pedantic(
@@ -33,7 +32,7 @@ def test_scenario_suite_smoke(benchmark, results_dir, tmp_path):
 
     # fresh cache handle on the same directory: stats count only the warm run
     warm_runner = ScenarioSuiteRunner(
-        engine=ExecutionEngine(jobs=1, cache=ResultCache(cache.cache_dir)),
+        engine=ExecutionEngine(cache=ResultCache(cache.cache_dir)),
         policy="union",
     )
     warm_report = warm_runner.run(suite)

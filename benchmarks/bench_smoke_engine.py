@@ -1,7 +1,7 @@
 """Engine smoke bench -- a small sweep through the execution engine.
 
 Unlike the paper benches this one exists for CI: it is sized to finish
-in seconds, exercises the parallel executor and the result cache end to
+in seconds, exercises the execution engine and the result cache end to
 end, and leaves a machine-readable timing entry in
 ``results/timings.json`` for the perf-artifact archive. The timed
 kernel is a cold (cache-empty) window sweep; the assertions then verify
@@ -14,7 +14,7 @@ from repro.apps.synthetic import synthetic_trace
 from repro.core import SynthesisConfig
 from repro.exec import ExecutionEngine, ResultCache
 
-from _bench_utils import emit, engine_from_env
+from _bench_utils import emit
 
 WINDOWS = [150, 400, 1_200, 6_000]
 
@@ -26,8 +26,7 @@ def test_engine_sweep_smoke(benchmark, results_dir, tmp_path):
     )
     config = SynthesisConfig(max_targets_per_bus=None)
     cache = ResultCache(tmp_path / "cache")
-    jobs = engine_from_env().jobs
-    cold_engine = ExecutionEngine(jobs=jobs, cache=cache)
+    cold_engine = ExecutionEngine(cache=cache)
 
     points = benchmark.pedantic(
         lambda: window_size_sweep(trace, WINDOWS, config, engine=cold_engine),
@@ -36,7 +35,7 @@ def test_engine_sweep_smoke(benchmark, results_dir, tmp_path):
     )
 
     # fresh cache handle on the same directory: stats count only the warm run
-    warm_engine = ExecutionEngine(jobs=1, cache=ResultCache(cache.cache_dir))
+    warm_engine = ExecutionEngine(cache=ResultCache(cache.cache_dir))
     warm_points = window_size_sweep(trace, WINDOWS, config, engine=warm_engine)
     assert warm_points == points
     assert warm_engine.cache.stats.hits == len(WINDOWS)

@@ -7,9 +7,8 @@ size move between the full-crossbar and average-traffic extremes. The
 window-size spectrum *is* the design spectrum: tiny windows behave like
 peak-bandwidth design, whole-run windows like average-traffic design.
 
-Both sweeps route through the execution engine: run with ``--jobs 8``
-to fan points out over worker processes, and ``--cache-dir .cache`` to
-make re-runs (near-)instant -- already-solved points are fetched from
+Both sweeps route through the execution engine: run with
+``--cache-dir .cache`` to make re-runs (near-)instant -- already-solved points are fetched from
 the content-addressed result cache instead of being re-solved.
 """
 
@@ -29,12 +28,10 @@ BURST_CYCLES = 1_000
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (1 = serial, 0 = per CPU)")
     parser.add_argument("--cache-dir", default=None,
                         help="content-addressed result cache directory")
     args = parser.parse_args()
-    engine = ExecutionEngine(jobs=args.jobs, cache=args.cache_dir)
+    engine = ExecutionEngine(cache=args.cache_dir)
 
     trace = synthetic_trace(
         burst_cycles=BURST_CYCLES, total_cycles=80_000, seed=3

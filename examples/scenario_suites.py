@@ -38,7 +38,7 @@ def main() -> None:
               f"weight={scenario.weight:g} load={scenario.load_scale:g}x")
     print()
 
-    engine = ExecutionEngine(jobs=2)
+    engine = ExecutionEngine()
     union = ScenarioSuiteRunner(engine=engine, policy="union").run(suite)
     print(union.summary())
     assert union.total_violations == 0  # union enforces every scenario exactly

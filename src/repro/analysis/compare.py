@@ -5,12 +5,9 @@ designs and tabulates packet latency and crossbar size -- the measurement
 behind the paper's Table 1 (shared/full/partial) and Fig. 4
 (average-traffic vs windowed designs, normalized to the full crossbar).
 
-Each design's validation simulation is independent of the others, so
-the loop routes through the execution engine: pass
-``engine=ExecutionEngine(jobs=4)`` to fan the baselines out over worker
-processes (registered applications only -- workers rebuild the
-application by name). The default serial engine reproduces the original
-in-process behaviour exactly.
+Each design's validation simulation runs through the execution engine
+(:meth:`~repro.exec.engine.ExecutionEngine.evaluate_designs`), one
+design after another in this process.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ def compare_designs(
     average-traffic design) still run their workload to completion.
     """
     budget = max_cycles or application.sim_cycles * cycle_headroom
-    run = engine if engine is not None else ExecutionEngine(jobs=1)
+    run = engine if engine is not None else ExecutionEngine()
     outcomes = run.evaluate_designs(application, designs, budget)
     return {
         outcome.label: DesignEvaluation(

@@ -15,9 +15,9 @@ Every sweep point is an independent synthesis run, so all three drivers
 are thin: they enumerate :class:`~repro.exec.engine.SynthesisTask`
 points and hand them to the :class:`~repro.exec.engine.ExecutionEngine`,
 which solves each through the staged pipeline (:mod:`repro.pipeline`).
-Pass ``engine=ExecutionEngine(jobs=8, cache="...")`` to fan points out
-over worker processes and/or skip already-solved points. Results are
-deterministic -- identical point lists whatever the job count.
+Pass ``engine=ExecutionEngine(cache="...")`` to skip already-solved
+points. Results are deterministic -- identical point lists whether a
+point was solved or read from the cache.
 
 The pipeline is what makes sweeps cheap beyond caching: every point of
 a sweep shares the trace's *collection* artifact, a threshold sweep's
@@ -81,7 +81,7 @@ class SweepPoint:
 
 
 def _resolve_engine(engine: Optional[ExecutionEngine]) -> ExecutionEngine:
-    return engine if engine is not None else ExecutionEngine(jobs=1)
+    return engine if engine is not None else ExecutionEngine()
 
 
 def window_size_sweep(
@@ -153,12 +153,8 @@ def acceptable_window_search(
     failing window are skipped, since larger windows only shrink the
     design.
 
-    Validation simulations are inherently sequential (each depends on
-    the previous verdict via early exit), but the synthesis half of
-    every candidate is independent: a parallel ``engine`` pre-solves all
-    candidate designs up front, trading a little speculative work for
-    wall-clock time; a serial engine keeps the original lazy,
-    stop-at-first-failure behaviour.
+    Candidates are solved one at a time, so the search stops at the
+    first failing window without solving the rest.
     """
     if not candidate_windows:
         raise ConfigurationError("need at least one candidate window")
@@ -173,24 +169,15 @@ def acceptable_window_search(
     ordered = sorted(candidate_windows)
     tasks = _window_tasks(trace, ordered, base)
     digest = trace_fingerprint(trace) if run.cache is not None else None
-    if run.jobs > 1:
-        results = run.run_sweep(
-            trace, tasks, application=application.name, trace_digest=digest
-        )
-    else:
-        results = None  # lazy: solve one candidate at a time below
 
     best = 0
     for position, window in enumerate(ordered):
-        if results is not None:
-            result = results[position]
-        else:
-            result = run.run_sweep(
-                trace,
-                [tasks[position]],
-                application=application.name,
-                trace_digest=digest,
-            )[0]
+        result = run.run_sweep(
+            trace,
+            [tasks[position]],
+            application=application.name,
+            trace_digest=digest,
+        )[0]
         validation = application.simulate(
             result.design.it.as_list(), result.design.ti.as_list(), budget
         )

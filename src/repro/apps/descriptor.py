@@ -84,9 +84,9 @@ class Application:
     registry_key:
         Set by :func:`repro.apps.build_application` on *default* builds
         only: the registry name that reproduces this exact application
-        in another process. ``None`` for customized or hand-built
-        applications (they cannot be faithfully rebuilt by name, so
-        cross-process fan-out must not attempt it).
+        (the content key of its collected trace and its replays).
+        ``None`` for customized or hand-built applications, which
+        cannot be faithfully rebuilt by name.
     """
 
     name: str

@@ -34,10 +34,10 @@ def build_application(name: str, **kwargs) -> Application:
     ``critical_targets`` or, for ``synthetic``, ``burst_cycles``).
 
     A *default* build (no keyword overrides) is tagged with its
-    ``registry_key``, marking that ``build_application(key)`` in another
-    process reproduces this exact application -- the property the
-    execution engine's parallel evaluation path requires. Customized
-    builds carry no key and are always evaluated in-process.
+    ``registry_key``, marking that ``build_application(key)`` reproduces
+    this exact application -- the property content-keyed trace
+    collection and replay caching rely on. Customized builds carry no
+    key.
     """
     try:
         builder = APPLICATIONS[name]

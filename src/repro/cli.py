@@ -4,12 +4,12 @@ The CLI wraps the library's main entry points for quick exploration::
 
     python -m repro list
     python -m repro design mat2 --window 1000 --threshold 0.3
-    python -m repro compare des --jobs 4 --trace spans.jsonl
+    python -m repro compare des --trace spans.jsonl
     python -m repro trace mat2 -o mat2.jsonl
     python -m repro trace spans.jsonl --export-chrome spans.json
-    python -m repro sweep-window --burst 1000 --jobs 4 --cache-dir .cache
+    python -m repro sweep-window --burst 1000 --cache-dir .cache
     python -m repro scenarios list
-    python -m repro scenarios run smoke --jobs 4 --report suite.json
+    python -m repro scenarios run smoke --report suite.json
     python -m repro scenarios run smoke --replay-latency --explain-cache
     python -m repro scenarios export mixed -o mixed.json
     python -m repro pipeline inspect mat2 --cache-dir .cache
@@ -18,16 +18,15 @@ The CLI wraps the library's main entry points for quick exploration::
     python -m repro cache prune .cache --max-bytes 1000000
 
 All commands print plain-text tables (see :mod:`repro.analysis.report`).
-Commands that solve or simulate independent points accept ``--jobs``
-(process-pool fan-out) and ``--cache-dir`` (content-addressed result
-cache, reused across invocations) and route through
-:class:`repro.exec.ExecutionEngine`. The same commands accept
-``--profile``, which prints a per-phase wall-clock breakdown
-(windowing / overlap / conflicts / solve) plus the per-stage pipeline
-timings the metrics registry recorded during the run, and ``--trace
-FILE``, which arms span tracing around the command and writes the
-captured spans as JSONL -- feed that file back to ``repro trace`` for
-an indented tree or a Chrome/Perfetto export.
+Commands that solve or simulate independent points accept
+``--cache-dir`` (content-addressed result cache, reused across
+invocations) and route through :class:`repro.exec.ExecutionEngine`.
+The same commands accept ``--profile``, which prints a per-phase
+wall-clock breakdown (windowing / overlap / conflicts / solve) plus the
+per-stage pipeline timings the metrics registry recorded during the
+run, and ``--trace FILE``, which arms span tracing around the command
+and writes the captured spans as JSONL -- feed that file back to
+``repro trace`` for an indented tree or a Chrome/Perfetto export.
 
 ``repro trace`` is dual-mode on its positional argument: an
 application name dumps its traffic trace as JSONL (``-o`` required),
@@ -68,12 +67,15 @@ from repro.traffic import save_trace_jsonl
 __all__ = ["main", "build_parser"]
 
 
-def _add_engine_options(subparser: argparse.ArgumentParser) -> None:
+def _add_jobs_option(subparser: argparse.ArgumentParser) -> None:
+    # Kept, hidden, so existing scripts passing "--jobs 1" still parse.
     subparser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for independent points "
-        "(1 = serial, 0 = one per CPU)",
+        "--jobs", type=int, choices=[1], default=1, help=argparse.SUPPRESS
     )
+
+
+def _add_engine_options(subparser: argparse.ArgumentParser) -> None:
+    _add_jobs_option(subparser)
     subparser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="content-addressed result cache; repeated runs skip "
@@ -115,9 +117,7 @@ class _PhaseProfile:
     """Collects and prints the per-phase breakdown around one command.
 
     Phases are timed by the process-global
-    :data:`repro.profiling.PHASE_TIMER`; with ``--jobs`` > 1 the
-    synthesis work runs in pool workers whose timers this process cannot
-    see, so the report warns when most phases recorded nothing.
+    :data:`repro.profiling.PHASE_TIMER`.
 
     Pipeline stage timings come from the (monotonic) metrics registry,
     so the run's share is the difference between the snapshot taken
@@ -125,9 +125,8 @@ class _PhaseProfile:
     never reset outside tests.
     """
 
-    def __init__(self, enabled: bool, jobs: int) -> None:
+    def __init__(self, enabled: bool) -> None:
         self.enabled = enabled
-        self.jobs = jobs
         if enabled:
             PHASE_TIMER.reset()
             self._stages_begin = _stage_seconds_snapshot()
@@ -177,11 +176,6 @@ class _PhaseProfile:
                     solve_rows,
                     title="solver backends (this run)",
                 )
-            )
-        if self.jobs > 1 and not PHASE_TIMER.totals:
-            print(
-                "note: with --jobs > 1 synthesis phases run in worker "
-                "processes and are timed there, not here"
             )
 
 
@@ -235,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
         "capture",
         description="Dual-mode: an application name dumps its "
         "full-crossbar traffic trace as JSONL (-o required); an "
-        "existing span-JSONL file (from --trace FILE or a worker "
-        "spool) prints the span tree and optionally exports Chrome "
-        "trace-event JSON for chrome://tracing / Perfetto.",
+        "existing span-JSONL file (from --trace FILE) prints the span "
+        "tree and optionally exports Chrome trace-event JSON for "
+        "chrome://tracing / Perfetto.",
     )
     trace.add_argument(
         "app",
@@ -397,11 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, metavar="N",
         help="concurrent job slots in the queue",
     )
-    serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="engine worker processes available to each job "
-        "(1 = serial, 0 = one per CPU)",
-    )
+    _add_jobs_option(serve)
     serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="shared result/stage cache; warm requests answer without "
@@ -441,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", default=None, metavar="PLAN",
         help="install a deterministic fault-injection plan (inline JSON "
         "or a path to a JSON file) for chaos testing; exported to "
-        "workers via REPRO_FAULTS",
+        "child processes via REPRO_FAULTS",
     )
     return parser
 
@@ -472,14 +462,14 @@ def _config_from_args(args) -> SynthesisConfig:
 
 
 def _engine_from_args(args) -> ExecutionEngine:
-    return ExecutionEngine(jobs=args.jobs, cache=args.cache_dir)
+    return ExecutionEngine(cache=args.cache_dir)
 
 
 def _cmd_design(args) -> int:
     app = build_application(args.app)
     engine = _engine_from_args(args)
     config = _config_from_args(args)
-    profile = _PhaseProfile(args.profile, args.jobs)
+    profile = _PhaseProfile(args.profile)
     print(f"designing crossbars for {app.name} ({app.num_cores} cores) ...")
     if args.validate:
         # The reference latencies need the full-crossbar run itself.
@@ -533,7 +523,7 @@ def _cmd_design(args) -> int:
 def _cmd_compare(args) -> int:
     app = build_application(args.app)
     engine = _engine_from_args(args)
-    profile = _PhaseProfile(args.profile, args.jobs)
+    profile = _PhaseProfile(args.profile)
     trace = app.simulate_full_crossbar().trace
     windowed = engine.synthesize(
         trace,
@@ -623,7 +613,7 @@ def _cmd_trace_spans(args) -> int:
 
 def _cmd_sweep_window(args) -> int:
     engine = _engine_from_args(args)
-    profile = _PhaseProfile(args.profile, args.jobs)
+    profile = _PhaseProfile(args.profile)
     trace = synthetic_trace(
         burst_cycles=args.burst, total_cycles=max(80_000, args.burst * 40)
     )
@@ -679,14 +669,14 @@ def _cmd_scenarios_run(args) -> int:
 
     suite = _resolve_suite(args.suite)
     engine = _engine_from_args(args)
-    profile = _PhaseProfile(args.profile, args.jobs)
+    profile = _PhaseProfile(args.profile)
     config = SynthesisConfig(
         overlap_threshold=args.threshold,
         max_targets_per_bus=args.maxtb or None,
     )
     print(
         f"running scenario suite '{suite.name}' "
-        f"({len(suite)} scenarios, policy={args.policy}, jobs={engine.jobs}) ..."
+        f"({len(suite)} scenarios, policy={args.policy}) ..."
     )
     runner = ScenarioSuiteRunner(
         engine=engine,
@@ -734,7 +724,7 @@ def _cmd_pipeline_inspect_suite(args) -> int:
             "(edit the suite's window_size fields instead)"
         )
     suite = _resolve_suite(args.app)
-    engine = ExecutionEngine(jobs=1, cache=args.cache_dir)
+    engine = ExecutionEngine(cache=args.cache_dir)
     config = SynthesisConfig(
         overlap_threshold=args.threshold,
         max_targets_per_bus=args.maxtb or None,
@@ -871,7 +861,6 @@ def _cmd_serve(args) -> int:
     server = start_server(
         host=args.host,
         port=args.port,
-        engine_jobs=args.jobs,
         cache_dir=args.cache_dir,
         workers=args.workers,
         verbose=args.verbose,
@@ -893,10 +882,7 @@ def _cmd_serve(args) -> int:
         for sig in (signal.SIGINT, signal.SIGTERM)
     }
     print(f"repro serve: listening on {server.address}")
-    print(
-        f"  workers={args.workers} engine-jobs={args.jobs} "
-        f"cache={args.cache_dir or '(none)'}"
-    )
+    print(f"  workers={args.workers} cache={args.cache_dir or '(none)'}")
     try:
         stop.wait()
         print("repro serve: draining queue ...")
@@ -912,8 +898,7 @@ def _captured_trace(args, run) -> int:
     """Run a command with span tracing armed; export spans as JSONL.
 
     The capture gets a synthetic ``cli.<command>`` root so every span
-    recorded during the run (including pool-worker spans merged from
-    the spool) hangs off one tree in the export.
+    recorded during the run hangs off one tree in the export.
     """
     from repro.obs import export as _export
 

@@ -6,9 +6,8 @@ solver layer is observable, so the two solver entry points --
 feasibility probes in :mod:`repro.core.search` and binding optimization
 in :mod:`repro.core.binding` -- report every invocation here.
 
-The counter is process-local: work fanned out to pool workers is counted
-in the workers, not the parent. That is exactly what cache tests want --
-a warm-cache run in the parent must record zero local solves. Every
+The counter is process-local. That is exactly what cache tests want --
+a warm-cache run must record zero local solves. Every
 recording is also mirrored into the :mod:`repro.obs` registry
 (``repro_solves_total{kind=...}``), which is process-global and
 monotonic -- the ``/metrics`` view -- while the counter itself stays the

@@ -1,11 +1,11 @@
-"""Sweep/synthesis execution engine: parallel fan-out + result caching.
+"""Sweep/synthesis execution engine: result caching over serial loops.
 
 The paper's design-space studies solve many independent synthesis
-points. This package turns those studies from serial, recompute-
-everything loops into cached, parallel executions:
+points. This package turns those studies from recompute-everything
+loops into cached executions:
 
-* :mod:`~repro.exec.engine` -- the :class:`ExecutionEngine` (process-
-  pool fan-out with deterministic ordering, serial fallback),
+* :mod:`~repro.exec.engine` -- the :class:`ExecutionEngine` (a cache
+  in front of in-order, in-process solves and simulations),
 * :mod:`~repro.exec.cache` -- the content-addressed on-disk
   :class:`ResultCache`,
 * :mod:`~repro.exec.fingerprint` -- canonical hashing of traces,
@@ -28,9 +28,8 @@ Contracts
   corrupt entries degrade to misses, hits refresh mtime so pruning is
   true LRU, and the cache is safe under concurrent threads and
   processes.
-* **Determinism.** ``jobs=N`` fan-out returns results byte-identical
-  to a serial run, in task order, whichever path (pool, serial
-  fallback, cache) each point took.
+* **Determinism.** Results come back in task order and are
+  byte-identical whether a point was solved or read from the cache.
 """
 
 from repro.exec.cache import CacheStats, CacheUsage, ResultCache
@@ -39,7 +38,6 @@ from repro.exec.engine import (
     ExecutionEngine,
     ReplayOutcome,
     ReplayTask,
-    StaleWorkerTraceError,
     SynthesisTask,
 )
 from repro.exec.fingerprint import (
@@ -63,7 +61,6 @@ __all__ = [
     "ResultCache",
     "CacheStats",
     "CacheUsage",
-    "StaleWorkerTraceError",
     "SynthesisResult",
     "result_to_dict",
     "result_from_dict",

@@ -318,8 +318,8 @@ class ResultCache:
         """Delete orphaned ``.tmp-*`` files left by hard-killed writers.
 
         :meth:`put_json` unlinks its temp file on every failure path it
-        can see, but a writer killed outright (a crashed pool worker, a
-        SIGKILLed server) leaves its temp file behind, invisible to
+        can see, but a writer killed outright (a SIGKILLed CLI run or
+        server) leaves its temp file behind, invisible to
         :meth:`keys`/:meth:`prune` and accumulating forever. The sweep
         runs on construction and before :meth:`prune`, removing temp
         files older than ``max_age_s`` (default :attr:`ORPHAN_TMP_AGE_S`);

@@ -6,8 +6,8 @@ downstream consumer (cache, CLI, reports, sweeps) needs -- the designed
 bindings, the effective window, the configuration and the search
 diagnostics -- while dropping the heavyweight in-memory artifacts
 (problem matrices, conflict graphs, the trace itself). That makes it
-cheap to pickle across pool workers and exact to round-trip through
-JSON, which is what the on-disk cache stores.
+exact to round-trip through JSON, which is what the on-disk cache
+stores.
 """
 
 from __future__ import annotations

@@ -1,16 +1,15 @@
 """``repro.obs`` -- the platform's unified observability layer.
 
-One package replaces five ad-hoc mechanisms (``PhaseTimer``,
-``SOLVE_COUNTER``, ``EngineStats``, ``StageCounters``, hand-rolled
-``/v1/stats`` dicts):
+One package replaces the ad-hoc mechanisms (``PhaseTimer``,
+``SOLVE_COUNTER``, ``StageCounters``, hand-rolled ``/v1/stats``
+dicts):
 
 * :mod:`repro.obs.metrics` -- a thread-safe registry of counters,
   gauges and histograms with label sets, rendered as Prometheus text
   exposition for ``GET /metrics``.
 * :mod:`repro.obs.tracing` -- spans with trace/span ids, wall + CPU
-  durations and parent links, propagated into pool workers via the
-  ``REPRO_TRACE`` environment variable so one job's trace tree spans
-  processes.
+  durations and parent links, collected in process so one job's work
+  forms one trace tree.
 * :mod:`repro.obs.export` -- spans as JSONL, Chrome ``trace_event``
   JSON (Perfetto-loadable) or an indented terminal table.
 * :mod:`repro.obs.jsonlog` -- structured JSON-lines logging for
@@ -41,7 +40,6 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.obs.tracing import (
-    TRACE_ENV_VAR,
     Span,
     TraceCollector,
     arm_tracing,
@@ -49,10 +47,8 @@ from repro.obs.tracing import (
     collect_spans,
     current_span,
     disarm_tracing,
-    propagate_context,
     root_span,
     span,
-    spool_directory,
     tracing_enabled,
 )
 
@@ -68,7 +64,6 @@ __all__ = [
     "histogram",
     "render_prometheus",
     # tracing
-    "TRACE_ENV_VAR",
     "Span",
     "TraceCollector",
     "arm_tracing",
@@ -77,10 +72,8 @@ __all__ = [
     "span",
     "root_span",
     "current_span",
-    "propagate_context",
     "collect_spans",
     "clear_spans",
-    "spool_directory",
     # export
     "write_jsonl",
     "load_jsonl",

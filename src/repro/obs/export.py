@@ -4,12 +4,11 @@ Three consumers, three formats:
 
 * **JSONL** -- one span object per line; the interchange format the
   ``repro trace`` CLI reads back and the ``--trace FILE`` capture
-  writes (same shape as the worker spool files).
+  writes.
 * **Chrome trace events** -- complete ``ph: "X"`` duration events with
   microsecond timestamps, loadable in ``chrome://tracing`` or
-  `Perfetto <https://ui.perfetto.dev>`_; pool workers show up as
-  separate process tracks automatically because events carry real
-  pids.
+  `Perfetto <https://ui.perfetto.dev>`_; events carry real pids and
+  thread ids, so daemon job threads show up as separate tracks.
 * **Indented table** -- the terminal view: the span tree by parent
   links, one row per span with wall/CPU time and attributes.
 """
@@ -42,7 +41,7 @@ def write_jsonl(spans: Iterable[Span], path: str) -> int:
 
 def load_jsonl(path: str) -> List[Span]:
     """Read spans back from a JSONL file (unparseable lines raise --
-    an export file, unlike a worker spool, is expected to be whole)."""
+    an export file is expected to be whole)."""
     spans = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -104,8 +103,8 @@ def format_span_tree(
     """Render spans as an indented table, one row per span.
 
     Children indent under their parent; spans whose parent is missing
-    (a worker span whose fan-out context was not captured, or a
-    filtered trace) render as roots. Sibling order is start time.
+    (a span recorded before its parent was armed, or a filtered
+    trace) render as roots. Sibling order is start time.
     """
     items = list(spans)
     if trace_id is not None:

@@ -1,29 +1,19 @@
-"""Span tracing with cross-process propagation.
+"""In-process span tracing.
 
 A **span** is one timed region of work -- a pipeline stage, a solver
-call, a pool-worker task -- with a name, wall + CPU durations, free-form
+call, an engine batch -- with a name, wall + CPU durations, free-form
 attributes, and links: every span carries a ``trace_id`` (the tree it
 belongs to) and a ``parent_id`` (the span that was open when it
 started). ``span("pipeline.window", windows=3)`` opens one as a context
 manager; nesting follows the call stack via a :mod:`contextvars`
 variable, so instrumented layers compose without passing handles.
-
-Cross-process propagation works exactly like
-:mod:`repro.resilience.faults`: the engine wraps pool fan-out in
-:func:`propagate_context`, which exports the current trace/span ids and
-a **spool directory** to the ``REPRO_TRACE`` environment variable. Pool
-workers -- inherited state under ``fork``, lazy env read under
-``spawn`` -- resolve that context on their first span and append
-finished spans to a per-pid JSONL spool file. :func:`collect_spans`
-merges the parent's in-memory collector with the spool files (dedup by
-span id, so a task retried after a pool rebuild appears once per
-*attempt*, not once per read), which is how a job's trace tree spans
-processes.
+Finished spans go to the process's :class:`TraceCollector`, which
+:func:`arm_tracing` installs and :func:`collect_spans` reads.
 
 Two properties are load-bearing:
 
 * **Zero-cost when disabled.** :func:`span` with tracing off returns a
-  shared no-op object after two module-global reads; no allocation, no
+  shared no-op object after one module-global read; no allocation, no
   clock reads, no lock.
 * **Determinism safety.** Span and trace ids come from
   :func:`os.urandom` (never the seeded RNGs the synthesis math uses),
@@ -35,18 +25,14 @@ Two properties are load-bearing:
 from __future__ import annotations
 
 import contextvars
-import json
 import os
-import tempfile
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = [
-    "TRACE_ENV_VAR",
     "Span",
     "TraceCollector",
     "arm_tracing",
@@ -55,15 +41,9 @@ __all__ = [
     "span",
     "root_span",
     "current_span",
-    "propagate_context",
     "collect_spans",
     "clear_spans",
-    "spool_directory",
 ]
-
-TRACE_ENV_VAR = "REPRO_TRACE"
-
-_SPOOL_PREFIX = "spans-"
 
 
 def _new_id(nbytes: int) -> str:
@@ -121,7 +101,7 @@ class Span:
 
 
 class TraceCollector:
-    """Bounded, thread-safe sink for finished spans (parent process)."""
+    """Bounded, thread-safe sink for finished spans."""
 
     def __init__(self, maxlen: int = 50_000) -> None:
         self._lock = threading.Lock()
@@ -147,40 +127,8 @@ class TraceCollector:
             self.dropped = 0
 
 
-@dataclass
-class _TraceState:
-    """Resolved tracing configuration for *this* process."""
-
-    pid: int
-    spool_dir: str
-    worker: bool
-    owns_spool: bool
-    context_trace_id: Optional[str] = None
-    context_parent_id: Optional[str] = None
-    collector: Optional[TraceCollector] = None
-
-    def emit(self, span_: Span) -> None:
-        if self.worker:
-            # One JSON line per finished span; O_APPEND keeps concurrent
-            # workers' lines whole. Spool write failures are swallowed:
-            # observability must never fail the work it observes.
-            try:
-                path = os.path.join(
-                    self.spool_dir, f"{_SPOOL_PREFIX}{self.pid}.jsonl"
-                )
-                with open(path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(span_.to_dict()) + "\n")
-            except OSError:
-                pass
-        elif self.collector is not None:
-            self.collector.add(span_)
-
-
-# ``None`` when tracing is off; resolution is lazy (first span in a
-# spawn worker reads REPRO_TRACE), and a state whose pid is not ours
-# means we are a fork child that must re-resolve for itself.
-_STATE: Optional[_TraceState] = None
-_RESOLVED = False
+# The armed collector, or ``None`` when tracing is off.
+_COLLECTOR: Optional[TraceCollector] = None
 _STATE_LOCK = threading.Lock()
 
 _CURRENT: "contextvars.ContextVar[Optional[_LiveSpan]]" = (
@@ -188,100 +136,24 @@ _CURRENT: "contextvars.ContextVar[Optional[_LiveSpan]]" = (
 )
 
 
-def _resolve_state() -> Optional[_TraceState]:
-    global _STATE, _RESOLVED
+def arm_tracing(maxlen: int = 50_000) -> TraceCollector:
+    """Enable span collection in this process; returns the collector."""
+    global _COLLECTOR
     with _STATE_LOCK:
-        pid = os.getpid()
-        if _RESOLVED and _STATE is not None and _STATE.pid == pid:
-            return _STATE
-        if _RESOLVED and _STATE is None:
-            return None
-        # First consultation in this process (or a fork child that
-        # inherited another pid's state): resolve from the environment.
-        spec = os.environ.get(TRACE_ENV_VAR)
-        if spec:
-            try:
-                context = json.loads(spec)
-                _STATE = _TraceState(
-                    pid=pid,
-                    spool_dir=str(context["spool_dir"]),
-                    worker=True,
-                    owns_spool=False,
-                    context_trace_id=context.get("trace_id"),
-                    context_parent_id=context.get("parent_id"),
-                )
-            except (ValueError, KeyError, TypeError):
-                _STATE = None
-        else:
-            _STATE = None
-        _RESOLVED = True
-        return _STATE
-
-
-def _current_state() -> Optional[_TraceState]:
-    state = _STATE
-    if _RESOLVED:
-        if state is None:
-            return None
-        if state.pid == os.getpid():
-            return state
-    return _resolve_state()
-
-
-def arm_tracing(
-    spool_dir: Optional[str] = None, maxlen: int = 50_000
-) -> TraceCollector:
-    """Enable span collection in this process.
-
-    ``spool_dir`` is where pool workers will append their spans (a
-    fresh temporary directory when omitted, removed again by
-    :func:`disarm_tracing`). Returns the in-process collector.
-    """
-    global _STATE, _RESOLVED
-    with _STATE_LOCK:
-        owns = spool_dir is None
-        if spool_dir is None:
-            spool_dir = tempfile.mkdtemp(prefix="repro-trace-")
-        else:
-            os.makedirs(spool_dir, exist_ok=True)
-        collector = TraceCollector(maxlen=maxlen)
-        _STATE = _TraceState(
-            pid=os.getpid(),
-            spool_dir=spool_dir,
-            worker=False,
-            owns_spool=owns,
-            collector=collector,
-        )
-        _RESOLVED = True
-        return collector
+        _COLLECTOR = TraceCollector(maxlen=maxlen)
+        return _COLLECTOR
 
 
 def disarm_tracing() -> None:
-    """Disable tracing and clean up an owned spool directory."""
-    global _STATE, _RESOLVED
+    """Disable tracing and drop the collector."""
+    global _COLLECTOR
     with _STATE_LOCK:
-        state = _STATE
-        _STATE = None
-        _RESOLVED = True
-        os.environ.pop(TRACE_ENV_VAR, None)
-    if state is not None and state.owns_spool and not state.worker:
-        try:
-            for entry in os.listdir(state.spool_dir):
-                os.unlink(os.path.join(state.spool_dir, entry))
-            os.rmdir(state.spool_dir)
-        except OSError:
-            pass
+        _COLLECTOR = None
 
 
 def tracing_enabled() -> bool:
     """Whether spans are being recorded in this process."""
-    return _current_state() is not None
-
-
-def spool_directory() -> Optional[str]:
-    """The active spool directory, if tracing is armed."""
-    state = _current_state()
-    return state.spool_dir if state is not None else None
+    return _COLLECTOR is not None
 
 
 class _NullSpan:
@@ -314,7 +186,7 @@ class _LiveSpan:
         "span_id",
         "parent_id",
         "attrs",
-        "_state",
+        "_collector",
         "_token",
         "_t_start",
         "_t0_wall",
@@ -323,23 +195,18 @@ class _LiveSpan:
 
     def __init__(
         self,
-        state: _TraceState,
+        collector: TraceCollector,
         name: str,
         attrs: Dict[str, Any],
         new_trace: bool = False,
     ) -> None:
-        self._state = state
+        self._collector = collector
         self.name = name
         self.attrs = attrs
         parent = None if new_trace else _CURRENT.get()
         if parent is not None:
             self.trace_id = parent.trace_id
             self.parent_id = parent.span_id
-        elif not new_trace and state.context_trace_id:
-            # Worker mode: parent under the fan-out site that exported
-            # REPRO_TRACE, so task spans reach the job root.
-            self.trace_id = state.context_trace_id
-            self.parent_id = state.context_parent_id
         else:
             self.trace_id = _new_id(16)
             self.parent_id = None
@@ -364,7 +231,7 @@ class _LiveSpan:
             self._token = None
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        self._state.emit(
+        self._collector.add(
             Span(
                 name=self.name,
                 trace_id=self.trace_id,
@@ -388,130 +255,44 @@ def span(name: str, **attrs: Any):
 
     Nested use parents to the innermost open span on this thread; with
     tracing disabled this returns a shared no-op object (the fast path
-    is two module-global reads).
+    is one module-global read).
     """
-    if _RESOLVED and _STATE is None:
+    collector = _COLLECTOR
+    if collector is None:
         return _NULL_SPAN
-    state = _current_state()
-    if state is None:
-        return _NULL_SPAN
-    return _LiveSpan(state, name, attrs)
+    return _LiveSpan(collector, name, attrs)
 
 
 def root_span(name: str, **attrs: Any):
     """Open a span that starts a *new* trace (a job root), ignoring any
     span currently open on this thread."""
-    state = _current_state()
-    if state is None:
+    collector = _COLLECTOR
+    if collector is None:
         return _NULL_SPAN
-    return _LiveSpan(state, name, attrs, new_trace=True)
+    return _LiveSpan(collector, name, attrs, new_trace=True)
 
 
 def current_span():
     """The innermost open span on this thread (``None`` when outside
     any span or tracing is disabled)."""
-    if _RESOLVED and _STATE is None:
+    if _COLLECTOR is None:
         return None
     return _CURRENT.get()
 
 
-@contextmanager
-def propagate_context() -> Iterator[None]:
-    """Export the current span context to ``REPRO_TRACE`` for the
-    duration of the block.
-
-    The engine wraps pool creation + fan-out in this, so workers --
-    including pools rebuilt mid-job by the recovery ladder -- inherit
-    the job's trace and spool their spans under it. No-op when tracing
-    is disabled or in a worker (the inherited context already points at
-    the right parent).
-
-    The export is process-global state, like ``REPRO_FAULTS``: two
-    *concurrent* fan-outs from different jobs would race on the env
-    var, and the loser's worker spans parent under the winner's span
-    (still the correct trace for coalesced work, and never lost -- the
-    spool directory is shared). Per-job env isolation is not worth the
-    complexity while pools are created per sweep.
-    """
-    state = _current_state()
-    if state is None or state.worker:
-        yield
-        return
-    current = _CURRENT.get()
-    context = {
-        "spool_dir": state.spool_dir,
-        "trace_id": current.trace_id if current is not None else None,
-        "parent_id": current.span_id if current is not None else None,
-    }
-    previous = os.environ.get(TRACE_ENV_VAR)
-    os.environ[TRACE_ENV_VAR] = json.dumps(context)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(TRACE_ENV_VAR, None)
-        else:
-            os.environ[TRACE_ENV_VAR] = previous
-
-
 def collect_spans(trace_id: Optional[str] = None) -> List[Span]:
-    """Every recorded span, merged across processes.
-
-    Combines the in-process collector with the spool files workers
-    appended to, deduplicates by span id (a spool file is re-read on
-    every call), optionally filters to one trace, and sorts by start
-    time. Unparseable spool lines (a worker killed mid-write) are
-    skipped -- a torn span must not hide the rest of the tree.
-    """
-    state = _current_state()
-    if state is None:
+    """Every recorded span, optionally filtered to one trace, sorted by
+    start time."""
+    collector = _COLLECTOR
+    if collector is None:
         return []
-    spans: List[Span] = []
-    if state.collector is not None:
-        spans.extend(state.collector.spans())
-    try:
-        entries = sorted(os.listdir(state.spool_dir))
-    except OSError:
-        entries = []
-    for entry in entries:
-        if not entry.startswith(_SPOOL_PREFIX):
-            continue
-        path = os.path.join(state.spool_dir, entry)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        spans.append(Span.from_dict(json.loads(line)))
-                    except (ValueError, KeyError, TypeError):
-                        continue
-        except OSError:
-            continue
-    seen: Dict[str, Span] = {}
-    for item in spans:
-        seen.setdefault(item.span_id, item)
-    merged = list(seen.values())
-    if trace_id is not None:
-        merged = [s for s in merged if s.trace_id == trace_id]
-    merged.sort(key=lambda s: (s.t_start, s.span_id))
-    return merged
+    spans = collector.spans(trace_id)
+    spans.sort(key=lambda s: (s.t_start, s.span_id))
+    return spans
 
 
 def clear_spans() -> None:
-    """Drop every collected span and spool file (test isolation)."""
-    state = _current_state()
-    if state is None:
-        return
-    if state.collector is not None:
-        state.collector.clear()
-    try:
-        for entry in os.listdir(state.spool_dir):
-            if entry.startswith(_SPOOL_PREFIX):
-                try:
-                    os.unlink(os.path.join(state.spool_dir, entry))
-                except OSError:
-                    pass
-    except OSError:
-        pass
+    """Drop every collected span (test isolation)."""
+    collector = _COLLECTOR
+    if collector is not None:
+        collector.clear()

@@ -18,9 +18,7 @@ per-invocation numbers.
 
 The module still imports nothing above :mod:`repro.obs` (stdlib-only),
 so traffic-, core- and exec-layer code can all report phases without
-import cycles. Like ``SOLVE_COUNTER``, accounting is process-local:
-work fanned out to pool workers is timed in the workers (where it
-reaches the trace tree via span spooling), not in the parent.
+import cycles. Like ``SOLVE_COUNTER``, accounting is process-local.
 """
 
 from __future__ import annotations

@@ -3,18 +3,13 @@
 A :class:`FaultPlan` names a set of **injection points** -- places in
 the platform where a failure can be provoked on purpose -- and decides,
 as a *pure function* of ``(seed, point, key)``, whether a given arrival
-at that point fires. Purity is the whole design: pool workers, job
-threads and the parent process all reach identical decisions without
-any shared mutable state, so a chaos run is reproducible from its seed
-alone and byte-identical assertions against a fault-free run are
-meaningful.
+at that point fires. Purity is the whole design: job threads and child
+processes all reach identical decisions without any shared mutable
+state, so a chaos run is reproducible from its seed alone and
+byte-identical assertions against a fault-free run are meaningful.
 
 Known injection points
 ----------------------
-``worker.crash``
-    A pool worker hard-exits (``os._exit``) when it picks up a matching
-    task, producing a *real* ``BrokenProcessPool`` in the parent -- the
-    exact failure the engine's retry/rebuild/degrade ladder exists for.
 ``cache.corrupt``
     A :class:`~repro.exec.cache.ResultCache` read treats the entry as
     corrupted (the same path a truncated or garbage file takes), so the
@@ -29,16 +24,16 @@ Known injection points
 Installation
 ------------
 ``install_plan(plan)`` activates a plan process-wide and (by default)
-exports it to the ``REPRO_FAULTS`` environment variable, so pool
-workers inherit it under ``fork`` (module global) *and* ``spawn``
-(lazy env read), and a ``repro serve`` daemon started with
-``--faults`` passes it to every job. ``clear_plan()`` removes both.
+exports it to the ``REPRO_FAULTS`` environment variable, so child
+processes (a CLI smoke run, a ``repro serve`` daemon) inherit it
+through a lazy env read; a daemon started with ``--faults`` passes it
+to every job. ``clear_plan()`` removes both.
 
-Decisions are keyed: call sites pass a stable key (task index plus
-attempt number, a cache key, a node counter) and rules may restrict
-themselves to matching keys via fnmatch patterns -- ``"*:a0"`` fires
-only on first attempts, which is how a chaos test provokes "crash
-once, recover on retry".
+Decisions are keyed: call sites pass a stable key (a cache key plus
+attempt number, a node counter) and rules may restrict themselves to
+matching keys via fnmatch patterns -- ``"*:a0"`` fires only on first
+attempts, which is how a chaos test provokes "fail once, recover on
+retry".
 """
 
 from __future__ import annotations
@@ -66,7 +61,6 @@ __all__ = [
     "active_plan",
     "clear_plan",
     "should_inject",
-    "maybe_crash_worker",
     "should_corrupt_cache",
     "solver_slowdown",
     "maybe_io_error",
@@ -76,13 +70,10 @@ __all__ = [
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 FAULT_POINTS = (
-    "worker.crash",
     "cache.corrupt",
     "solver.slow",
     "io.transient",
 )
-
-_WORKER_EXIT_CODE = 70  # EX_SOFTWARE: an induced, not accidental, death
 
 _FAULTS_FIRED = _metrics.counter(
     "repro_faults_fired_total",
@@ -115,9 +106,8 @@ class FaultRule:
         least one pattern are considered at all.
     max_hits:
         Per-process cap on how many times this rule fires (``None`` =
-        unlimited). The cap is process-local state, so use it for
-        single-process determinism (server tests), not for pool-worker
-        coordination -- workers each count their own hits.
+        unlimited). The cap is process-local state: a child process
+        that inherits the plan counts its own hits.
     delay_s:
         For delay-style points (``solver.slow``): seconds to sleep per
         firing arrival.
@@ -286,8 +276,8 @@ class FaultPlan:
 
 
 # The process-wide active plan. ``None`` means "not yet resolved": the
-# first consultation falls back to the environment, which is how spawn
-# workers and subprocesses inherit a plan without explicit plumbing.
+# first consultation falls back to the environment, which is how
+# subprocesses inherit a plan without explicit plumbing.
 _ACTIVE: Optional[FaultPlan] = None
 _RESOLVED = False
 _STATE_LOCK = threading.Lock()
@@ -299,9 +289,9 @@ def install_plan(
     """Activate ``plan`` process-wide (``None`` deactivates).
 
     With ``export_env`` (the default) the plan is also written to the
-    ``REPRO_FAULTS`` environment variable so child processes -- pool
-    workers under any start method, subprocess smoke runs -- inherit
-    it. Returns the installed plan.
+    ``REPRO_FAULTS`` environment variable so child processes (subprocess
+    smoke runs, a spawned daemon) inherit it. Returns the installed
+    plan.
     """
     global _ACTIVE, _RESOLVED
     with _STATE_LOCK:
@@ -363,17 +353,6 @@ def should_inject(point: str, key: str) -> bool:
 
 
 # -- call-site helpers (one per injection point) ----------------------
-
-
-def maybe_crash_worker(key: str) -> None:
-    """Hard-exit the current process if ``worker.crash`` fires.
-
-    Called at pool-worker task entry; ``os._exit`` (no cleanup, no
-    exception) is what a segfault or OOM kill looks like from the
-    parent: a dead worker and a :class:`BrokenProcessPool`.
-    """
-    if should_inject("worker.crash", key):
-        os._exit(_WORKER_EXIT_CODE)
 
 
 def should_corrupt_cache(key: str) -> bool:

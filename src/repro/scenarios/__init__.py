@@ -29,8 +29,7 @@ Contracts
   the engine's cache directory when one is configured.
 * **Determinism.** Suites and scenarios are deterministic given their
   seeds and weights; a warm rerun's report is byte-identical to a cold
-  run at any ``jobs`` count (asserted by the incremental and
-  replay-determinism suites).
+  run (asserted by the incremental and replay-determinism suites).
 """
 
 from repro.scenarios.model import (

@@ -5,9 +5,8 @@ and produces a :class:`SuiteRunReport`:
 
 1. every scenario's trace is built deterministically,
 2. every scenario is synthesized *individually* through the
-   :class:`~repro.exec.engine.ExecutionEngine` -- scenarios fan out over
-   worker processes and solved points come back from the
-   content-addressed cache on repeat runs,
+   :class:`~repro.exec.engine.ExecutionEngine` -- solved points come
+   back from the content-addressed cache on repeat runs,
 3. one *robust* crossbar is synthesized across all scenarios
    (:class:`~repro.core.multi.RobustSynthesizer`) under the selected
    merge policy,
@@ -21,7 +20,7 @@ and produces a :class:`SuiteRunReport`:
    (:class:`~repro.platform.drivers.TraceDrivenInitiator`); replay
    results are cached pipeline stages
    (:class:`~repro.pipeline.artifacts.ReplayArtifact`) and the misses
-   fan out over the engine's process pool,
+   go to the engine as one replay batch,
 5. the report aggregates everything: a per-scenario table (own optimum
    vs the robust design), violation tables, and a Pareto view over
    (bus count, worst-case overlap) across all candidate designs.
@@ -344,7 +343,7 @@ class ScenarioSuiteRunner:
     ----------
     engine:
         Execution engine for the per-scenario individual solves and the
-        batched replay simulations (parallelism + whole-result caching).
+        batched replay simulations (whole-result caching).
     replay_latency:
         Also replay the robust design through the platform simulator
         for *every* scenario, reporting average packet latency next to
@@ -382,7 +381,7 @@ class ScenarioSuiteRunner:
         collector: Optional[CollectStage] = None,
     ) -> None:
         _check_policy(policy)
-        self.engine = engine if engine is not None else ExecutionEngine(jobs=1)
+        self.engine = engine if engine is not None else ExecutionEngine()
         self.config = config or SynthesisConfig()
         self.policy = policy
         self.min_weight = min_weight
@@ -559,8 +558,8 @@ class ScenarioSuiteRunner:
     ) -> Tuple[List[SynthesisResult], List[str]]:
         """Each scenario's own optimum, memoized across runs.
 
-        Unmemoized scenarios go to the engine in one batch (parallel +
-        engine-cached); a rerun of an edited suite therefore hands the
+        Unmemoized scenarios go to the engine in one (engine-cached)
+        batch; a rerun of an edited suite therefore hands the
         engine only the changed scenarios. ``computed`` here counts
         "delegated to the engine" -- the engine may still serve the
         point from its own whole-result cache. Returns the results and
@@ -673,9 +672,8 @@ class ScenarioSuiteRunner:
         through the platform simulator, for every scenario kind.
 
         Replays run as a cached pipeline stage: cached scenarios are
-        served from the store (memory or disk), the misses fan out over
-        the engine's replay batch (parallel when ``jobs > 1``), and
-        every computed replay lands back in the store so reruns and
+        served from the store (memory or disk), the misses go to the
+        engine's replay batch, and every computed replay lands back in the store so reruns and
         other processes reuse it. A scenario replay cannot cover gets
         an explicit skip reason instead of a silently missing value.
         """

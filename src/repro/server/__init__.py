@@ -21,8 +21,8 @@ The daemon is hardened for long-lived operation: per-job wall-clock
 timeouts, cancellation of queued jobs (``DELETE /v1/jobs/<id>``), TTL
 eviction of finished jobs from both registries, queue-depth load
 shedding (503 + ``Retry-After``), and a health endpoint that reports
-*degraded* -- with reasons -- whenever the engine fell back from its
-process pool, jobs timed out, or requests were shed.
+*degraded* -- with reasons -- whenever jobs timed out or requests were
+shed.
 
 No third-party dependencies: the daemon is ``python -m``-grade stdlib
 HTTP on top of the existing engine, exactly like the rest of the repo.

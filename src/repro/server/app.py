@@ -338,7 +338,6 @@ class SynthesisServer(ThreadingHTTPServer):
         self,
         host: str = "127.0.0.1",
         port: int = 8321,
-        engine_jobs: int = 1,
         cache_dir: Optional[str] = None,
         workers: int = 2,
         verbose: bool = False,
@@ -350,7 +349,6 @@ class SynthesisServer(ThreadingHTTPServer):
     ) -> None:
         super().__init__((host, port), _Handler)
         self.service = SynthesisService(
-            engine_jobs=engine_jobs,
             cache_dir=cache_dir,
             workers=workers,
             job_timeout=job_timeout,
@@ -392,7 +390,6 @@ class SynthesisServer(ThreadingHTTPServer):
 def serve(
     host: str = "127.0.0.1",
     port: int = 8321,
-    engine_jobs: int = 1,
     cache_dir: Optional[str] = None,
     workers: int = 2,
     verbose: bool = False,
@@ -406,7 +403,6 @@ def serve(
     server = SynthesisServer(
         host=host,
         port=port,
-        engine_jobs=engine_jobs,
         cache_dir=cache_dir,
         workers=workers,
         verbose=verbose,

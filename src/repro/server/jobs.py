@@ -13,8 +13,8 @@ transitions are one-way -- a late writer (a worker racing a
 cancellation, a timed-out job finally finishing) finds the state
 already terminal and its mark becomes a no-op instead of a resurrection.
 
-The :class:`JobQueue` runs jobs on a small pool of daemon worker
-threads fed from a FIFO. Shutdown is graceful by default: the queue
+The :class:`JobQueue` runs jobs on a few daemon worker threads fed
+from a FIFO; each job executes serially on its thread. Shutdown is graceful by default: the queue
 stops accepting work, sends one sentinel per worker, and joins them --
 every job admitted before shutdown still runs to a terminal state, so
 clients polling an in-flight job never see it vanish. An optional
@@ -170,9 +170,8 @@ class JobQueue:
         result; exceptions mark the job failed. Provided by
         :class:`~repro.server.service.SynthesisService`.
     workers:
-        Concurrent solver slots. Each running job may additionally use
-        the execution engine's process pool internally, so this stays
-        small by default.
+        Concurrent solver slots: each running job solves serially on
+        its own thread.
     job_timeout:
         Optional wall-clock bound in seconds on one job's execution.
         An overrunning job is marked failed (clients polling it get a

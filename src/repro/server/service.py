@@ -7,11 +7,9 @@ everything here is directly testable without sockets.
 
 One service owns:
 
-* one :class:`~repro.exec.engine.ExecutionEngine` (shared whole-result
-  :class:`~repro.exec.cache.ResultCache` and parallelism budget); suite
-  jobs run on job-scoped engines (:meth:`ExecutionEngine.scoped`)
-  sharing that cache instance, so concurrent jobs never contend on a
-  pool but do share every solved point;
+* one :class:`~repro.exec.engine.ExecutionEngine` holding the shared
+  whole-result :class:`~repro.exec.cache.ResultCache`; every job runs
+  on it, so concurrent jobs share every solved point;
 * one :class:`~repro.server.coalesce.RequestCoalescer` keyed by request
   content fingerprints -- identical in-flight requests share a single
   solve, repeated finished requests are served from the registry;
@@ -102,9 +100,6 @@ class SynthesisService:
 
     Parameters
     ----------
-    engine_jobs:
-        Process-pool width of each job's engine (1 = serial in the
-        worker thread).
     cache_dir:
         Whole-result/stage cache directory; ``None`` disables every
         disk layer (in-flight coalescing still works).
@@ -137,7 +132,6 @@ class SynthesisService:
 
     def __init__(
         self,
-        engine_jobs: int = 1,
         cache_dir: Optional[str] = None,
         workers: int = 2,
         job_timeout: Optional[float] = None,
@@ -153,7 +147,7 @@ class SynthesisService:
         if trace and not _tracing.tracing_enabled():
             _tracing.arm_tracing()
             self._armed_tracing = True
-        self.engine = ExecutionEngine(jobs=engine_jobs, cache=cache_dir)
+        self.engine = ExecutionEngine(cache=cache_dir)
         # One collector for the service's lifetime: its memory layer
         # keeps each app's trace across requests, its disk layer (when
         # there is a cache directory) across restarts.
@@ -169,9 +163,7 @@ class SynthesisService:
         self._shed = 0
         self._solves = 0
         # Solver-level observability: every MILP/assignment solve in
-        # this process tallies here (job threads and the serial path
-        # alike; pool workers solve in children, which is precisely the
-        # signal -- in-process solves are the coalescable ones).
+        # this process tallies here, from every job thread.
         self._solve_observer = self._on_solve
         SOLVE_COUNTER.subscribe(self._solve_observer)
         # Queue gauges are callback-backed: sampled at scrape time, so
@@ -423,7 +415,7 @@ class SynthesisService:
         else:
             suite = suite_from_dict(request.suite_dict())
         runner = ScenarioSuiteRunner(
-            engine=self.engine.scoped(),
+            engine=self.engine,
             config=SynthesisConfig(
                 overlap_threshold=request.threshold,
                 max_targets_per_bus=request.maxtb,
@@ -449,8 +441,6 @@ class SynthesisService:
         ``None`` for unknown jobs. A known job whose tracing was
         disarmed (or that has not started) answers with an empty span
         list rather than a 404 -- the job exists, it just has no trace.
-        Worker-process spans are merged in from the spool directory, so
-        a finished pool job's tree includes its child-process solves.
         """
         job = self.queue.get(job_id)
         if job is None:
@@ -467,22 +457,11 @@ class SynthesisService:
         """Why the service considers itself degraded (empty = healthy).
 
         Degraded is sticky by design: the counters accumulate for the
-        daemon's lifetime, so a health probe after a burst of pool
-        failures still reports that something went wrong -- operators
-        reset by restarting, not by waiting out a rolling window.
+        daemon's lifetime, so a health probe after a burst of timeouts
+        still reports that something went wrong -- operators reset by
+        restarting, not by waiting out a rolling window.
         """
         reasons = []
-        engine = self.engine.stats.snapshot()
-        if engine["serial_fallbacks"]:
-            reasons.append(
-                f"engine degraded to serial execution "
-                f"{engine['serial_fallbacks']} time(s)"
-            )
-        if engine["pool_rebuilds"]:
-            reasons.append(
-                f"engine rebuilt a broken worker pool "
-                f"{engine['pool_rebuilds']} time(s)"
-            )
         timeouts = self.queue.timeouts()
         if timeouts:
             reasons.append(f"{timeouts} job(s) hit the per-job timeout")
@@ -520,7 +499,6 @@ class SynthesisService:
             "shedding": {
                 "max_queue_depth": self.max_queue_depth,
             },
-            "engine": self.engine.stats.snapshot(),
             "faults": fault_summary(),
         }
         # Atomic snapshots, not field-by-field reads: the old code read

@@ -285,8 +285,8 @@ class TraceAnalytics:
         """The trace's analytics memo (compiled on first use).
 
         The instance rides on the trace object itself, so everything
-        holding the trace -- sweep drivers, pool workers, the synthesis
-        flow for both crossbar sides -- shares one compiled form.
+        holding the trace -- sweep drivers, the synthesis flow for both
+        crossbar sides -- shares one compiled form.
         """
         analytics = trace.__dict__.get("_analytics")
         if analytics is None:
@@ -363,10 +363,8 @@ class TraceAnalytics:
 def warm_analytics(trace: "TrafficTrace") -> None:
     """Compile a trace's columnar form up front (both crossbar sides).
 
-    The execution engine calls this once per sweep before fanning points
-    out: under ``fork`` every worker inherits the parent's compiled
-    arrays, and under ``spawn`` they ship (pickled) with the trace, so
-    no worker recompiles per sweep point.
+    The execution engine calls this once per sweep before solving its
+    points, so no point recompiles the trace's columnar form.
     """
     TraceAnalytics.of(trace).compiled(critical_only=False)
     TraceAnalytics.of(trace.mirrored()).compiled(critical_only=False)

@@ -1,14 +1,8 @@
-"""Execution-engine semantics: parallel equivalence and cached re-runs."""
-
-import json
+"""Execution-engine semantics: sweep equivalence and cached re-runs."""
 
 import pytest
 
-from repro.analysis import (
-    compare_designs,
-    overlap_threshold_sweep,
-    window_size_sweep,
-)
+from repro.analysis import compare_designs, window_size_sweep
 from repro.analysis.sweep import acceptable_window_search
 from repro.apps import build_application
 from repro.apps.synthetic import synthetic_trace
@@ -19,7 +13,6 @@ from repro.exec import (
     ExecutionEngine,
     ResultCache,
     SynthesisTask,
-    result_to_dict,
 )
 
 WINDOWS = [150, 2_400]
@@ -34,50 +27,13 @@ def small_trace():
     )
 
 
-class TestParallelEquivalence:
-    def test_two_point_sweep_identical_serial_vs_parallel(self, small_trace):
-        """Acceptance: byte-identical SweepPoint lists at jobs=1 and jobs=2."""
-        serial = window_size_sweep(
-            small_trace, WINDOWS, CONFIG, engine=ExecutionEngine(jobs=1)
-        )
-        parallel = window_size_sweep(
-            small_trace, WINDOWS, CONFIG, engine=ExecutionEngine(jobs=2)
-        )
-        assert serial == parallel
-        assert repr(serial).encode() == repr(parallel).encode()
-
-    def test_raw_results_identical_serial_vs_parallel(self, small_trace):
-        tasks = [
-            SynthesisTask(config=CONFIG, window_size=w) for w in WINDOWS
-        ]
-        serial = ExecutionEngine(jobs=1).run_sweep(small_trace, tasks)
-        parallel = ExecutionEngine(jobs=2).run_sweep(small_trace, tasks)
-        serial_bytes = json.dumps(
-            [result_to_dict(r) for r in serial], sort_keys=True
-        ).encode()
-        parallel_bytes = json.dumps(
-            [result_to_dict(r) for r in parallel], sort_keys=True
-        ).encode()
-        assert serial_bytes == parallel_bytes
-
-    def test_threshold_sweep_identical(self, small_trace):
-        thresholds = [0.0, 0.3]
-        serial = overlap_threshold_sweep(
-            small_trace, thresholds, 600, CONFIG,
-            engine=ExecutionEngine(jobs=1),
-        )
-        parallel = overlap_threshold_sweep(
-            small_trace, thresholds, 600, CONFIG,
-            engine=ExecutionEngine(jobs=2),
-        )
-        assert serial == parallel
-
+class TestSweepEquivalence:
     def test_matches_direct_synthesizer(self, small_trace):
         """The engine is a transport, not a solver: same designs out."""
         from dataclasses import replace
 
         points = window_size_sweep(
-            small_trace, [600], CONFIG, engine=ExecutionEngine(jobs=1)
+            small_trace, [600], CONFIG, engine=ExecutionEngine()
         )
         report = CrossbarSynthesizer(
             replace(CONFIG, window_size=600)
@@ -89,11 +45,11 @@ class TestParallelEquivalence:
 class TestCacheSemantics:
     def test_warm_cache_performs_zero_solves(self, small_trace, tmp_path):
         """Acceptance: second run with a warm cache never hits a solver."""
-        cold = ExecutionEngine(jobs=1, cache=tmp_path / "cache")
+        cold = ExecutionEngine(cache=tmp_path / "cache")
         first = window_size_sweep(small_trace, WINDOWS, CONFIG, engine=cold)
         assert cold.cache.stats.stores == len(WINDOWS)
 
-        warm = ExecutionEngine(jobs=1, cache=tmp_path / "cache")
+        warm = ExecutionEngine(cache=tmp_path / "cache")
         SOLVE_COUNTER.reset()
         second = window_size_sweep(small_trace, WINDOWS, CONFIG, engine=warm)
         assert SOLVE_COUNTER.total == 0
@@ -101,19 +57,8 @@ class TestCacheSemantics:
         assert warm.cache.stats.hits == len(WINDOWS)
         assert warm.cache.stats.misses == 0
 
-    def test_parallel_run_populates_cache_for_serial_rerun(
-        self, small_trace, tmp_path
-    ):
-        cold = ExecutionEngine(jobs=2, cache=tmp_path / "cache")
-        first = window_size_sweep(small_trace, WINDOWS, CONFIG, engine=cold)
-        warm = ExecutionEngine(jobs=1, cache=tmp_path / "cache")
-        SOLVE_COUNTER.reset()
-        second = window_size_sweep(small_trace, WINDOWS, CONFIG, engine=warm)
-        assert SOLVE_COUNTER.total == 0
-        assert second == first
-
     def test_config_change_misses_cache(self, small_trace, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache=tmp_path / "cache")
+        engine = ExecutionEngine(cache=tmp_path / "cache")
         window_size_sweep(small_trace, [600], CONFIG, engine=engine)
         SOLVE_COUNTER.reset()
         window_size_sweep(
@@ -124,7 +69,7 @@ class TestCacheSemantics:
         assert SOLVE_COUNTER.total > 0
 
     def test_trace_change_misses_cache(self, small_trace, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache=tmp_path / "cache")
+        engine = ExecutionEngine(cache=tmp_path / "cache")
         window_size_sweep(small_trace, [600], CONFIG, engine=engine)
         other = synthetic_trace(
             burst_cycles=300, total_cycles=12_000, num_initiators=5,
@@ -139,7 +84,7 @@ class TestCacheSemantics:
         total = small_trace.total_cycles
         SOLVE_COUNTER.reset()
         single = window_size_sweep(
-            small_trace, [total], CONFIG, engine=ExecutionEngine(jobs=1)
+            small_trace, [total], CONFIG, engine=ExecutionEngine()
         )
         solves_for_one = SOLVE_COUNTER.total
         SOLVE_COUNTER.reset()
@@ -147,13 +92,13 @@ class TestCacheSemantics:
             small_trace,
             [total, total * 2, total * 10],  # all clamp to total_cycles
             CONFIG,
-            engine=ExecutionEngine(jobs=1),
+            engine=ExecutionEngine(),
         )
         assert SOLVE_COUNTER.total == solves_for_one
         assert [p.total_buses for p in tripled] == [single[0].total_buses] * 3
 
     def test_synthesize_single_point(self, small_trace, tmp_path):
-        engine = ExecutionEngine(jobs=1, cache=tmp_path / "cache")
+        engine = ExecutionEngine(cache=tmp_path / "cache")
         first = engine.synthesize(small_trace, CONFIG, window_size=600)
         SOLVE_COUNTER.reset()
         second = engine.synthesize(small_trace, CONFIG, window_size=600)
@@ -176,13 +121,8 @@ class TestBatchExecution:
         tasks = [SynthesisTask(config=CONFIG, window_size=600) for _ in traces]
         return list(zip(traces, tasks))
 
-    def test_parallel_matches_serial(self, batch):
-        serial = ExecutionEngine(jobs=1).run_batch(batch)
-        parallel = ExecutionEngine(jobs=2).run_batch(batch)
-        assert serial == parallel
-
     def test_results_align_with_input_order(self, batch):
-        results = ExecutionEngine(jobs=1).run_batch(batch)
+        results = ExecutionEngine().run_batch(batch)
         for (trace, task), result in zip(batch, results):
             direct = CrossbarSynthesizer(task.config).design_from_trace(
                 trace, task.window_size
@@ -190,10 +130,10 @@ class TestBatchExecution:
             assert result.design == direct.design
 
     def test_warm_cache_performs_zero_solves(self, batch, tmp_path):
-        cold = ExecutionEngine(jobs=1, cache=tmp_path / "cache")
+        cold = ExecutionEngine(cache=tmp_path / "cache")
         first = cold.run_batch(batch)
         assert cold.cache.stats.stores == len(batch)
-        warm = ExecutionEngine(jobs=1, cache=tmp_path / "cache")
+        warm = ExecutionEngine(cache=tmp_path / "cache")
         SOLVE_COUNTER.reset()
         second = warm.run_batch(batch)
         assert SOLVE_COUNTER.total == 0
@@ -202,16 +142,16 @@ class TestBatchExecution:
     def test_duplicate_items_share_one_solve(self, batch):
         doubled = batch + [batch[0]]
         SOLVE_COUNTER.reset()
-        results = ExecutionEngine(jobs=1).run_batch(doubled)
+        results = ExecutionEngine().run_batch(doubled)
         solves_plain = SOLVE_COUNTER.total
         SOLVE_COUNTER.reset()
-        ExecutionEngine(jobs=1).run_batch(batch)
+        ExecutionEngine().run_batch(batch)
         assert solves_plain == SOLVE_COUNTER.total  # the repeat was free
         assert results[-1] == results[0]
 
     def test_application_tags_separate_cache_keys(self, batch, tmp_path):
         (trace, task) = batch[0]
-        engine = ExecutionEngine(jobs=1, cache=tmp_path / "cache")
+        engine = ExecutionEngine(cache=tmp_path / "cache")
         engine.run_batch([(trace, task)], applications=["scenario:a"])
         SOLVE_COUNTER.reset()
         engine.run_batch([(trace, task)], applications=["scenario:b"])
@@ -222,18 +162,10 @@ class TestBatchExecution:
 
     def test_tag_length_mismatch_rejected(self, batch):
         with pytest.raises(ConfigurationError):
-            ExecutionEngine(jobs=1).run_batch(batch, applications=["only-one"])
+            ExecutionEngine().run_batch(batch, applications=["only-one"])
 
 
 class TestEngineConfiguration:
-    def test_jobs_zero_means_cpu_count(self):
-        assert ExecutionEngine(jobs=0).jobs >= 1
-        assert ExecutionEngine(jobs=None).jobs >= 1
-
-    def test_negative_jobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionEngine(jobs=-2)
-
     def test_cache_path_coerced(self, tmp_path):
         engine = ExecutionEngine(cache=str(tmp_path / "c"))
         assert isinstance(engine.cache, ResultCache)
@@ -250,109 +182,41 @@ class TestEvaluationFanOut:
         trace = app.simulate_full_crossbar().trace
         return app, trace
 
-    def test_compare_designs_parallel_matches_serial(self, qsort_setup):
-        from repro.core import full_crossbar_design, shared_bus_design
-
-        app, trace = qsort_setup
-        designs = [shared_bus_design(trace), full_crossbar_design(trace)]
-        serial = compare_designs(app, designs)
-        parallel = compare_designs(
-            app, designs, engine=ExecutionEngine(jobs=2)
-        )
-        assert serial == parallel
-
-    def test_acceptable_window_search_parallel_matches_serial(
-        self, qsort_setup
-    ):
-        app, trace = qsort_setup
-        candidates = [200, 800]
-        serial = acceptable_window_search(app, trace, candidates)
-        parallel = acceptable_window_search(
-            app, trace, candidates, engine=ExecutionEngine(jobs=2)
-        )
-        assert serial == parallel
-
     def test_registry_key_set_only_for_default_builds(self):
         assert build_application("qsort").registry_key == "qsort"
         customized = build_application("synthetic", burst_cycles=250)
         assert customized.registry_key is None
 
-    def test_customized_app_parallel_matches_serial(self):
-        """Customized apps cannot be rebuilt by name in workers; the
-        parallel path must fall back to in-process simulation instead of
-        silently evaluating the default workload."""
+    def test_compare_designs_matches_direct_simulation(self, qsort_setup):
+        """Each evaluation is the application simulated on that design."""
         from repro.core import full_crossbar_design, shared_bus_design
 
-        app = build_application(
-            "synthetic", burst_cycles=250, total_cycles=10_000
-        )
-        trace = app.simulate_full_crossbar().trace
+        app, trace = qsort_setup
         designs = [shared_bus_design(trace), full_crossbar_design(trace)]
-        serial = compare_designs(app, designs)
-        parallel = compare_designs(app, designs, engine=ExecutionEngine(jobs=2))
-        assert serial == parallel
-
-
-class TestWorkerTraceStaleness:
-    """run_batch/run_sweep workers must verify their installed trace.
-
-    A reused or fork-inherited worker process can hold a previous
-    sweep's trace in its module globals; solving against it would be
-    silently wrong. Tasks ship the expected trace fingerprint and the
-    worker refuses on mismatch.
-    """
-
-    def _cleanup(self):
-        from repro.exec import engine as engine_module
-
-        engine_module._WORKER_TRACE = None
-        engine_module._WORKER_TRACE_DIGEST = None
-
-    def test_mismatched_trace_refused(self, small_trace):
-        from repro.exec import StaleWorkerTraceError
-        from repro.exec.engine import (
-            _install_worker_trace,
-            _solve_task_in_worker,
-        )
-        from repro.exec.fingerprint import trace_fingerprint
-
-        stale = synthetic_trace(
-            burst_cycles=300, total_cycles=12_000, num_initiators=5,
-            num_targets=5, seed=99,
-        )
-        task = SynthesisTask(config=CONFIG, window_size=600)
-        _install_worker_trace(stale)  # the leak: a previous sweep's trace
-        try:
-            with pytest.raises(StaleWorkerTraceError):
-                _solve_task_in_worker(0, task, trace_fingerprint(small_trace))
-        finally:
-            self._cleanup()
-
-    def test_matching_trace_solves(self, small_trace):
-        from repro.exec.engine import (
-            _install_worker_trace,
-            _solve_task_in_worker,
-            _solve_task,
-        )
-        from repro.exec.fingerprint import trace_fingerprint
-
-        task = SynthesisTask(config=CONFIG, window_size=600)
-        _install_worker_trace(small_trace)
-        try:
-            index, result = _solve_task_in_worker(
-                3, task, trace_fingerprint(small_trace)
+        evaluations = compare_designs(app, designs, max_cycles=app.sim_cycles * 6)
+        for design in designs:
+            direct = app.simulate(
+                design.it.as_list(), design.ti.as_list(), app.sim_cycles * 6
             )
-        finally:
-            self._cleanup()
-        assert index == 3
-        assert result == _solve_task(small_trace, task)
+            evaluation = evaluations[design.label]
+            assert evaluation.bus_count == design.bus_count
+            assert evaluation.stats == direct.latency_stats()
+            assert evaluation.critical_stats == direct.latency_stats(
+                critical_only=True
+            )
 
-    def test_missing_initializer_refused(self, small_trace):
-        from repro.exec import StaleWorkerTraceError
-        from repro.exec.engine import _solve_task_in_worker
-        from repro.exec.fingerprint import trace_fingerprint
-
-        self._cleanup()
-        task = SynthesisTask(config=CONFIG, window_size=600)
-        with pytest.raises(StaleWorkerTraceError):
-            _solve_task_in_worker(0, task, trace_fingerprint(small_trace))
+    def test_acceptable_window_search_warm_cache_matches_cold(
+        self, qsort_setup, tmp_path
+    ):
+        app, trace = qsort_setup
+        candidates = [200, 800]
+        uncached = acceptable_window_search(app, trace, candidates)
+        cold = acceptable_window_search(
+            app, trace, candidates, engine=ExecutionEngine(cache=tmp_path)
+        )
+        SOLVE_COUNTER.reset()
+        warm = acceptable_window_search(
+            app, trace, candidates, engine=ExecutionEngine(cache=tmp_path)
+        )
+        assert SOLVE_COUNTER.total == 0
+        assert uncached == cold == warm

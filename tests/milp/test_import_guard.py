@@ -1,7 +1,8 @@
 """Heavy or unused modules stay off the import path of a default run.
 
 scipy loads only when a MILP is actually solved, and nothing loads
-``multiprocessing.shared_memory`` at all. Each check runs in a fresh
+``multiprocessing`` (its ``shared_memory`` included) or
+``concurrent.futures`` at all: every command runs in one process. Each check runs in a fresh
 interpreter: the test process itself has long since imported scipy
 through other tests.
 """
@@ -20,7 +21,12 @@ PROBE = """
 import contextlib, io, json, sys
 import repro.cli
 
-GUARDED = ("scipy", "multiprocessing.shared_memory")
+GUARDED = (
+    "scipy",
+    "multiprocessing.shared_memory",
+    "multiprocessing",
+    "concurrent.futures",
+)
 
 def loaded():
     return sorted(
@@ -67,6 +73,13 @@ def test_cli_import_and_default_design_load_no_shared_memory(default_run):
     after_import, after_design, _ = default_run
     assert "multiprocessing.shared_memory" not in after_import
     assert "multiprocessing.shared_memory" not in after_design
+
+
+def test_cli_import_and_default_design_load_no_process_pool(default_run):
+    after_import, after_design, _ = default_run
+    for module in ("multiprocessing", "concurrent.futures"):
+        assert module not in after_import
+        assert module not in after_design
 
 
 def test_milp_design_loads_scipy_and_prints_the_default_report(default_run):

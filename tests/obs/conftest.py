@@ -1,11 +1,9 @@
 """Shared hygiene for the observability suite.
 
-Tracing state is process-global (module state plus the ``REPRO_TRACE``
-environment variable, mirroring ``REPRO_FAULTS``), so every test ends
-with tracing fully disarmed -- a leaked armed collector would make
-unrelated tests record spans and, worse, leave a spool directory
-behind. Fault plans are cleared for the same reason: the chaos+tracing
-regression installs them.
+Tracing state is process-global (one module-level collector), so every
+test ends with tracing fully disarmed -- a leaked armed collector would
+make unrelated tests record spans. Fault plans are cleared for the same
+reason: the chaos+tracing regression installs them.
 """
 
 import pytest

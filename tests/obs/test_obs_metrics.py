@@ -273,7 +273,7 @@ class TestExpositionGolden:
         import repro.exec.cache  # noqa: F401
         import repro.milp.solver  # noqa: F401
         import repro.pipeline.runner  # noqa: F401
-        import repro.resilience.retry  # noqa: F401
+        import repro.resilience.faults  # noqa: F401
         import repro.server.app  # noqa: F401
 
         families = parse_prometheus(metrics.render_prometheus())
@@ -283,7 +283,6 @@ class TestExpositionGolden:
             "repro_stage_events_total",
             "repro_stage_seconds",
             "repro_cache_events_total",
-            "repro_engine_events_total",
             "repro_faults_fired_total",
             "repro_requests_total",
             "repro_http_requests_total",

@@ -120,12 +120,12 @@ class TestIncrementalResynthesis:
 
         cache_dir = tmp_path / "cache"
         cold = ScenarioSuiteRunner(
-            engine=ExecutionEngine(jobs=1, cache=ResultCache(cache_dir))
+            engine=ExecutionEngine(cache=ResultCache(cache_dir))
         )
         cold_report = cold.run(suite)
 
         warm = ScenarioSuiteRunner(
-            engine=ExecutionEngine(jobs=1, cache=ResultCache(cache_dir))
+            engine=ExecutionEngine(cache=ResultCache(cache_dir))
         )
         SOLVE_COUNTER.reset()
         warm_report = warm.run(suite)

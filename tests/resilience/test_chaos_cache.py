@@ -54,7 +54,7 @@ class TestCorruptedEntries:
     def test_injected_corruption_is_resolved_byte_identically(
         self, small_trace, tasks, tmp_path
     ):
-        baseline_engine = ExecutionEngine(jobs=1, cache=str(tmp_path))
+        baseline_engine = ExecutionEngine(cache=str(tmp_path))
         baseline = sweep_bytes(baseline_engine.run_sweep(small_trace, tasks))
         assert baseline_engine.cache.stats.stores == len(tasks)
 
@@ -62,7 +62,7 @@ class TestCorruptedEntries:
         install_plan(
             FaultPlan(rules={"cache.corrupt": FaultRule(rate=1.0)})
         )
-        chaos_engine = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path))
+        chaos_engine = ExecutionEngine(cache=ResultCache(tmp_path))
         results = chaos_engine.run_sweep(small_trace, tasks)
         assert sweep_bytes(results) == baseline
         stats = chaos_engine.cache.stats
@@ -71,7 +71,7 @@ class TestCorruptedEntries:
 
         # Injection off again: the rewritten entries serve warm hits.
         clear_plan()
-        warm_engine = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path))
+        warm_engine = ExecutionEngine(cache=ResultCache(tmp_path))
         warm = warm_engine.run_sweep(small_trace, tasks)
         assert sweep_bytes(warm) == baseline
         assert warm_engine.cache.stats.hits == len(tasks)
@@ -115,12 +115,12 @@ class TestTransientWrites:
         """The whole point of best-effort persistence: a sweep over a
         dead disk still returns correct results."""
         baseline = sweep_bytes(
-            ExecutionEngine(jobs=1).run_sweep(small_trace, tasks)
+            ExecutionEngine().run_sweep(small_trace, tasks)
         )
         install_plan(
             FaultPlan(rules={"io.transient": FaultRule(rate=1.0)})
         )
-        engine = ExecutionEngine(jobs=1, cache=str(tmp_path))
+        engine = ExecutionEngine(cache=str(tmp_path))
         results = engine.run_sweep(small_trace, tasks)
         assert sweep_bytes(results) == baseline
         assert engine.cache.stats.write_errors >= len(tasks)

@@ -1,6 +1,6 @@
 """The fault-injection framework itself: purity, scoping, inheritance.
 
-Everything downstream (the chaos engine/cache/server tests) leans on
+Everything downstream (the chaos cache/server tests) leans on
 the properties proved here: decisions are a pure function of
 ``(seed, point, key)``, plans round-trip losslessly through JSON and
 the environment, and child processes inherit the active plan without
@@ -38,10 +38,10 @@ KEYS = [f"{i}:a{a}" for i in range(100) for a in range(2)]
 
 class TestDecisions:
     def test_decisions_pure_in_seed_point_key(self):
-        a = FaultPlan(seed=42, rules={"worker.crash": FaultRule(rate=0.5)})
-        b = FaultPlan(seed=42, rules={"worker.crash": FaultRule(rate=0.5)})
-        assert [a.decide("worker.crash", k) for k in KEYS] == [
-            b.decide("worker.crash", k) for k in KEYS
+        a = FaultPlan(seed=42, rules={"cache.corrupt": FaultRule(rate=0.5)})
+        b = FaultPlan(seed=42, rules={"cache.corrupt": FaultRule(rate=0.5)})
+        assert [a.decide("cache.corrupt", k) for k in KEYS] == [
+            b.decide("cache.corrupt", k) for k in KEYS
         ]
 
     def test_different_seeds_decide_differently(self):
@@ -58,18 +58,18 @@ class TestDecisions:
         assert all(always.decide("cache.corrupt", k) for k in KEYS)
 
     def test_rate_is_approximately_honoured(self):
-        plan = FaultPlan(seed=0, rules={"worker.crash": FaultRule(rate=0.25)})
+        plan = FaultPlan(seed=0, rules={"cache.corrupt": FaultRule(rate=0.25)})
         fired = sum(
-            plan.decide("worker.crash", str(i)) for i in range(4000)
+            plan.decide("cache.corrupt", str(i)) for i in range(4000)
         )
         assert 0.20 < fired / 4000 < 0.30
 
     def test_match_restricts_to_first_attempts(self):
         plan = FaultPlan(
-            rules={"worker.crash": FaultRule(rate=1.0, match=("*:a0",))}
+            rules={"io.transient": FaultRule(rate=1.0, match=("*:a0",))}
         )
-        assert plan.decide("worker.crash", "3:a0")
-        assert not plan.decide("worker.crash", "3:a1")
+        assert plan.decide("io.transient", "3:a0")
+        assert not plan.decide("io.transient", "3:a1")
 
     def test_max_hits_caps_firing(self):
         plan = FaultPlan(
@@ -80,14 +80,19 @@ class TestDecisions:
         assert plan.fired() == {"io.transient": 3}
 
     def test_unconfigured_point_never_fires(self):
-        plan = FaultPlan(rules={"worker.crash": FaultRule()})
+        plan = FaultPlan(rules={"cache.corrupt": FaultRule()})
         assert not plan.decide("solver.slow", "1")
 
 
 class TestValidation:
     def test_unknown_point_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown fault point"):
-            FaultPlan(rules={"disk.melt": FaultRule()})
+        # "worker.crash" named a point of the deleted process pool: a
+        # stale plan that still names it must fail loudly.
+        for point in ("disk.melt", "worker.crash"):
+            with pytest.raises(ConfigurationError, match="unknown fault point"):
+                FaultPlan(rules={point: FaultRule()})
+            with pytest.raises(ConfigurationError, match="unknown fault point"):
+                FaultPlan.from_dict({"rules": {point: {"rate": 1.0}}})
 
     def test_out_of_range_rate_rejected(self):
         with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
@@ -109,10 +114,8 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             FaultPlan.from_json("{nope")
 
-    def test_known_points_are_the_documented_four(self):
-        assert FAULT_POINTS == (
-            "worker.crash", "cache.corrupt", "solver.slow", "io.transient",
-        )
+    def test_known_points_are_the_documented_three(self):
+        assert FAULT_POINTS == ("cache.corrupt", "solver.slow", "io.transient")
 
 
 class TestSerialization:
@@ -120,14 +123,14 @@ class TestSerialization:
         plan = FaultPlan(
             seed=7,
             rules={
-                "worker.crash": FaultRule(rate=0.4, match=("*:a0",)),
+                "io.transient": FaultRule(rate=0.4, match=("*:a0",)),
                 "solver.slow": FaultRule(rate=1.0, delay_s=0.25, max_hits=2),
             },
         )
         revived = FaultPlan.from_json(plan.to_json())
         assert revived.to_dict() == plan.to_dict()
-        assert [revived.decide("worker.crash", k) for k in KEYS] == [
-            plan.decide("worker.crash", k) for k in KEYS
+        assert [revived.decide("io.transient", k) for k in KEYS] == [
+            plan.decide("io.transient", k) for k in KEYS
         ]
 
     def test_install_from_spec_inline_json(self):
@@ -151,7 +154,7 @@ class TestSerialization:
 
 class TestInstallation:
     def test_install_exports_env_and_clear_removes_it(self):
-        plan = FaultPlan(seed=3, rules={"worker.crash": FaultRule()})
+        plan = FaultPlan(seed=3, rules={"cache.corrupt": FaultRule()})
         install_plan(plan)
         assert os.environ[FAULTS_ENV_VAR] == plan.to_json()
         assert active_plan() is plan
@@ -162,7 +165,7 @@ class TestInstallation:
     def test_active_plan_resolves_lazily_from_env(self, monkeypatch):
         spec = FaultPlan(seed=9, rules={"io.transient": FaultRule()})
         monkeypatch.setenv(FAULTS_ENV_VAR, spec.to_json())
-        # Simulate a fresh process (e.g. a spawn worker): unresolved
+        # Simulate a fresh process (e.g. a CLI subprocess): unresolved
         # module state, plan only present in the environment.
         monkeypatch.setattr(faults_module, "_ACTIVE", None)
         monkeypatch.setattr(faults_module, "_RESOLVED", False)
@@ -192,7 +195,7 @@ class TestInstallation:
 
 class TestHelpers:
     def test_should_inject_false_without_plan(self):
-        assert not should_inject("worker.crash", "0:a0")
+        assert not should_inject("io.transient", "0:a0")
 
     def test_maybe_io_error_raises_oserror_subclass(self):
         install_plan(FaultPlan(rules={"io.transient": FaultRule(rate=1.0)}))

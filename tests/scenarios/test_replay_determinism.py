@@ -1,5 +1,5 @@
 """Replay determinism: same trace + same design => byte-identical
-latency reports across serial, pooled and warm-cache runs."""
+latency reports across cold and warm-cache runs."""
 
 import json
 
@@ -52,7 +52,7 @@ class TestRunModeDeterminism:
     @pytest.fixture(scope="class")
     def serial_bytes(self):
         runner = ScenarioSuiteRunner(
-            engine=ExecutionEngine(jobs=1), replay_latency=True
+            engine=ExecutionEngine(), replay_latency=True
         )
         return report_bytes(runner.run(replay_suite()))
 
@@ -61,12 +61,6 @@ class TestRunModeDeterminism:
         assert len(entries) == 4
         for entry in entries:
             assert entry["latency"]["count"] > 0
-
-    def test_pooled_run_matches_serial(self, serial_bytes):
-        runner = ScenarioSuiteRunner(
-            engine=ExecutionEngine(jobs=2), replay_latency=True
-        )
-        assert report_bytes(runner.run(replay_suite())) == serial_bytes
 
     def test_warm_rerun_matches_and_simulates_nothing(self, serial_bytes):
         runner = ScenarioSuiteRunner(replay_latency=True)
@@ -83,7 +77,7 @@ class TestRunModeDeterminism:
     def test_disk_cache_run_matches_serial(self, serial_bytes, tmp_path):
         cache_dir = tmp_path / "cache"
         cold = ScenarioSuiteRunner(
-            engine=ExecutionEngine(jobs=1, cache=ResultCache(cache_dir)),
+            engine=ExecutionEngine(cache=ResultCache(cache_dir)),
             replay_latency=True,
         )
         assert report_bytes(cold.run(replay_suite())) == serial_bytes
@@ -92,7 +86,7 @@ class TestRunModeDeterminism:
         # directory: replays must come back from disk, byte-identical,
         # without a single fabric simulation.
         warm = ScenarioSuiteRunner(
-            engine=ExecutionEngine(jobs=1, cache=ResultCache(cache_dir)),
+            engine=ExecutionEngine(cache=ResultCache(cache_dir)),
             replay_latency=True,
         )
         SIMULATION_COUNTER.reset()

@@ -69,19 +69,13 @@ class TestRobustRun:
 
 
 class TestEngineIntegration:
-    def test_parallel_run_matches_serial(self):
-        suite = build_suite("smoke")
-        serial = ScenarioSuiteRunner(engine=ExecutionEngine(jobs=1)).run(suite)
-        parallel = ScenarioSuiteRunner(engine=ExecutionEngine(jobs=2)).run(suite)
-        assert serial.to_dict() == parallel.to_dict()
-
     def test_warm_rerun_is_served_from_cache(self, tmp_path):
         suite = build_suite("smoke")
         cache_dir = tmp_path / "cache"
         cold = ScenarioSuiteRunner(
-            engine=ExecutionEngine(jobs=1, cache=ResultCache(cache_dir))
+            engine=ExecutionEngine(cache=ResultCache(cache_dir))
         ).run(suite)
-        warm_engine = ExecutionEngine(jobs=1, cache=ResultCache(cache_dir))
+        warm_engine = ExecutionEngine(cache=ResultCache(cache_dir))
         warm = ScenarioSuiteRunner(engine=warm_engine).run(suite)
         assert warm.to_dict() == cold.to_dict()
         assert warm_engine.cache.stats.hits == len(suite)

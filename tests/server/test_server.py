@@ -490,7 +490,7 @@ class TestHTTP:
         assert set(stats["queue"]) == {
             "depth", "active", "jobs", "timeouts", "job_timeout"
         }
-        assert stats["engine"]["degraded"] is False
+        assert "engine" not in stats
         assert stats["shedding"]["shed"] == 0
         assert stats["faults"] is None
         assert stats["cache"] is not None

@@ -3,7 +3,7 @@
 Complements ``tests/server/test_server.py`` (functional daemon
 coverage) with the observability surface: the Prometheus endpoint must
 render a scrape-valid document whose families cover solver, cache,
-engine, queue and HTTP metrics; a finished job must expose a complete
+queue and HTTP metrics; a finished job must expose a complete
 span tree through ``GET /v1/jobs/<id>/trace``; ``--log-json`` mode
 must emit one parseable object per admission/transition.
 """
@@ -229,7 +229,6 @@ class TestHTTPObservability:
         for family in (
             "repro_solves_total",
             "repro_cache_events_total",
-            "repro_engine_events_total",
             "repro_queue_depth",
             "repro_jobs_active",
             "repro_http_requests_total",

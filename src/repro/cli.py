@@ -21,12 +21,13 @@ All commands print plain-text tables (see :mod:`repro.analysis.report`).
 Commands that solve or simulate independent points accept
 ``--cache-dir`` (content-addressed result cache, reused across
 invocations) and route through :class:`repro.exec.ExecutionEngine`.
-The same commands accept ``--profile``, which prints a per-phase
-wall-clock breakdown (windowing / overlap / conflicts / solve) plus the
-per-stage pipeline timings the metrics registry recorded during the
-run, and ``--trace FILE``, which arms span tracing around the command
-and writes the captured spans as JSONL -- feed that file back to
-``repro trace`` for an indented tree or a Chrome/Perfetto export.
+The same commands accept ``--profile``, which prints the run's growth
+of the metrics registry as three tables: a per-phase wall-clock
+breakdown (windowing / overlap / conflicts / solve), per-stage pipeline
+timings and per-backend solver counts; and ``--trace FILE``, which arms
+span tracing around the command and writes the captured spans as JSONL
+-- feed that file back to ``repro trace`` for an indented tree or a
+Chrome/Perfetto export.
 
 ``repro trace`` is dual-mode on its positional argument: an
 application name dumps its traffic trace as JSONL (``-o`` required),
@@ -61,7 +62,7 @@ from repro.exec import ExecutionEngine
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.pipeline.collect import CollectStage, TraceSource
-from repro.profiling import PHASE_TIMER
+from repro.profiling import PHASES
 from repro.traffic import save_trace_jsonl
 
 __all__ = ["main", "build_parser"]
@@ -94,89 +95,89 @@ def _add_engine_options(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _stage_seconds_snapshot():
-    """``{stage: (count, seconds)}`` from the pipeline stage histogram."""
-    hist = _metrics.REGISTRY.get("repro_stage_seconds")
-    if hist is None:
-        return {}
-    return {
-        key[0]: (child.count, child.total)
-        for key, child in hist.collect().items()
-    }
+def _growth(before, after, family):
+    """``{labels: delta}`` for one family between two registry snapshots.
+
+    Counter deltas are numbers; histogram deltas are ``(count,
+    seconds)``. Children that did not grow are left out.
+    """
+    prior = before.get(family, {}).get("samples", {})
+    grown = {}
+    for key, value in after.get(family, {}).get("samples", {}).items():
+        if isinstance(value, dict):  # histogram child
+            old = prior.get(key, {"count": 0, "sum": 0.0})
+            if value["count"] > old["count"]:
+                grown[key] = (
+                    value["count"] - old["count"],
+                    value["sum"] - old["sum"],
+                )
+        elif value > prior.get(key, 0):
+            grown[key] = value - prior.get(key, 0)
+    return grown
 
 
-def _counter_snapshot(name):
-    """``{label_tuple: value}`` for a labelled counter family."""
-    counter = _metrics.REGISTRY.get(name)
-    if counter is None:
-        return {}
-    return dict(counter.collect())
+def _format_phases(phases, elapsed: float) -> str:
+    """The per-phase table, plus an ``other`` row for the time spent
+    outside every phase (simulation, I/O, cache look-ups)."""
+    order = {name: rank for rank, name in enumerate(PHASES)}
+    rows = sorted(
+        ((phase, seconds, count) for (phase,), (count, seconds) in phases),
+        key=lambda row: (order.get(row[0], len(order)), row[0]),
+    )
+    rows.append(("other", max(0.0, elapsed - sum(row[1] for row in rows)), 0))
+    lines = ["phase breakdown (wall-clock):"]
+    for phase, seconds, count in rows:
+        calls = f"{count:>5}x" if count else "      "
+        lines.append(
+            f"  {phase:<10} {seconds:>9.4f} s  {seconds / elapsed:>6.1%}  {calls}"
+        )
+    lines.append(f"  {'total':<10} {elapsed:>9.4f} s")
+    return "\n".join(lines)
 
 
 class _PhaseProfile:
-    """Collects and prints the per-phase breakdown around one command.
+    """Prints one command's share of the metrics registry.
 
-    Phases are timed by the process-global
-    :data:`repro.profiling.PHASE_TIMER`.
-
-    Pipeline stage timings come from the (monotonic) metrics registry,
-    so the run's share is the difference between the snapshot taken
-    here and the one taken at :meth:`report` -- the registry itself is
-    never reset outside tests.
+    The registry is monotonic for the process lifetime, so every table
+    is the growth between the snapshot taken here and the one taken at
+    :meth:`report`: phases (``repro_phase_seconds``), pipeline stages
+    (``repro_stage_seconds``) and solver backends
+    (``repro_solves_total``).
     """
 
     def __init__(self, enabled: bool) -> None:
         self.enabled = enabled
         if enabled:
-            PHASE_TIMER.reset()
-            self._stages_begin = _stage_seconds_snapshot()
-            self._solves_begin = _counter_snapshot("repro_solves_total")
+            self._before = _metrics.REGISTRY.snapshot()
         self._begin = time.perf_counter()
 
     def report(self) -> None:
         if not self.enabled:
             return
         elapsed = time.perf_counter() - self._begin
+        after = _metrics.REGISTRY.snapshot()
+
+        def grown(family):
+            return sorted(_growth(self._before, after, family).items())
+
         print()
-        print(PHASE_TIMER.format_report(total_elapsed=elapsed))
-        rows = []
-        for stage, (count, seconds) in sorted(
-            _stage_seconds_snapshot().items()
-        ):
-            before_count, before_seconds = self._stages_begin.get(
-                stage, (0, 0.0)
-            )
-            if count > before_count:
-                rows.append(
-                    [stage, count - before_count,
-                     f"{(seconds - before_seconds) * 1e3:.1f}"]
-                )
-        if rows:
-            print()
-            print(
-                format_table(
-                    ["stage", "computed", "total ms"],
-                    rows,
-                    title="pipeline stages (this run)",
-                )
-            )
-        solve_rows = []
-        for key, value in sorted(
-            _counter_snapshot("repro_solves_total").items()
-        ):
-            delta = value - self._solves_begin.get(key, 0)
-            if delta:
-                kind, backend = key
-                solve_rows.append([kind, backend, int(delta)])
-        if solve_rows:
-            print()
-            print(
-                format_table(
-                    ["solve", "backend", "count"],
-                    solve_rows,
-                    title="solver backends (this run)",
-                )
-            )
+        print(_format_phases(grown("repro_phase_seconds"), elapsed))
+        stages = [
+            [stage, count, f"{seconds * 1e3:.1f}"]
+            for (stage,), (count, seconds) in grown("repro_stage_seconds")
+        ]
+        solves = [
+            [kind, backend, int(count)]
+            for (kind, backend), count in grown("repro_solves_total")
+        ]
+        tables = (
+            ("pipeline stages (this run)", ["stage", "computed", "total ms"], stages),
+            ("solver backends (this run)", ["solve", "backend", "count"], solves),
+        )
+        for title, headers, rows in tables:
+            if rows:
+                print()
+                print(format_table(headers, rows, title=title))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.spec import SynthesisConfig
 from repro.core.synthesis import CrossbarSynthesizer
@@ -206,43 +206,64 @@ class ExecutionEngine:
         sweep under its own digest, so no result is read or stored
         under a key its trace does not have.
         """
-        results: List[Optional[SynthesisResult]] = [None] * len(tasks)
-        pending: List[Tuple[int, Optional[str], SynthesisTask]] = []
-        if self.cache is not None and trace_digest is None:
-            trace = trace() if callable(trace) else trace
-            trace_digest = trace_fingerprint(trace)
-        for index, task in enumerate(tasks):
-            key = None
-            if self.cache is not None:
-                key = task_key(trace_digest, task.config, task.window_size, application)
-                cached = self.cache.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-            pending.append((index, key, task))
+        keys: List[Optional[str]] = [None] * len(tasks)
+        if self.cache is not None:
+            if trace_digest is None:
+                trace = trace() if callable(trace) else trace
+                trace_digest = trace_fingerprint(trace)
+            keys = [
+                task_key(trace_digest, task.config, task.window_size, application)
+                for task in tasks
+            ]
 
-        if pending and callable(trace):
-            trace = trace()
-            if self.cache is not None and trace_fingerprint(trace) != trace_digest:
-                return self.run_sweep(trace, tasks, application)
-        if pending:
-            # Identical points (e.g. several windows clamped to the trace
-            # length) share one solve; every pending slot maps onto it.
-            distinct: List[SynthesisTask] = []
-            slot: Dict[SynthesisTask, int] = {}
-            for _index, _key, task in pending:
-                if task not in slot:
-                    slot[task] = len(distinct)
-                    distinct.append(task)
-            solved = self._solve_pending(trace, distinct)
-            stored = set()
-            for index, key, task in pending:
-                result = solved[slot[task]]
-                results[index] = result
-                if self.cache is not None and key is not None and key not in stored:
-                    self.cache.put(key, result)
-                    stored.add(key)
-        return results  # type: ignore[return-value]
+        def solve(indices: List[int]) -> Optional[List[SynthesisResult]]:
+            nonlocal trace
+            if callable(trace):
+                trace = trace()
+                if self.cache is not None and trace_fingerprint(trace) != trace_digest:
+                    return None
+            return self._solve_pending(trace, [tasks[index] for index in indices])
+
+        # Identical points (e.g. several windows clamped to the trace
+        # length) share one solve.
+        results = self._run_cached(keys, tasks, solve)
+        if results is None:
+            return self.run_sweep(trace, tasks, application)
+        return results
+
+    def _run_cached(
+        self,
+        keys: Sequence[Optional[str]],
+        idents: Sequence[Hashable],
+        solve: Callable[[List[int]], Optional[List[SynthesisResult]]],
+    ) -> Optional[List[SynthesisResult]]:
+        """Look every point up, solve the misses once each, store once.
+
+        ``keys[i]`` is point ``i``'s cache key (``None`` without a
+        cache); pending points with equal ``idents`` share one solve.
+        ``solve(indices)`` solves the first pending point of each
+        distinct ident, in order, or returns ``None`` to abandon the
+        run (nothing is stored then).
+        """
+        results = [self.cache.get(key) if key is not None else None for key in keys]
+        pending = [index for index, result in enumerate(results) if result is None]
+        if not pending:
+            return results
+        first: Dict[Hashable, int] = {}
+        for index in pending:
+            first.setdefault(idents[index], index)
+        solved = solve(list(first.values()))
+        if solved is None:
+            return None
+        by_ident = dict(zip(first, solved))
+        stored = set()
+        for index in pending:
+            results[index] = by_ident[idents[index]]
+            key = keys[index]
+            if key is not None and key not in stored:
+                self.cache.put(key, results[index])
+                stored.add(key)
+        return results
 
     def _solve_pending(
         self, trace: TrafficTrace, tasks: Sequence[SynthesisTask]
@@ -279,46 +300,22 @@ class ExecutionEngine:
             raise ConfigurationError(
                 f"{len(applications)} application tags for {len(items)} items"
             )
-        results: List[Optional[SynthesisResult]] = [None] * len(items)
-        pending: List[Tuple[int, Optional[str]]] = []
-        for index, ((trace, task), application) in enumerate(zip(items, applications)):
-            key = None
-            if self.cache is not None:
-                key = task_key(
-                    trace_fingerprint(trace),
-                    task.config,
-                    task.window_size,
-                    application,
+        digests = [trace_fingerprint(trace) for trace, _task in items]
+        keys: List[Optional[str]] = [None] * len(items)
+        if self.cache is not None:
+            keys = [
+                task_key(digest, task.config, task.window_size, application)
+                for digest, (_trace, task), application in zip(
+                    digests, items, applications
                 )
-                cached = self.cache.get(key)
-                if cached is not None:
-                    results[index] = cached
-                    continue
-            pending.append((index, key))
-
-        if pending:
-            # Items with identical content (same trace fingerprint and
-            # task) share one solve, keyed by the cache key when a cache
-            # is active and by identity otherwise.
-            distinct: List[Tuple[TrafficTrace, SynthesisTask]] = []
-            slot: Dict[Tuple[str, SynthesisTask], int] = {}
-            placement: List[int] = []
-            for index, _key in pending:
-                trace, task = items[index]
-                ident = (trace_fingerprint(trace), task)
-                if ident not in slot:
-                    slot[ident] = len(distinct)
-                    distinct.append(items[index])
-                placement.append(slot[ident])
-            solved = self._solve_batch(distinct)
-            stored = set()
-            for (index, key), position in zip(pending, placement):
-                result = solved[position]
-                results[index] = result
-                if self.cache is not None and key is not None and key not in stored:
-                    self.cache.put(key, result)
-                    stored.add(key)
-        return results  # type: ignore[return-value]
+            ]
+        # Items with identical content (same trace fingerprint and task)
+        # share one solve.
+        return self._run_cached(
+            keys,
+            [(digest, task) for digest, (_trace, task) in zip(digests, items)],
+            lambda indices: self._solve_batch([items[index] for index in indices]),
+        )
 
     def _solve_batch(
         self, items: Sequence[Tuple[TrafficTrace, SynthesisTask]]

@@ -1,8 +1,8 @@
 """``repro.obs`` -- the platform's unified observability layer.
 
-One package replaces the ad-hoc mechanisms (``PhaseTimer``,
-``SOLVE_COUNTER``, ``StageCounters``, hand-rolled ``/v1/stats``
-dicts):
+One package holds every process-global tally; ``--profile``,
+``SOLVE_COUNTER`` and ``/v1/stats`` read their numbers as growth of
+its registry between two cuts:
 
 * :mod:`repro.obs.metrics` -- a thread-safe registry of counters,
   gauges and histograms with label sets, rendered as Prometheus text
@@ -16,8 +16,9 @@ dicts):
   ``repro serve --log-json``.
 
 The package imports only the standard library, sitting below every
-other ``repro`` subpackage (like :mod:`repro.profiling`, which is now a
-shim over it) so any layer can instrument itself without import cycles.
+other ``repro`` subpackage (like :mod:`repro.profiling`, which records
+phase timings into it) so any layer can instrument itself without
+import cycles.
 """
 
 from repro.obs.export import (

@@ -23,8 +23,9 @@ Design constraints, in order:
   arming the registry can never perturb a byte-identical guarantee.
 
 Counters are monotonic for the life of the process (Prometheus
-semantics); the legacy resettable views (``SOLVE_COUNTER``,
-``PhaseTimer``) keep their own reset logic *on top of* the registry.
+semantics). Views that want "since X" numbers (``SOLVE_COUNTER``,
+``--profile``, ``/v1/stats``'s ``solves.in_process``) keep no tallies
+of their own: they take a cut at X and report the growth since.
 :meth:`MetricsRegistry.reset` exists for test isolation only.
 """
 

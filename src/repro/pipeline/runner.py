@@ -416,8 +416,8 @@ class PipelineRunner:
             windowed=windowed, conflicts=conflicts, binding=binding
         )
 
+    @staticmethod
     def design_fingerprint(
-        self,
         trace_digest: str,
         config: SynthesisConfig,
         window_size: int,

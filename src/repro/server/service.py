@@ -37,7 +37,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import CrossbarSynthesizer, SynthesisConfig
-from repro.core.instrumentation import SOLVE_COUNTER
+from repro.core.instrumentation import SOLVE_COUNTER, SolveCounter
 from repro.exec.cache import ResultCache
 from repro.exec.engine import ExecutionEngine
 from repro.exec.fingerprint import task_key
@@ -161,27 +161,18 @@ class SynthesisService:
         self._stats_lock = threading.Lock()
         self._cached_hits = 0
         self._shed = 0
-        self._solves = 0
-        # Solver-level observability: every MILP/assignment solve in
-        # this process tallies here, from every job thread.
-        self._solve_observer = self._on_solve
-        SOLVE_COUNTER.subscribe(self._solve_observer)
+        # ``solves.in_process`` is the registry's solve count grown
+        # since this cut, from every job thread.
+        self._service_solves = SolveCounter()
+        self._service_solves.reset()
         # Queue gauges are callback-backed: sampled at scrape time, so
         # they are always current and cost nothing between scrapes.
         _QUEUE_DEPTH.set_function(self.queue.depth)
         _JOBS_ACTIVE.set_function(self.queue.active)
 
-    def _on_solve(self, kind: str) -> None:
-        with self._stats_lock:
-            self._solves += 1
-
     def close(self, drain: bool = True) -> None:
-        """Stop the queue (draining by default) and detach observers."""
+        """Stop the queue (draining by default) and detach the gauges."""
         self.queue.shutdown(drain=drain)
-        try:
-            SOLVE_COUNTER.unsubscribe(self._solve_observer)
-        except ValueError:  # pragma: no cover - already detached
-            pass
         _QUEUE_DEPTH.set_function(None)
         _JOBS_ACTIVE.set_function(None)
         if self._armed_tracing:
@@ -371,12 +362,11 @@ class SynthesisService:
         window: int,
         result: SynthesisResult,
     ) -> Dict[str, Any]:
-        runner = PipelineRunner()  # fingerprint derivation only
         return {
             "format": DESIGN_REPORT_FORMAT,
             "app": request.app,
             "window": window,
-            "design_fingerprint": runner.design_fingerprint(
+            "design_fingerprint": PipelineRunner.design_fingerprint(
                 trace_digest, config, window
             ),
             "result": result_to_dict(result),
@@ -501,19 +491,17 @@ class SynthesisService:
             },
             "faults": fault_summary(),
         }
-        # Atomic snapshots, not field-by-field reads: the old code read
-        # ``SOLVE_COUNTER.feasibility`` and ``.binding`` (and the cache
-        # stat fields below) as separate unlocked attribute reads, so a
-        # concurrent solve could make the two numbers disagree with
-        # each other and with their total. One locked cut per source.
+        # Atomic snapshots, not field-by-field reads: one locked cut per
+        # source, so a concurrent solve cannot make two numbers of one
+        # source disagree with each other or with their total.
         solves = SOLVE_COUNTER.snapshot()
         payload["solves"] = {
             "feasibility": solves["feasibility"],
             "binding": solves["binding"],
             "by_backend": solves["by_backend"],
+            "in_process": self._service_solves.total,
         }
         with self._stats_lock:
-            payload["solves"]["in_process"] = self._solves
             payload["coalescing"]["cached_hits"] = self._cached_hits
             payload["shedding"]["shed"] = self._shed
         cache = self.engine.cache

@@ -13,6 +13,7 @@ from repro.exec import (
     ExecutionEngine,
     ResultCache,
     SynthesisTask,
+    trace_fingerprint,
 )
 
 WINDOWS = [150, 2_400]
@@ -104,6 +105,31 @@ class TestCacheSemantics:
         second = engine.synthesize(small_trace, CONFIG, window_size=600)
         assert SOLVE_COUNTER.total == 0
         assert first == second
+
+    def test_cached_sweep_never_loads_its_trace(self, small_trace, tmp_path):
+        engine = ExecutionEngine(cache=tmp_path / "cache")
+        first = engine.synthesize(small_trace, CONFIG, window_size=600)
+
+        def load():
+            raise AssertionError("a fully cached sweep loaded its trace")
+
+        digest = trace_fingerprint(small_trace)
+        assert engine.synthesize(load, CONFIG, 600, trace_digest=digest) == first
+
+    def test_stale_digest_restarts_under_the_loaded_trace(
+        self, small_trace, tmp_path
+    ):
+        """A loader whose trace does not match the given digest: nothing
+        is read or stored under the stale digest's key."""
+        engine = ExecutionEngine(cache=tmp_path / "cache")
+        result = engine.synthesize(
+            lambda: small_trace, CONFIG, 600, trace_digest="0" * 64
+        )
+        assert result == ExecutionEngine().synthesize(small_trace, CONFIG, 600)
+        assert engine.cache.stats.stores == 1
+        SOLVE_COUNTER.reset()
+        assert engine.synthesize(small_trace, CONFIG, 600) == result
+        assert SOLVE_COUNTER.total == 0
 
 
 class TestBatchExecution:

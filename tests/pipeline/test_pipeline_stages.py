@@ -10,7 +10,9 @@ from repro.pipeline import (
     PipelineRunner,
     stage_fingerprint,
 )
+from repro.apps import build_application
 from repro.apps.synthetic import synthetic_trace
+from repro.exec import trace_fingerprint
 
 CONFIG = SynthesisConfig(max_targets_per_bus=None)
 
@@ -23,7 +25,28 @@ def trace():
     )
 
 
+@pytest.fixture(scope="module")
+def qsort_trace():
+    return build_application("qsort").simulate_full_crossbar().trace
+
+
 class TestFingerprints:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SynthesisConfig(),
+            SynthesisConfig(overlap_threshold=0.2),
+            SynthesisConfig(variable_windows=True),
+            SynthesisConfig(use_criticality=False, max_targets_per_bus=None),
+        ],
+    )
+    def test_design_fingerprint_matches_an_executed_flow(self, qsort_trace, config):
+        derived = PipelineRunner.design_fingerprint(
+            trace_fingerprint(qsort_trace), config, 1_000
+        )
+        executed = PipelineRunner().design(qsort_trace, config, 1_000)
+        assert derived == executed.fingerprint
+
     def test_deterministic(self):
         a = stage_fingerprint("window", "abc", {"window_size": 100})
         b = stage_fingerprint("window", "abc", {"window_size": 100})

@@ -327,6 +327,23 @@ class TestObservabilityFlags:
         assert "pipeline stages (this run)" in out
         assert "bind" in out
 
+    def test_profile_reports_only_its_own_run(self, capsys):
+        """Every table is the registry's growth over one command, so a
+        repeat in the same process prints the same solve-phase calls and
+        solver counts, not their running sum."""
+
+        def profile():
+            assert main(["design", "qsort", "--profile"]) == 0
+            out = capsys.readouterr().out
+            solve_row = next(
+                line for line in out.splitlines() if line.startswith("  solve ")
+            )
+            return solve_row.split()[-1], out.split("solver backends")[1]
+
+        first = profile()
+        assert first[0] == "2x"
+        assert profile() == first
+
     def test_serve_parser_accepts_obs_flags(self):
         args = build_parser().parse_args(
             ["serve", "--log-json", "--no-trace"]

@@ -5,9 +5,9 @@ designs and tabulates packet latency and crossbar size -- the measurement
 behind the paper's Table 1 (shared/full/partial) and Fig. 4
 (average-traffic vs windowed designs, normalized to the full crossbar).
 
-Each design's validation simulation runs through the execution engine
-(:meth:`~repro.exec.engine.ExecutionEngine.evaluate_designs`), one
-design after another in this process.
+Each design's validation simulation runs through
+:meth:`~repro.apps.descriptor.Application.simulate`, one design after
+another in this process.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.apps.descriptor import Application
 from repro.core.spec import CrossbarDesign
-from repro.exec.engine import ExecutionEngine
+from repro.obs import tracing as _tracing
 from repro.platform.metrics import LatencyStats
 
 __all__ = ["DesignEvaluation", "compare_designs"]
@@ -53,7 +53,6 @@ def compare_designs(
     designs: Sequence[CrossbarDesign],
     max_cycles: Optional[int] = None,
     cycle_headroom: int = 6,
-    engine: Optional[ExecutionEngine] = None,
 ) -> Dict[str, DesignEvaluation]:
     """Simulate ``application`` on every design; key results by label.
 
@@ -62,15 +61,17 @@ def compare_designs(
     average-traffic design) still run their workload to completion.
     """
     budget = max_cycles or application.sim_cycles * cycle_headroom
-    run = engine if engine is not None else ExecutionEngine()
-    outcomes = run.evaluate_designs(application, designs, budget)
-    return {
-        outcome.label: DesignEvaluation(
-            label=outcome.label,
-            bus_count=outcome.bus_count,
-            stats=outcome.stats,
-            critical_stats=outcome.critical_stats,
-            finished=outcome.finished,
-        )
-        for outcome in outcomes
-    }
+    evaluations = {}
+    with _tracing.span("analysis.compare", designs=len(designs)):
+        for design in designs:
+            result = application.simulate(
+                design.it.as_list(), design.ti.as_list(), budget
+            )
+            evaluations[design.label] = DesignEvaluation(
+                label=design.label,
+                bus_count=design.bus_count,
+                stats=result.latency_stats(),
+                critical_stats=result.latency_stats(critical_only=True),
+                finished=result.finished,
+            )
+    return evaluations

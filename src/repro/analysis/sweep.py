@@ -23,8 +23,9 @@ The pipeline is what makes sweeps cheap beyond caching: every point of
 a sweep shares the trace's *collection* artifact, a threshold sweep's
 points share the *windowing* artifacts outright (only conflicts and the
 solve re-run per threshold), and the columnar kernel compilation
-(:func:`repro.traffic.kernels.warm_analytics`, covering the mirrored
-trace for the TI side) is warmed once per sweep, not once per point.
+(:meth:`repro.traffic.kernels.TraceAnalytics.of`, memoized on the trace
+and on its memoized mirror for the TI side) runs once per sweep, at the
+first window stage, not once per point.
 """
 
 from __future__ import annotations

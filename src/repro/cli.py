@@ -538,7 +538,7 @@ def _cmd_compare(args) -> int:
         windowed,
         full_crossbar_design(trace),
     ]
-    evaluations = compare_designs(app, designs, engine=engine)
+    evaluations = compare_designs(app, designs)
     full_stats = evaluations["full"].stats
     rows = [
         [

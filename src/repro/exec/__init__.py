@@ -5,7 +5,8 @@ points. This package turns those studies from recompute-everything
 loops into cached executions:
 
 * :mod:`~repro.exec.engine` -- the :class:`ExecutionEngine` (a cache
-  in front of in-order, in-process solves and simulations),
+  in front of in-order, in-process solves; latency replays go through
+  the pipeline's cached replay stage),
 * :mod:`~repro.exec.cache` -- the content-addressed on-disk
   :class:`ResultCache`,
 * :mod:`~repro.exec.fingerprint` -- canonical hashing of traces,
@@ -33,19 +34,8 @@ Contracts
 """
 
 from repro.exec.cache import CacheStats, CacheUsage, ResultCache
-from repro.exec.engine import (
-    EvaluationOutcome,
-    ExecutionEngine,
-    ReplayOutcome,
-    ReplayTask,
-    SynthesisTask,
-)
-from repro.exec.fingerprint import (
-    CACHE_SCHEMA_VERSION,
-    config_fingerprint,
-    task_key,
-    trace_fingerprint,
-)
+from repro.exec.engine import ExecutionEngine, SynthesisTask
+from repro.exec.fingerprint import CACHE_SCHEMA_VERSION, task_key, trace_fingerprint
 from repro.exec.serialize import (
     SynthesisResult,
     result_from_dict,
@@ -55,9 +45,6 @@ from repro.exec.serialize import (
 __all__ = [
     "ExecutionEngine",
     "SynthesisTask",
-    "EvaluationOutcome",
-    "ReplayTask",
-    "ReplayOutcome",
     "ResultCache",
     "CacheStats",
     "CacheUsage",
@@ -65,7 +52,6 @@ __all__ = [
     "result_to_dict",
     "result_from_dict",
     "trace_fingerprint",
-    "config_fingerprint",
     "task_key",
     "CACHE_SCHEMA_VERSION",
 ]

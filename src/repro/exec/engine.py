@@ -1,4 +1,4 @@
-"""Cached, serial execution of synthesis and evaluation points.
+"""Cached, serial execution of synthesis points.
 
 The design-space studies solve many independent synthesis points over
 the same trace. The :class:`ExecutionEngine` puts a cache in front of
@@ -14,32 +14,44 @@ Every point is solved through the staged pipeline
 collect/window/conflict/bind stages over the process-shared artifact
 store. Sweep points over one trace therefore share the collection and
 windowing artifacts (a threshold sweep re-windows nothing).
+
+Latency replays are not cached here: :meth:`ExecutionEngine.run_replay_batch`
+hands each plan to :meth:`~repro.pipeline.runner.PipelineRunner.replay`,
+the one cached replay stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.core.spec import SynthesisConfig
+from repro.core.spec import CrossbarDesign, SynthesisConfig
 from repro.core.synthesis import CrossbarSynthesizer
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import task_key, trace_fingerprint
 from repro.exec.serialize import SynthesisResult
 from repro.obs import tracing as _tracing
-from repro.platform.drivers import TraceDrivenInitiator, simulate_workload
-from repro.platform.metrics import LatencyStats
-from repro.platform.soc import SoCConfig
-from repro.traffic.kernels import warm_analytics
 from repro.traffic.trace import TrafficTrace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.pipeline.artifacts import ReplayArtifact
+    from repro.pipeline.runner import PipelineRunner
+    from repro.platform.drivers import WorkloadDriver
 
 __all__ = [
     "SynthesisTask",
-    "EvaluationOutcome",
-    "ReplayTask",
-    "ReplayOutcome",
     "ExecutionEngine",
 ]
 
@@ -62,86 +74,6 @@ class SynthesisTask:
             )
 
 
-@dataclass(frozen=True)
-class EvaluationOutcome:
-    """One design's simulated behaviour."""
-
-    label: str
-    bus_count: int
-    stats: LatencyStats
-    critical_stats: LatencyStats
-    finished: bool
-
-
-@dataclass(frozen=True)
-class ReplayTask:
-    """One latency-replay simulation: a workload on a candidate fabric.
-
-    A replay task names its workload in one of two ways:
-
-    * trace-driven -- ``trace`` (the recorded workload) plus an optional
-      ``platform`` (defaults to the generic replay platform derived from
-      the trace's shape);
-    * program-driven -- ``app_name`` + ``app_params``, rebuilt through
-      the application registry (builders are deterministic, so every
-      rebuild yields the same programs).
-    """
-
-    it_binding: Tuple[int, ...]
-    ti_binding: Tuple[int, ...]
-    budget: int
-    trace: Optional[TrafficTrace] = None
-    platform: Optional[SoCConfig] = None
-    app_name: Optional[str] = None
-    app_params: Tuple[Tuple[str, object], ...] = ()
-    pace: bool = True
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if (self.trace is None) == (self.app_name is None):
-            raise ConfigurationError(
-                "a replay task carries exactly one workload: a recorded "
-                "trace or an application name"
-            )
-        if self.budget < 1:
-            raise ConfigurationError(f"replay budget must be >= 1, got {self.budget}")
-
-
-@dataclass(frozen=True)
-class ReplayOutcome:
-    """One replay's simulated behaviour."""
-
-    label: str
-    stats: LatencyStats
-    critical_stats: LatencyStats
-    finished: bool
-    num_transactions: int
-    simulated_cycles: int
-
-
-def _run_replay_task(task: ReplayTask) -> ReplayOutcome:
-    """Execute one replay task."""
-    if task.trace is not None:
-        driver = TraceDrivenInitiator(
-            task.trace, config=task.platform, pace=task.pace, label=task.label
-        )
-    else:
-        from repro.apps import build_application
-
-        driver = build_application(task.app_name, **dict(task.app_params)).driver()
-    result = simulate_workload(
-        driver, list(task.it_binding), list(task.ti_binding), task.budget
-    )
-    return ReplayOutcome(
-        label=task.label,
-        stats=result.latency_stats(),
-        critical_stats=result.latency_stats(critical_only=True),
-        finished=result.finished,
-        num_transactions=result.num_transactions,
-        simulated_cycles=result.simulated_cycles,
-    )
-
-
 TraceArg = Union[TrafficTrace, Callable[[], TrafficTrace]]
 """A trace, or a zero-argument callable that produces it on demand."""
 
@@ -152,7 +84,8 @@ def _solve_task(trace: TrafficTrace, task: SynthesisTask) -> SynthesisResult:
 
 
 class ExecutionEngine:
-    """Solves synthesis points and simulates designs, behind a cache.
+    """Solves synthesis points behind a cache; batches replays through
+    a pipeline's replay stage.
 
     Parameters
     ----------
@@ -268,10 +201,7 @@ class ExecutionEngine:
     def _solve_pending(
         self, trace: TrafficTrace, tasks: Sequence[SynthesisTask]
     ) -> List[SynthesisResult]:
-        # Compile the trace's columnar analytics (both crossbar sides)
-        # once, before any point is solved, and reuse it across tasks.
         with _tracing.span("engine.sweep", tasks=len(tasks)):
-            warm_analytics(trace)
             return [_solve_task(trace, task) for task in tasks]
 
     # -- batches (one task per trace) ---------------------------------
@@ -321,50 +251,26 @@ class ExecutionEngine:
         self, items: Sequence[Tuple[TrafficTrace, SynthesisTask]]
     ) -> List[SynthesisResult]:
         with _tracing.span("engine.batch", items=len(items)):
-            results = []
-            for trace, task in items:
-                warm_analytics(trace)
-                results.append(_solve_task(trace, task))
-            return results
+            return [_solve_task(trace, task) for trace, task in items]
 
     # -- latency replays ----------------------------------------------
 
-    def run_replay_batch(self, tasks: Sequence[ReplayTask]) -> List[ReplayOutcome]:
-        """Simulate every replay task, in task order.
+    def run_replay_batch(
+        self,
+        plans: Sequence[Tuple[WorkloadDriver, CrossbarDesign, int, str]],
+        pipeline: PipelineRunner,
+    ) -> List[ReplayArtifact]:
+        """Replay every ``(driver, design, budget, label)`` plan through
+        ``pipeline``'s cached replay stage, in plan order.
 
         The scenario-suite pattern again: each suite member contributes
-        one workload (a recorded trace or a program source) to replay on
-        the shared candidate fabric. Caching lives one layer up, in the
-        pipeline's replay stage (the engine is handed only the misses).
+        one workload driver (its live programs or its recorded trace) to
+        replay on the shared candidate fabric.
+        :meth:`~repro.pipeline.runner.PipelineRunner.replay` serves
+        cached plans from its store and stores every computed one.
         """
-        with _tracing.span("engine.replay", tasks=len(tasks)):
-            return [_run_replay_task(task) for task in tasks]
-
-    # -- evaluation ---------------------------------------------------
-
-    def evaluate_designs(
-        self,
-        application,
-        designs: Sequence,
-        budget: int,
-    ) -> List[EvaluationOutcome]:
-        """Simulate ``application`` on every design, in design order."""
-        with _tracing.span("engine.evaluate", designs=len(designs)):
-            outcomes = []
-            for design in designs:
-                result = application.simulate(
-                    design.it.as_list(), design.ti.as_list(), budget
-                )
-                outcomes.append(
-                    EvaluationOutcome(
-                        label=design.label,
-                        bus_count=design.bus_count,
-                        stats=result.latency_stats(),
-                        critical_stats=result.latency_stats(critical_only=True),
-                        finished=result.finished,
-                    )
-                )
-            return outcomes
+        with _tracing.span("engine.replay", tasks=len(plans)):
+            return [pipeline.replay(*plan) for plan in plans]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cache = self.cache.cache_dir if self.cache is not None else None

@@ -26,7 +26,6 @@ __all__ = [
     "canonical_json",
     "sha256_hex",
     "trace_fingerprint",
-    "config_fingerprint",
     "task_key",
 ]
 
@@ -91,11 +90,6 @@ def trace_fingerprint(trace: TrafficTrace) -> str:
     result = digest.hexdigest()
     trace.__dict__["_fingerprint"] = result
     return result
-
-
-def config_fingerprint(config: SynthesisConfig) -> str:
-    """Content hash of a synthesis configuration (all fields)."""
-    return sha256_hex(canonical_json(config_to_dict(config)))
 
 
 def task_key(

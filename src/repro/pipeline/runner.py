@@ -509,33 +509,6 @@ class PipelineRunner:
             "replay", None, replay_stage_spec(workload_key, design, budget)
         )
 
-    def lookup_replay(self, fingerprint: str) -> Optional[ReplayArtifact]:
-        """A cached replay artifact from either store layer, or ``None``
-        (tallied as a memo/disk hit when found)."""
-        cached = self.store.get(fingerprint)
-        if cached is not None:
-            self.counters.record_memo_hit("replay")
-            return cached
-        payload = self.store.get_payload(fingerprint)
-        if payload is not None:
-            try:
-                artifact = ReplayArtifact.from_payload(payload, fingerprint)
-            except (KeyError, TypeError, ValueError):
-                pass  # malformed persisted stage entry: re-simulate
-            else:
-                self.counters.record_disk_hit("replay")
-                self.store.put(fingerprint, artifact)
-                return artifact
-        return None
-
-    def record_replay(self, artifact: ReplayArtifact) -> None:
-        """Account and store a replay computed outside this runner (the
-        execution engine's batched replay path lands here)."""
-        self.counters.record_computed("replay")
-        if artifact.fingerprint:
-            self.store.put(artifact.fingerprint, artifact)
-            self.store.put_payload(artifact.fingerprint, artifact.to_payload())
-
     def replay(
         self,
         driver: WorkloadDriver,
@@ -554,9 +527,20 @@ class PipelineRunner:
         budget = int(max_cycles or driver.sim_cycles)
         fingerprint = self.replay_fingerprint(driver, design, budget)
         if fingerprint is not None:
-            cached = self.lookup_replay(fingerprint)
+            cached = self.store.get(fingerprint)
             if cached is not None:
+                self.counters.record_memo_hit("replay")
                 return cached
+            payload = self.store.get_payload(fingerprint)
+            if payload is not None:
+                try:
+                    artifact = ReplayArtifact.from_payload(payload, fingerprint)
+                except (KeyError, TypeError, ValueError):
+                    pass  # malformed persisted stage entry: re-simulate
+                else:
+                    self.counters.record_disk_hit("replay")
+                    self.store.put(fingerprint, artifact)
+                    return artifact
         self.counters.record_computed("replay")
         artifact = _timed_stage(
             "replay",

@@ -17,10 +17,11 @@ and produces a :class:`SuiteRunReport`:
    full-load app-backed scenarios replay their live programs, while
    profile-backed, load-scaled and thinned scenarios replay their
    recorded traces through a trace-driven workload driver
-   (:class:`~repro.platform.drivers.TraceDrivenInitiator`); replay
-   results are cached pipeline stages
-   (:class:`~repro.pipeline.artifacts.ReplayArtifact`) and the misses
-   go to the engine as one replay batch,
+   (:class:`~repro.platform.drivers.TraceDrivenInitiator`); every
+   scenario's replay runs through the pipeline's cached replay stage
+   (:meth:`~repro.pipeline.runner.PipelineRunner.replay`, whose
+   :class:`~repro.pipeline.artifacts.ReplayArtifact` results persist
+   across runs),
 5. the report aggregates everything: a per-scenario table (own optimum
    vs the robust design), violation tables, and a Pareto view over
    (bus count, worst-case overlap) across all candidate designs.
@@ -56,7 +57,7 @@ from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
 from repro.core.validate import audit_binding
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
-from repro.exec.engine import ExecutionEngine, ReplayTask, SynthesisTask
+from repro.exec.engine import ExecutionEngine, SynthesisTask
 from repro.exec.serialize import (
     SynthesisResult,
     config_to_dict,
@@ -70,7 +71,11 @@ from repro.pipeline.artifacts import (
 from repro.pipeline.collect import CollectStage
 from repro.pipeline.runner import PipelineRunner
 from repro.pipeline.store import ArtifactStore, StageCounters
-from repro.platform.drivers import TraceDrivenInitiator, replay_platform
+from repro.platform.drivers import (
+    TraceDrivenInitiator,
+    WorkloadDriver,
+    replay_platform,
+)
 from repro.platform.metrics import LatencyStats
 from repro.scenarios.model import Scenario, ScenarioSuite
 from repro.traffic.trace import TrafficTrace
@@ -84,6 +89,10 @@ __all__ = [
 ]
 
 REPORT_FORMAT = "repro-scenario-report-v1"
+
+_EMPTY_TRACE = "empty trace"
+"""Why a scenario has no latency replay: nothing to drive through the
+fabric."""
 
 
 @dataclass(frozen=True)
@@ -326,24 +335,15 @@ class SuiteRunReport:
         }
 
 
-@dataclass(frozen=True)
-class _ScenarioReplay:
-    """One scenario's latency-replay verdict (internal bookkeeping)."""
-
-    latency: Optional[LatencyStats]
-    skipped: Optional[str]
-    fingerprint: str = ""
-    summary: str = ""
-
-
 class ScenarioSuiteRunner:
     """Drives a suite end to end; see the module docstring.
 
     Parameters
     ----------
     engine:
-        Execution engine for the per-scenario individual solves and the
-        batched replay simulations (whole-result caching).
+        Execution engine for the per-scenario individual solves
+        (whole-result caching) and the replay batch, which it runs
+        through ``pipeline``'s replay stage.
     replay_latency:
         Also replay the robust design through the platform simulator
         for *every* scenario, reporting average packet latency next to
@@ -464,6 +464,9 @@ class ScenarioSuiteRunner:
         )
 
         replays = self._replay_latencies(scenarios, collected, robust.design)
+        # With replay on, the only scenario left without a replay is an
+        # empty one: no packets means no latency sample.
+        skipped = _EMPTY_TRACE if self.replay_latency else None
 
         outcomes = tuple(
             ScenarioOutcome(
@@ -474,8 +477,8 @@ class ScenarioSuiteRunner:
                 individual=individual,
                 it_check=it_check,
                 ti_check=ti_check,
-                latency=replay.latency,
-                latency_skipped=replay.skipped,
+                latency=replay.stats if replay is not None else None,
+                latency_skipped=skipped if replay is None else None,
             )
             for scenario, trace, window, individual, it_check, ti_check, replay
             in zip(
@@ -611,8 +614,9 @@ class ScenarioSuiteRunner:
 
     def _replay_plan(
         self, scenario: Scenario, trace: TrafficTrace, design: CrossbarDesign
-    ) -> Tuple[Any, ReplayTask]:
-        """The driver + portable task that replay this scenario.
+    ) -> Tuple[WorkloadDriver, CrossbarDesign, int, str]:
+        """The ``(driver, design, budget, label)`` plan that replays this
+        scenario through :meth:`PipelineRunner.replay`.
 
         Full-load app-backed scenarios replay their live programs -- the
         closed-loop path reacts to the candidate fabric's contention
@@ -634,15 +638,7 @@ class ScenarioSuiteRunner:
                     {"source": scenario.source, "params": dict(scenario.params)}
                 )
             )
-            task = ReplayTask(
-                it_binding=design.it.binding,
-                ti_binding=design.ti.binding,
-                budget=application.sim_cycles * 4,
-                app_name=scenario.source_name,
-                app_params=tuple(sorted(scenario.params.items())),
-                label=scenario.name,
-            )
-            return driver, task
+            return driver, design, application.sim_cycles * 4, scenario.name
         if scenario.source_kind == "app":
             platform = build_application(
                 scenario.source_name, **dict(scenario.params)
@@ -652,80 +648,42 @@ class ScenarioSuiteRunner:
         driver = TraceDrivenInitiator(
             trace, config=platform, label=scenario.name
         )
-        task = ReplayTask(
-            it_binding=design.it.binding,
-            ti_binding=design.ti.binding,
-            budget=driver.sim_cycles,
-            trace=trace,
-            platform=platform,
-            label=scenario.name,
-        )
-        return driver, task
+        return driver, design, driver.sim_cycles, scenario.name
 
     def _replay_latencies(
         self,
         scenarios: Sequence[Scenario],
         collected: Sequence[CollectedTraffic],
         design: CrossbarDesign,
-    ) -> List[_ScenarioReplay]:
+    ) -> List[Optional[ReplayArtifact]]:
         """The validation stage: latency replay of the robust design
         through the platform simulator, for every scenario kind.
 
-        Replays run as a cached pipeline stage: cached scenarios are
-        served from the store (memory or disk), the misses go to the
-        engine's replay batch, and every computed replay lands back in the store so reruns and
-        other processes reuse it. A scenario replay cannot cover gets
-        an explicit skip reason instead of a silently missing value.
+        Every non-empty scenario's plan goes to the engine as one replay
+        batch through the pipeline's cached replay stage: cached
+        scenarios are served from the store (memory or disk), and every
+        computed replay lands back in the store so reruns and other
+        processes reuse it. An empty scenario (nothing to drive through
+        the fabric) gets ``None``, which the report renders as an
+        explicit skip instead of a silently missing value.
         """
+        replays: List[Optional[ReplayArtifact]] = [None] * len(scenarios)
         if not self.replay_latency:
-            return [_ScenarioReplay(None, None)] * len(scenarios)
-        replays: List[Optional[_ScenarioReplay]] = [None] * len(scenarios)
-        pending: List[Tuple[int, ReplayTask, Optional[str]]] = []
-        for index, (scenario, artifact) in enumerate(
-            zip(scenarios, collected)
+            return replays
+        pending = [
+            index
+            for index, artifact in enumerate(collected)
+            if len(artifact.trace) > 0
+        ]
+        plans = [
+            self._replay_plan(scenarios[index], collected[index].trace, design)
+            for index in pending
+        ]
+        for index, artifact in zip(
+            pending, self.engine.run_replay_batch(plans, self.pipeline)
         ):
-            trace = artifact.trace
-            if len(trace) == 0:
-                # Nothing to drive through the fabric: no packets means
-                # no latency sample, however the fabric looks.
-                replays[index] = _ScenarioReplay(None, "empty trace")
-                continue
-            driver, task = self._replay_plan(scenario, trace, design)
-            fingerprint = self.pipeline.replay_fingerprint(
-                driver, design, task.budget
-            )
-            if fingerprint is not None:
-                cached = self.pipeline.lookup_replay(fingerprint)
-                if cached is not None:
-                    replays[index] = _ScenarioReplay(
-                        cached.stats, None, fingerprint, cached.describe()
-                    )
-                    continue
-            pending.append((index, task, fingerprint))
-        if pending:
-            outcomes = self.engine.run_replay_batch(
-                [task for _index, task, _fingerprint in pending]
-            )
-            for (index, _task, fingerprint), outcome in zip(
-                pending, outcomes
-            ):
-                artifact = ReplayArtifact(
-                    stats=outcome.stats,
-                    critical_stats=outcome.critical_stats,
-                    finished=outcome.finished,
-                    num_transactions=outcome.num_transactions,
-                    simulated_cycles=outcome.simulated_cycles,
-                    fingerprint=fingerprint or "",
-                    label=outcome.label,
-                )
-                self.pipeline.record_replay(artifact)
-                replays[index] = _ScenarioReplay(
-                    artifact.stats,
-                    None,
-                    fingerprint or "",
-                    artifact.describe(),
-                )
-        return replays  # type: ignore[return-value]
+            replays[index] = artifact
+        return replays
 
     def _stage_rows(
         self,
@@ -736,7 +694,7 @@ class ScenarioSuiteRunner:
         individuals: Sequence[SynthesisResult],
         individual_fingerprints: Sequence[str],
         robust: RobustSynthesisReport,
-        replays: Sequence[_ScenarioReplay],
+        replays: Sequence[Optional[ReplayArtifact]],
     ) -> List[Tuple[str, str, str, str]]:
         """The per-scenario stage DAG of this run, as display rows."""
         rows: List[Tuple[str, str, str, str]] = []
@@ -780,15 +738,13 @@ class ScenarioSuiteRunner:
             )
             if self.replay_latency:
                 replay = replays[index]
-                rows.append(
-                    (
-                        scenario.name,
-                        "replay",
-                        replay.fingerprint or "-",
-                        replay.summary
-                        or f"skipped ({replay.skipped})",
-                    )
-                )
+                if replay is None:
+                    fingerprint = "-"
+                    summary = f"skipped ({_EMPTY_TRACE})"
+                else:
+                    fingerprint = replay.fingerprint or "-"
+                    summary = replay.describe()
+                rows.append((scenario.name, "replay", fingerprint, summary))
         for side_name, side_report in (
             ("it", robust.it_report),
             ("ti", robust.ti_report),

@@ -38,7 +38,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import CrossbarSynthesizer, SynthesisConfig
 from repro.core.instrumentation import SOLVE_COUNTER, SolveCounter
-from repro.exec.cache import ResultCache
 from repro.exec.engine import ExecutionEngine
 from repro.exec.fingerprint import task_key
 from repro.exec.serialize import (
@@ -329,13 +328,12 @@ class SynthesisService:
 
     def _job_runner(self) -> PipelineRunner:
         """A job-scoped stage runner persisting through the shared
-        cache directory (separate :class:`ResultCache` instance, same
-        accounting discipline as the suite runner's)."""
-        disk = None
-        if self.engine.cache is not None:
-            disk = ResultCache(self.engine.cache.cache_dir)
+        cache directory via the collector's :class:`ResultCache`
+        instance (built once at start-up, apart from the engine's, so
+        stage reads never show up in the whole-result statistics)."""
         return PipelineRunner(
-            store=ArtifactStore(disk=disk), memoize_bindings=True
+            store=ArtifactStore(disk=self._collector.store.disk),
+            memoize_bindings=True,
         )
 
     def _design_inputs(self, request: DesignRequest):

@@ -16,7 +16,7 @@ platform simulation.
 
 from repro.traffic.events import TraceRecord, TransactionKind
 from repro.traffic.trace import TrafficTrace
-from repro.traffic.kernels import CompiledActivity, TraceAnalytics, warm_analytics
+from repro.traffic.kernels import CompiledActivity, TraceAnalytics
 from repro.traffic.windows import WindowedTraffic
 from repro.traffic.overlap import PairwiseOverlap
 from repro.traffic.criticality import CriticalityReport, analyze_criticality
@@ -40,7 +40,6 @@ __all__ = [
     "TrafficTrace",
     "CompiledActivity",
     "TraceAnalytics",
-    "warm_analytics",
     "WindowedTraffic",
     "PairwiseOverlap",
     "CriticalityReport",

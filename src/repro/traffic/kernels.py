@@ -50,7 +50,7 @@ from repro.errors import TraceError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.traffic.trace import TrafficTrace
 
-__all__ = ["CompiledActivity", "TraceAnalytics", "warm_analytics"]
+__all__ = ["CompiledActivity", "TraceAnalytics"]
 
 Interval = Tuple[int, int]
 
@@ -359,12 +359,3 @@ class TraceAnalytics:
             memo.move_to_end(key)
         return cached
 
-
-def warm_analytics(trace: "TrafficTrace") -> None:
-    """Compile a trace's columnar form up front (both crossbar sides).
-
-    The execution engine calls this once per sweep before solving its
-    points, so no point recompiles the trace's columnar form.
-    """
-    TraceAnalytics.of(trace).compiled(critical_only=False)
-    TraceAnalytics.of(trace.mirrored()).compiled(critical_only=False)

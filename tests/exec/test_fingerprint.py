@@ -7,7 +7,7 @@ from dataclasses import replace
 
 from repro.apps.synthetic import synthetic_trace
 from repro.core import SynthesisConfig
-from repro.exec import config_fingerprint, task_key, trace_fingerprint
+from repro.exec import task_key, trace_fingerprint
 
 TRACE_KWARGS = dict(
     burst_cycles=200, total_cycles=8_000, num_initiators=4, num_targets=4,
@@ -58,10 +58,10 @@ class TestTraceFingerprint:
             assert output == here
 
 
-class TestConfigFingerprint:
-    def test_covers_every_field(self):
+class TestTaskKey:
+    def test_covers_every_config_field(self):
         base = SynthesisConfig()
-        base_digest = config_fingerprint(base)
+        base_key = task_key("0" * 64, base, 500)
         variants = [
             replace(base, window_size=123),
             replace(base, overlap_threshold=0.1),
@@ -72,21 +72,10 @@ class TestConfigFingerprint:
             replace(base, variable_windows=True),
             replace(base, variable_window_ratio=2),
         ]
-        digests = {config_fingerprint(variant) for variant in variants}
-        assert base_digest not in digests
-        assert len(digests) == len(variants)
+        keys = {task_key("0" * 64, variant, 500) for variant in variants}
+        assert base_key not in keys
+        assert len(keys) == len(variants)
 
-
-    def test_key_predates_the_single_milp_backend(self):
-        # Pinned before SynthesisConfig lost ``lp_engine`` and
-        # ``milp_backend``: config_to_dict writes them back at their
-        # only values, so every cached result keeps its key.
-        assert config_fingerprint(SynthesisConfig()) == (
-            "ea02204a9feb63c727b51913cbdb42213cc147cc9a11492d04a291d31e279a08"
-        )
-
-
-class TestTaskKey:
     def test_distinguishes_window_and_application(self):
         config = SynthesisConfig()
         digest = trace_fingerprint(_make_trace())

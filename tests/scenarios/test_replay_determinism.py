@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exec import ExecutionEngine, ResultCache
 from repro.platform import SIMULATION_COUNTER
-from repro.scenarios import Scenario, ScenarioSuite, ScenarioSuiteRunner
+from repro.scenarios import (
+    Scenario,
+    ScenarioSuite,
+    ScenarioSuiteRunner,
+    build_suite,
+)
 
 SHAPE = {"num_initiators": 4, "num_targets": 4, "total_cycles": 8_000}
 
@@ -93,6 +98,42 @@ class TestRunModeDeterminism:
         assert report_bytes(warm.run(replay_suite())) == serial_bytes
         assert SIMULATION_COUNTER.runs == 0
         assert warm.last_run_breakdown["disk_hits"].get("replay") == 4
+
+    def test_replay_builds_each_app_once(self, monkeypatch):
+        """The replay stage simulates the driver it fingerprinted: one
+        ``build_application`` per app-backed scenario, none rebuilt."""
+        import repro.apps
+
+        suite = build_suite("apps")
+        built = []
+        in_replay = []
+        build_application = repro.apps.build_application
+
+        def counting_build(name, **params):
+            if in_replay:
+                built.append(name)
+            return build_application(name, **params)
+
+        replay_latencies = ScenarioSuiteRunner._replay_latencies
+
+        def replay_stage(runner, *args):
+            in_replay.append(True)
+            try:
+                return replay_latencies(runner, *args)
+            finally:
+                in_replay.clear()
+
+        monkeypatch.setattr(repro.apps, "build_application", counting_build)
+        monkeypatch.setattr(
+            ScenarioSuiteRunner, "_replay_latencies", replay_stage
+        )
+        report = ScenarioSuiteRunner(replay_latency=True).run(suite)
+        assert all(outcome.latency for outcome in report.outcomes)
+        assert built == [
+            scenario.source_name
+            for scenario in suite.scenarios
+            if scenario.source_kind == "app"
+        ]
 
 
 class TestSeededReplayDeterminism:

@@ -14,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.core.instrumentation import SOLVE_COUNTER
+from repro.exec import ResultCache
 from repro.server import (
     DesignRequest,
     JobQueue,
@@ -345,6 +346,28 @@ class TestServiceCoalescing:
         assert SOLVE_COUNTER.total == 0
         assert warm.result == job.result
         restarted.close()
+
+    def test_jobs_share_the_start_up_stage_cache(self, tmp_path, monkeypatch):
+        """Job runners persist through the collector's disk instance:
+        no job builds a :class:`ResultCache` (each construction sweeps
+        the cache directory for orphaned temp files)."""
+        service = SynthesisService(cache_dir=str(tmp_path), workers=1)
+        constructed = []
+        init = ResultCache.__init__
+
+        def counting_init(cache, *args, **kwargs):
+            constructed.append(cache)
+            init(cache, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "__init__", counting_init)
+        for threshold in (0.1, 0.2):
+            job, disposition = service.submit(
+                {"kind": "design", "app": "qsort", "threshold": threshold}
+            )
+            assert disposition == "new"
+            assert job.wait(120) and job.state == "done"
+        service.close()
+        assert constructed == []
 
 
 # -- HTTP surface -----------------------------------------------------

@@ -327,6 +327,16 @@ class TestObservabilityFlags:
         assert "pipeline stages (this run)" in out
         assert "bind" in out
 
+    def test_profile_lists_suite_replays_as_a_stage(self, capsys):
+        argv = ["scenarios", "run", "smoke", "--replay-latency", "--profile"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        table = out.split("pipeline stages (this run)")[1].split("\n\n")[0]
+        rows = [line.split() for line in table.splitlines()]
+        replay = [row for row in rows if row[:1] == ["replay"]]
+        assert len(replay) == 1
+        assert int(replay[0][1]) > 0
+
     def test_profile_reports_only_its_own_run(self, capsys):
         """Every table is the registry's growth over one command, so a
         repeat in the same process prints the same solve-phase calls and

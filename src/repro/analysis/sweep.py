@@ -37,7 +37,6 @@ from repro.apps.descriptor import Application
 from repro.core.spec import SynthesisConfig
 from repro.errors import ConfigurationError
 from repro.exec.engine import ExecutionEngine, SynthesisTask
-from repro.exec.fingerprint import trace_fingerprint
 from repro.traffic.trace import TrafficTrace
 
 __all__ = [
@@ -169,16 +168,10 @@ def acceptable_window_search(
 
     ordered = sorted(candidate_windows)
     tasks = _window_tasks(trace, ordered, base)
-    digest = trace_fingerprint(trace) if run.cache is not None else None
 
     best = 0
-    for position, window in enumerate(ordered):
-        result = run.run_sweep(
-            trace,
-            [tasks[position]],
-            application=application.name,
-            trace_digest=digest,
-        )[0]
+    for window, task in zip(ordered, tasks):
+        result = run.run_sweep(trace, [task])[0]
         validation = application.simulate(
             result.design.it.as_list(), result.design.ti.as_list(), budget
         )

@@ -479,14 +479,12 @@ def _cmd_design(args) -> int:
     else:
         # Input-keyed: a warm cache answers without simulating, and a
         # whole-result hit without even loading the stored trace.
-        source = CollectStage.for_cache(engine.cache).source(app)
+        source = engine.collector.source(app)
     result = engine.synthesize(
         source.trace,
         config,
         window_size=args.window or app.default_window,
-        application=app.name,
-        # Only a cache lookup needs the digest; without one, no hashing.
-        trace_digest=source.digest if engine.cache is not None else None,
+        trace_digest=source.digest,
     )
     print(
         format_synthesis_result(
@@ -530,7 +528,6 @@ def _cmd_compare(args) -> int:
         trace,
         SynthesisConfig(),
         window_size=app.default_window,
-        application=app.name,
     ).design
     designs = [
         shared_bus_design(trace),

@@ -4,8 +4,10 @@ Each entry is stored as ``<key>.json`` under the cache directory. Two
 entry families share the directory:
 
 * **whole-result entries** (:meth:`ResultCache.get` / ``put``) -- one
-  solved synthesis point per entry, keyed by
-  :func:`~repro.exec.fingerprint.task_key`;
+  solved synthesis point per entry, keyed by its design fingerprint
+  (:meth:`~repro.pipeline.runner.PipelineRunner.design_fingerprint`)
+  and read and written only by
+  :meth:`~repro.exec.engine.ExecutionEngine.lookup_or_solve`;
 * **per-stage entries** (:meth:`ResultCache.get_json` / ``put_json``) --
   generic JSON payloads keyed by pipeline stage fingerprints (see
   :mod:`repro.pipeline.store`), so intermediate artifacts persist at
@@ -95,7 +97,7 @@ class CacheUsage:
 
 
 class ResultCache:
-    """Persistent map from task keys to :class:`SynthesisResult`.
+    """Persistent map from design fingerprints to :class:`SynthesisResult`.
 
     Parameters
     ----------

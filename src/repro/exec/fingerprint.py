@@ -2,10 +2,14 @@
 
 A sweep point is fully determined by three inputs: the traffic trace
 (what the application did on the full crossbar), the synthesis
-configuration, and the analysis window. Hashing a canonical encoding of
-those three gives a content-addressed key that is stable across
-processes, Python versions and dict orderings -- the property the
-on-disk cache and the cross-process tests rely on.
+configuration, and the analysis window. This module hashes the first
+(:func:`trace_fingerprint`) and provides the canonical encoding every
+stage fingerprint is built from; the point's address is the design
+fingerprint derived from the trace digest
+(:meth:`~repro.pipeline.runner.PipelineRunner.design_fingerprint`).
+Digests are stable across processes, Python versions and dict
+orderings -- the property the on-disk cache and the cross-process tests
+rely on.
 
 ``PYTHONHASHSEED`` does not affect these digests: everything is encoded
 through sorted, explicit JSON before hashing with SHA-256.
@@ -15,10 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Optional
+from typing import Any
 
-from repro.core.spec import SynthesisConfig
-from repro.exec.serialize import config_to_dict
 from repro.traffic.trace import TrafficTrace
 
 __all__ = [
@@ -26,7 +28,6 @@ __all__ = [
     "canonical_json",
     "sha256_hex",
     "trace_fingerprint",
-    "task_key",
 ]
 
 CACHE_SCHEMA_VERSION = 1
@@ -90,27 +91,3 @@ def trace_fingerprint(trace: TrafficTrace) -> str:
     result = digest.hexdigest()
     trace.__dict__["_fingerprint"] = result
     return result
-
-
-def task_key(
-    trace_digest: str,
-    config: SynthesisConfig,
-    window_size: int,
-    application: Optional[str] = None,
-) -> str:
-    """Cache key of one synthesis point.
-
-    ``trace_digest`` is a precomputed :func:`trace_fingerprint` (sweeps
-    hash their shared trace once, not once per point). ``application``
-    tags the key with the descriptor name when one is known, so traces
-    from differently-named applications never collide even if their
-    records coincide.
-    """
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "trace": trace_digest,
-        "config": config_to_dict(config),
-        "window_size": int(window_size),
-        "application": application or "",
-    }
-    return sha256_hex(canonical_json(payload))

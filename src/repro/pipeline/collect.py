@@ -41,7 +41,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
-from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import CACHE_SCHEMA_VERSION, trace_fingerprint
 from repro.pipeline.artifacts import stage_fingerprint
 from repro.pipeline.runner import _timed_stage
@@ -154,7 +153,8 @@ class CollectStage:
 
     Lookup order per :meth:`source` call: the store's in-memory layer
     (``memo_hit``), its disk layer (``disk_hit``), then simulation
-    (``computed``) -- tallied under the ``collect`` stage of the store's
+    (``computed``); :meth:`lookup` stops before the simulation --
+    tallied under the ``collect`` stage of the store's
     :class:`~repro.pipeline.store.StageCounters`. A re-simulation after
     a failed load tallies ``computed`` as well. ``computed`` means the
     trace came from the simulator, not from this store; the registry's
@@ -165,40 +165,45 @@ class CollectStage:
     def __init__(self, store: Optional[ArtifactStore] = None) -> None:
         self.store = store if store is not None else ArtifactStore()
 
-    @classmethod
-    def for_cache(cls, cache: Optional[ResultCache]) -> "CollectStage":
-        """A collector persisting into ``cache``'s directory through its
-        own :class:`ResultCache` instance, so its lookups never show up
-        in the whole-result statistics of ``cache``."""
-        disk = ResultCache(cache.cache_dir) if cache is not None else None
-        return cls(ArtifactStore(disk=disk))
-
     @property
     def counters(self):
         return self.store.counters
 
+    def lookup(self, application) -> Optional[TraceSource]:
+        """The stored source of ``application``'s trace -- from memory,
+        then disk -- or ``None``. Never simulates."""
+        key = collect_key(application)
+        return self._stored(key, application) if key is not None else None
+
     def source(self, application) -> TraceSource:
-        """The full-crossbar trace of ``application`` as a source."""
+        """The full-crossbar trace of ``application`` as a source: the
+        stored one, else a fresh simulation (persisted when keyed)."""
         key = collect_key(application)
         if key is None:
             return TraceSource.of(self._simulate(application, ""))
+        source = self._stored(key, application)
+        if source is None:
+            trace = self._simulate(application, key)
+            self._persist(key, trace)
+            source = TraceSource.of(trace)
+            self.store.put(key, source)
+        return source
+
+    def _stored(self, key: str, application) -> Optional[TraceSource]:
         cached = self.store.get(key)
         if cached is not None:
             self.counters.record_memo_hit(_STAGE)
             return cached
         entry = _read_entry(self.store.get_payload(key))
-        if entry is not None:
-            self.counters.record_disk_hit(_STAGE)
-            source = TraceSource(
-                entry["initiator_names"],
-                entry["target_names"],
-                lambda: self._load(key, entry, application),
-                digest=entry["digest"],
-            )
-        else:
-            trace = self._simulate(application, key)
-            self._persist(key, trace)
-            source = TraceSource.of(trace)
+        if entry is None:
+            return None
+        self.counters.record_disk_hit(_STAGE)
+        source = TraceSource(
+            entry["initiator_names"],
+            entry["target_names"],
+            lambda: self._load(key, entry, application),
+            digest=entry["digest"],
+        )
         self.store.put(key, source)
         return source
 

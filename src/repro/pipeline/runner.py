@@ -25,18 +25,22 @@ Every solve entry point in the repository drives this runner:
 :class:`~repro.core.synthesis.CrossbarSynthesizer` composes
 ``collect -> window -> conflicts -> bind`` per crossbar side, the
 :class:`~repro.exec.engine.ExecutionEngine` solves sweep/batch points
-through the synthesizer (so serial sweeps share windowing artifacts
-across points), and the scenario suite runner keeps one runner alive
+through the synthesizer on a runner it owns (so serial sweeps share
+windowing artifacts across points, and with a cache directory across
+processes), and the scenario suite runner keeps one runner alive
 across runs so editing a suite reuses the unchanged scenarios' stages.
+:meth:`PipelineRunner.design_fingerprint` is also the address under
+which the engine caches a whole solved point.
 
-A process-global runner (:func:`shared_runner`) memoizes the
-window/conflict *analysis* stages only: search/binding results are
-deliberately recomputed there so solver-level observability (solve
-counters, benchmarks) keeps meaning "this point was solved", and
-collection artifacts are not retained so the global store never pins
+A process-global runner (:func:`shared_runner`) and the engine's own
+runner memoize the window/conflict *analysis* stages only:
+search/binding results are deliberately recomputed there so
+solver-level observability (solve counters, benchmarks) keeps meaning
+"this point was solved" (the engine caches whole points instead), and
+collection artifacts are not retained so those stores never pin
 callers' traces in memory. Callers that want binding or trace reuse --
-the suite runner, or anyone constructing a :class:`PipelineRunner`
-explicitly -- opt in per runner.
+the suite runner, daemon jobs, or anyone constructing a
+:class:`PipelineRunner` explicitly -- opt in per runner.
 """
 
 from __future__ import annotations
@@ -427,12 +431,12 @@ class PipelineRunner:
         Stage fingerprints are pure functions of the upstream
         fingerprints plus each stage's configuration slice, so the final
         design fingerprint is computable from the trace's content digest
-        alone -- no windowing, no solving. This is the fingerprint-level
-        lookup hook the ``repro serve`` daemon coalesces on: it lets the
-        server content-address a design request (and advertise the
-        fingerprint to clients) before committing any solver work. The
-        value matches :attr:`PipelineDesign.fingerprint` of an executed
-        flow over a trace with digest ``trace_digest``.
+        alone -- no windowing, no solving. It is the address of the
+        engine's whole-result cache
+        (:meth:`~repro.exec.engine.ExecutionEngine.lookup_or_solve`), and
+        the ``repro serve`` daemon advertises it to clients. The value
+        matches :attr:`PipelineDesign.fingerprint` of an executed flow
+        over a trace with digest ``trace_digest``.
         """
         side_fingerprints = []
         for mirrored in (False, True):  # it side first, then ti

@@ -56,7 +56,6 @@ from repro.core.problem import CrossbarDesignProblem
 from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
 from repro.core.validate import audit_binding
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache
 from repro.exec.engine import ExecutionEngine, SynthesisTask
 from repro.exec.serialize import (
     SynthesisResult,
@@ -387,15 +386,13 @@ class ScenarioSuiteRunner:
         self.min_weight = min_weight
         self.replay_latency = replay_latency
         if pipeline is None:
-            disk = None
-            if self.engine.cache is not None:
-                # A separate ResultCache *instance* on the engine's
-                # directory: stage entries share the directory (one
-                # prune covers both) without polluting the whole-result
-                # hit/miss statistics callers observe on engine.cache.
-                disk = ResultCache(self.engine.cache.cache_dir)
+            # Stage entries persist through the engine's stage-side
+            # ResultCache instance: they share the directory (one prune
+            # covers both) without polluting the whole-result hit/miss
+            # statistics callers observe on engine.cache.
             pipeline = PipelineRunner(
-                store=ArtifactStore(disk=disk), memoize_bindings=True
+                store=ArtifactStore(disk=self.engine.pipeline.store.disk),
+                memoize_bindings=True,
             )
         self.pipeline = pipeline
         self.collector = (
@@ -603,8 +600,7 @@ class ScenarioSuiteRunner:
             pending.append((index, fingerprint))
         if pending:
             solved = self.engine.run_batch(
-                [(traces[index], tasks[index]) for index, _ in pending],
-                applications=[tags[index] for index, _ in pending],
+                [(traces[index], tasks[index]) for index, _ in pending]
             )
             for (index, fingerprint), result in zip(pending, solved):
                 self.pipeline.counters.record_computed("individual-solve")

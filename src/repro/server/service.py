@@ -8,21 +8,25 @@ everything here is directly testable without sockets.
 One service owns:
 
 * one :class:`~repro.exec.engine.ExecutionEngine` holding the shared
-  whole-result :class:`~repro.exec.cache.ResultCache`; every job runs
-  on it, so concurrent jobs share every solved point;
+  whole-result :class:`~repro.exec.cache.ResultCache`, the stage-side
+  instance beside it and the collector; every job runs on it, so
+  concurrent jobs share every solved point;
 * one :class:`~repro.server.coalesce.RequestCoalescer` keyed by request
   content fingerprints -- identical in-flight requests share a single
   solve, repeated finished requests are served from the registry;
 * one :class:`~repro.server.jobs.JobQueue` of daemon workers.
 
-Warm paths stack beneath the coalescer: a design request whose task key
-is already in the whole-result cache completes instantly (disposition
+Warm paths stack beneath the coalescer: a design request whose design
+fingerprint the engine already holds completes instantly (disposition
 ``"cached"``) without ever enqueueing, and a request that must run still
 reuses persisted stage artifacts (windows, conflicts, bindings) through
-its job-scoped :class:`~repro.pipeline.PipelineRunner` store. The task
-key's trace digest comes from the input-keyed ``collect`` stage
+its job-scoped :class:`~repro.pipeline.PipelineRunner` store. The
+fingerprint's trace digest comes from the input-keyed ``collect`` stage
 (:class:`~repro.pipeline.CollectStage`), so even a restarted daemon
-answers a repeat request without simulating the application.
+answers a repeat request without simulating the application. The warm
+lookup runs on the HTTP handler thread and never simulates or solves:
+a digest the collector does not already store queues the job, which
+collects on its worker.
 
 Per-job progress is streamed by subscribing the job's
 :meth:`~repro.server.jobs.Job.record_progress` to the runner's
@@ -36,19 +40,14 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core import CrossbarSynthesizer, SynthesisConfig
+from repro.core import SynthesisConfig
 from repro.core.instrumentation import SOLVE_COUNTER, SolveCounter
-from repro.exec.engine import ExecutionEngine
-from repro.exec.fingerprint import task_key
-from repro.exec.serialize import (
-    RESULT_FORMAT,
-    SynthesisResult,
-    result_to_dict,
-)
+from repro.exec.engine import ExecutionEngine, SynthesisTask
+from repro.exec.serialize import RESULT_FORMAT, result_to_dict
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.obs.jsonlog import JsonLogger
-from repro.pipeline import ArtifactStore, CollectStage, PipelineRunner
+from repro.pipeline import ArtifactStore, PipelineRunner, TraceSource
 from repro.resilience import fault_summary
 from repro.server.coalesce import RequestCoalescer
 from repro.server.jobs import Job, JobQueue
@@ -146,11 +145,10 @@ class SynthesisService:
         if trace and not _tracing.tracing_enabled():
             _tracing.arm_tracing()
             self._armed_tracing = True
+        # The engine's collector serves the service's lifetime: its
+        # memory layer keeps each app's trace across requests, its disk
+        # layer (when there is a cache directory) across restarts.
         self.engine = ExecutionEngine(cache=cache_dir)
-        # One collector for the service's lifetime: its memory layer
-        # keeps each app's trace across requests, its disk layer (when
-        # there is a cache directory) across restarts.
-        self._collector = CollectStage.for_cache(self.engine.cache)
         self.coalescer = RequestCoalescer(finished_ttl=finished_ttl)
         self.queue = JobQueue(
             self._execute, workers=workers, job_timeout=job_timeout
@@ -254,26 +252,25 @@ class SynthesisService:
         return job.cancel()
 
     def _warm_lookup(self, request) -> Optional[Dict[str, Any]]:
-        """A completed result from the persistent caches, or ``None``.
+        """A completed result from the engine's caches, or ``None``.
 
-        Design points are whole-result cached under their task key, so
-        a restarted daemon still answers repeat requests without
-        queueing them. Suite reports are not whole-result cached (their
-        stage artifacts are), so suites always queue -- their warm path
-        is fast, not instant.
+        Runs on the submitting thread, so it only looks up: the trace
+        digest must already be stored by the collector (in memory or on
+        disk) and the point by the engine. A restarted daemon therefore
+        still answers repeat requests without queueing them, and a miss
+        queues the job, which collects and solves on a worker. Suite
+        reports are not whole-result cached (their stage artifacts
+        are), so suites always queue -- their warm path is fast, not
+        instant.
         """
         if not isinstance(request, DesignRequest):
             return None
-        if self.engine.cache is None:
+        from repro.apps import build_application
+
+        source = self.engine.collector.lookup(build_application(request.app))
+        if source is None:
             return None
-        source, config, window = self._design_inputs(request)
-        key = task_key(source.digest, config, window, request.app)
-        cached = self.engine.cache.get(key)
-        if cached is None:
-            return None
-        return self._design_payload(
-            request, source.digest, config, window, cached
-        )
+        return self._design(request, source)
 
     # -- execution ----------------------------------------------------
 
@@ -327,45 +324,45 @@ class SynthesisService:
         return result
 
     def _job_runner(self) -> PipelineRunner:
-        """A job-scoped stage runner persisting through the shared
-        cache directory via the collector's :class:`ResultCache`
-        instance (built once at start-up, apart from the engine's, so
-        stage reads never show up in the whole-result statistics)."""
+        """A job-scoped stage runner persisting through the engine's
+        stage-side :class:`ResultCache` instance (built once at
+        start-up, apart from the whole-result one, so stage reads never
+        show up in the whole-result statistics)."""
         return PipelineRunner(
-            store=ArtifactStore(disk=self._collector.store.disk),
+            store=ArtifactStore(disk=self.engine.pipeline.store.disk),
             memoize_bindings=True,
         )
 
-    def _design_inputs(self, request: DesignRequest):
-        """The request's trace as a :class:`TraceSource` (digest now,
-        records on demand), its configuration and window. With a cache
-        directory the digest of a once-simulated app is a disk read, so
-        a restarted daemon's warm lookup simulates nothing."""
-        from repro.apps import build_application
-
-        source = self._collector.source(build_application(request.app))
+    def _design(
+        self,
+        request: DesignRequest,
+        source: TraceSource,
+        runner: Optional[PipelineRunner] = None,
+    ) -> Optional[Dict[str, Any]]:
+        """The request's design payload through the engine's
+        lookup-or-solve step: solved on ``runner`` on a miss, or --
+        without a runner -- ``None`` on a miss."""
         config = SynthesisConfig(
             window_size=request.window,
             overlap_threshold=request.threshold,
             max_targets_per_bus=request.maxtb,
             backend=request.backend,
         )
-        return source, config, request.resolved_window()
-
-    def _design_payload(
-        self,
-        request: DesignRequest,
-        trace_digest: str,
-        config: SynthesisConfig,
-        window: int,
-        result: SynthesisResult,
-    ) -> Dict[str, Any]:
+        window = request.resolved_window()
+        result = self.engine.lookup_or_solve(
+            source.trace if runner is not None else None,
+            SynthesisTask(config=config, window_size=window),
+            source.digest,
+            pipeline=runner,
+        )
+        if result is None:
+            return None
         return {
             "format": DESIGN_REPORT_FORMAT,
             "app": request.app,
             "window": window,
             "design_fingerprint": PipelineRunner.design_fingerprint(
-                trace_digest, config, window
+                source.digest, config, window
             ),
             "result": result_to_dict(result),
             "result_format": RESULT_FORMAT,
@@ -374,22 +371,15 @@ class SynthesisService:
     def _run_design(
         self, job: Job, request: DesignRequest
     ) -> Dict[str, Any]:
-        source, config, window = self._design_inputs(request)
+        from repro.apps import build_application
+
+        source = self.engine.collector.source(build_application(request.app))
         runner = self._job_runner()
         runner.counters.subscribe(job.record_progress)
         try:
-            report = CrossbarSynthesizer(
-                config, pipeline=runner
-            ).design_from_trace(source.trace(), window)
+            return self._design(request, source, runner)
         finally:
             runner.counters.unsubscribe(job.record_progress)
-        result = SynthesisResult.from_report(report)
-        if self.engine.cache is not None:
-            key = task_key(source.digest, config, window, request.app)
-            self.engine.cache.put(key, result)
-        return self._design_payload(
-            request, source.digest, config, window, result
-        )
 
     def _run_suite(self, job: Job, request: SuiteRequest) -> Dict[str, Any]:
         from repro.scenarios import (
@@ -412,7 +402,7 @@ class SynthesisService:
             min_weight=request.min_weight,
             replay_latency=request.replay_latency,
             pipeline=self._job_runner(),
-            collector=self._collector,
+            collector=self.engine.collector,
         )
         runner.pipeline.counters.subscribe(job.record_progress)
         try:

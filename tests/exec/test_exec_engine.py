@@ -131,6 +131,45 @@ class TestCacheSemantics:
         assert engine.synthesize(small_trace, CONFIG, 600) == result
         assert SOLVE_COUNTER.total == 0
 
+    def test_shared_engine_under_concurrent_threads(self, small_trace, tmp_path):
+        """Daemon jobs share one engine: concurrent sweeps over the same
+        points agree with a serial sweep and file one record per point."""
+        import sys
+        import threading
+
+        tasks = [
+            SynthesisTask(config=CONFIG, window_size=window)
+            for window in (150, 600, 2_400)
+        ]
+        expected = ExecutionEngine().run_sweep(small_trace, tasks)
+        engine = ExecutionEngine(cache=tmp_path / "cache")
+        outcomes = []
+
+        def sweep(order):
+            results = engine.run_sweep(small_trace, [tasks[i] for i in order])
+            outcomes.append([results[order.index(i)] for i in range(len(tasks))])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=sweep, args=(order,))
+                for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2]) * 2
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == [expected] * len(threads)
+        records = [
+            path for path in (tmp_path / "cache").glob("*.json")
+            if not path.name.startswith("stage-")
+        ]
+        assert len(records) == len(tasks)
+
 
 class TestBatchExecution:
     """run_batch: one task per trace (the scenario-suite pattern)."""
@@ -174,21 +213,6 @@ class TestBatchExecution:
         ExecutionEngine().run_batch(batch)
         assert solves_plain == SOLVE_COUNTER.total  # the repeat was free
         assert results[-1] == results[0]
-
-    def test_application_tags_separate_cache_keys(self, batch, tmp_path):
-        (trace, task) = batch[0]
-        engine = ExecutionEngine(cache=tmp_path / "cache")
-        engine.run_batch([(trace, task)], applications=["scenario:a"])
-        SOLVE_COUNTER.reset()
-        engine.run_batch([(trace, task)], applications=["scenario:b"])
-        assert SOLVE_COUNTER.total > 0  # different tag, different key
-        SOLVE_COUNTER.reset()
-        engine.run_batch([(trace, task)], applications=["scenario:a"])
-        assert SOLVE_COUNTER.total == 0
-
-    def test_tag_length_mismatch_rejected(self, batch):
-        with pytest.raises(ConfigurationError):
-            ExecutionEngine().run_batch(batch, applications=["only-one"])
 
 
 class TestEngineConfiguration:

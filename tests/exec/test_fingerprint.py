@@ -7,12 +7,16 @@ from dataclasses import replace
 
 from repro.apps.synthetic import synthetic_trace
 from repro.core import SynthesisConfig
-from repro.exec import task_key, trace_fingerprint
+from repro.exec import trace_fingerprint
+from repro.pipeline import PipelineRunner
 
 TRACE_KWARGS = dict(
     burst_cycles=200, total_cycles=8_000, num_initiators=4, num_targets=4,
     seed=11,
 )
+
+
+design_fingerprint = PipelineRunner.design_fingerprint
 
 
 def _make_trace():
@@ -58,12 +62,17 @@ class TestTraceFingerprint:
             assert output == here
 
 
-class TestTaskKey:
+class TestDesignFingerprint:
+    """The whole-result cache address of one synthesis point."""
+
     def test_covers_every_config_field(self):
+        """Every field a stage reads moves the address; the nominal
+        ``window_size`` (the effective window is a separate argument)
+        is read by no stage and does not."""
         base = SynthesisConfig()
-        base_key = task_key("0" * 64, base, 500)
+        base_key = design_fingerprint("0" * 64, base, 500)
+        nominal_window = replace(base, window_size=123)
         variants = [
-            replace(base, window_size=123),
             replace(base, overlap_threshold=0.1),
             replace(base, max_targets_per_bus=None),
             replace(base, backend="milp"),
@@ -72,25 +81,27 @@ class TestTaskKey:
             replace(base, variable_windows=True),
             replace(base, variable_window_ratio=2),
         ]
-        keys = {task_key("0" * 64, variant, 500) for variant in variants}
+        assert design_fingerprint("0" * 64, nominal_window, 500) == base_key
+        keys = {design_fingerprint("0" * 64, variant, 500) for variant in variants}
         assert base_key not in keys
         assert len(keys) == len(variants)
 
-    def test_distinguishes_window_and_application(self):
+    def test_distinguishes_window_and_trace(self):
         config = SynthesisConfig()
         digest = trace_fingerprint(_make_trace())
-        base = task_key(digest, config, 500)
-        assert task_key(digest, config, 501) != base
-        assert task_key(digest, config, 500, application="mat2") != base
-        assert task_key("0" * 64, config, 500) != base
+        base = design_fingerprint(digest, config, 500)
+        assert design_fingerprint(digest, config, 501) != base
+        assert design_fingerprint("0" * 64, config, 500) != base
 
-    def test_key_predates_the_single_milp_backend(self):
+    def test_pinned_value(self):
         config = SynthesisConfig(overlap_threshold=0.2, backend="milp")
-        assert task_key("0" * 64, config, 800, application="qsort") == (
-            "af8f345be74e16f41616e73fd743179f4e127a12b5cdf1b2091ca8f9065b1c20"
+        assert design_fingerprint("0" * 64, config, 800) == (
+            "64eef87cf66479e130b0885d2e9d2048b1d7fb2c3ad627c28d1eaf9ee6b752f1"
         )
 
     def test_repeatable(self):
         config = SynthesisConfig(overlap_threshold=0.2)
         digest = trace_fingerprint(_make_trace())
-        assert task_key(digest, config, 800) == task_key(digest, config, 800)
+        assert design_fingerprint(digest, config, 800) == design_fingerprint(
+            digest, config, 800
+        )

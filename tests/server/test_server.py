@@ -369,6 +369,48 @@ class TestServiceCoalescing:
         service.close()
         assert constructed == []
 
+    def test_cold_submit_never_simulates_on_the_submitting_thread(
+        self, tmp_path, monkeypatch
+    ):
+        """The warm lookup only reads stored digests: a cold design is
+        queued as ``new`` and collected on the worker."""
+        from repro.apps import registry
+        from repro.apps.descriptor import Application
+
+        monkeypatch.setattr(registry, "_DEFAULT_TRACES", {})
+        threads = []
+        simulate = Application.simulate_full_crossbar
+
+        def recording(app, *args, **kwargs):
+            threads.append(threading.current_thread())
+            return simulate(app, *args, **kwargs)
+
+        monkeypatch.setattr(Application, "simulate_full_crossbar", recording)
+        service = SynthesisService(cache_dir=str(tmp_path), workers=1)
+        job, disposition = service.submit({"kind": "design", "app": "qsort"})
+        assert disposition == "new"
+        assert job.wait(120) and job.state == "done"
+        service.close()
+        assert threads and threading.current_thread() not in threads
+
+    def test_cli_and_daemon_share_one_address(self, tmp_path, capsys):
+        """A point designed by the CLI is answered ``cached`` by a
+        daemon on the same directory, filed under the payload's
+        design fingerprint."""
+        from repro.cli import main
+
+        assert main(["design", "qsort", "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        service = SynthesisService(cache_dir=str(tmp_path), workers=1)
+        SOLVE_COUNTER.reset()
+        job, disposition = service.submit({"kind": "design", "app": "qsort"})
+        service.close()
+        assert disposition == "cached"
+        assert SOLVE_COUNTER.total == 0
+        fingerprint = job.result["design_fingerprint"]
+        record = json.loads((tmp_path / f"{fingerprint}.json").read_text())
+        assert record == job.result["result"]
+
 
 # -- HTTP surface -----------------------------------------------------
 

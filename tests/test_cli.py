@@ -191,6 +191,97 @@ class TestEngineOptions:
         assert "error:" in capsys.readouterr().err
 
 
+def _report(out):
+    """A design report minus its ``cache:`` statistics line."""
+    return [line for line in out.splitlines() if not line.startswith("cache: ")]
+
+
+class TestDesignCacheAddress:
+    """``repro design --cache-dir`` files whole results under the design
+    fingerprint and persists the engine's window sidecars."""
+
+    def test_threshold_edit_reads_windows_from_disk(self, tmp_path):
+        """A fresh process editing the threshold re-windows nothing."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        cache = str(tmp_path / "cache")
+        subprocess.run(
+            [sys.executable, "-m", "repro", "design", "qsort", "--cache-dir", cache],
+            check=True, capture_output=True, env=env,
+        )
+        script = (
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            "from repro.obs import metrics\n"
+            "main(['design', 'qsort', '--cache-dir', sys.argv[1],"
+            " '--threshold', '0.2'])\n"
+            "events = metrics.REGISTRY.get('repro_stage_events_total').collect()\n"
+            "print(json.dumps({kind: events.get(('window', kind), 0)"
+            " for kind in ('computed', 'disk_hit')}))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, cache],
+            check=True, capture_output=True, text=True, env=env,
+        ).stdout
+        assert json.loads(out.splitlines()[-1]) == {"computed": 0, "disk_hit": 2}
+
+    def test_design_builds_one_stage_side_cache(self, tmp_path, capsys, monkeypatch):
+        """The whole-result cache plus one stage-side instance shared by
+        the engine's runner and its collector."""
+        from repro.exec import ResultCache
+
+        constructed = []
+        init = ResultCache.__init__
+
+        def counting_init(cache, *args, **kwargs):
+            constructed.append(cache)
+            init(cache, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "__init__", counting_init)
+        assert main(["design", "qsort", "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(constructed) == 2
+
+    def test_nominal_window_shares_the_address(self, tmp_path, capsys, monkeypatch):
+        """``--window <default>`` differs from the default run only in
+        the nominal window, which no stage reads: a whole-result hit
+        that reports exactly what a fresh solve with that config does."""
+        from repro.apps import build_application
+        from repro.core import SOLVE_COUNTER
+        from repro.exec import ExecutionEngine, result_to_dict
+
+        results = []
+        synthesize = ExecutionEngine.synthesize
+
+        def recording(engine, *args, **kwargs):
+            results.append(synthesize(engine, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(ExecutionEngine, "synthesize", recording)
+        window = str(build_application("fft").default_window)
+        shared = str(tmp_path / "shared")
+        assert main(["design", "fft", "--cache-dir", shared]) == 0
+        capsys.readouterr()
+        SOLVE_COUNTER.reset()
+        argv = ["design", "fft", "--window", window, "--cache-dir"]
+        assert main(argv + [shared]) == 0
+        hit = capsys.readouterr().out
+        assert SOLVE_COUNTER.total == 0
+        assert "cache: 1/1 hits" in hit
+        assert main(argv + [str(tmp_path / "fresh")]) == 0
+        fresh = capsys.readouterr().out
+        assert results[0].config.window_size is None
+        assert results[1].config.window_size == int(window)
+        assert result_to_dict(results[1]) == result_to_dict(results[2])
+        assert _report(hit) == _report(fresh)
+
+
 class TestPipelineCommands:
     def test_pipeline_inspect(self, capsys):
         assert main(["pipeline", "inspect", "qsort"]) == 0

@@ -22,12 +22,12 @@ Commands that solve or simulate independent points accept
 ``--cache-dir`` (content-addressed result cache, reused across
 invocations) and route through :class:`repro.exec.ExecutionEngine`.
 The same commands accept ``--profile``, which prints the run's growth
-of the metrics registry as three tables: a per-phase wall-clock
-breakdown (windowing / overlap / conflicts / solve), per-stage pipeline
-timings and per-backend solver counts; and ``--trace FILE``, which arms
-span tracing around the command and writes the captured spans as JSONL
--- feed that file back to ``repro trace`` for an indented tree or a
-Chrome/Perfetto export.
+of the metrics registry as tables: a per-phase wall-clock breakdown
+(windowing / overlap / conflicts / solve), per-stage pipeline timings,
+per-backend solver counts and assignment DFS nodes per mode; and
+``--trace FILE``, which arms span tracing around the command and writes
+the captured spans as JSONL -- feed that file back to ``repro trace``
+for an indented tree or a Chrome/Perfetto export.
 
 ``repro trace`` is dual-mode on its positional argument: an
 application name dumps its traffic trace as JSONL (``-o`` required),
@@ -141,8 +141,8 @@ class _PhaseProfile:
     The registry is monotonic for the process lifetime, so every table
     is the growth between the snapshot taken here and the one taken at
     :meth:`report`: phases (``repro_phase_seconds``), pipeline stages
-    (``repro_stage_seconds``) and solver backends
-    (``repro_solves_total``).
+    (``repro_stage_seconds``), solver backends (``repro_solves_total``)
+    and assignment DFS nodes (``repro_dfs_nodes_total``).
     """
 
     def __init__(self, enabled: bool) -> None:
@@ -170,9 +170,14 @@ class _PhaseProfile:
             [kind, backend, int(count)]
             for (kind, backend), count in grown("repro_solves_total")
         ]
+        nodes = [
+            [mode, int(count)]
+            for (mode,), count in grown("repro_dfs_nodes_total")
+        ]
         tables = (
             ("pipeline stages (this run)", ["stage", "computed", "total ms"], stages),
             ("solver backends (this run)", ["solve", "backend", "count"], solves),
+            ("DFS nodes (this run)", ["mode", "nodes"], nodes),
         )
         for title, headers, rows in tables:
             if rows:

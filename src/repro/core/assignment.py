@@ -19,16 +19,40 @@ Search design:
 * in optimization mode, a node is pruned when its max per-bus overlap
   already reaches the incumbent objective (the objective only grows as
   targets are added).
+
+Kernel representation (pure Python ints, no numpy inside the DFS):
+
+* Each bus's per-window slack is **one int** holding one field per
+  window. A field is ``F + 1`` bits wide: ``F`` value bits under a
+  guard bit, and a fresh bus starts at ``capacity | guard`` in every
+  field. Subtracting a target's packed ``comm`` row keeps every guard
+  bit set exactly when the target fits every window, so the Eq. 4 check
+  is ``(slack - need) & GUARD == GUARD``. No field ever borrows from
+  its neighbour because every ``comm`` entry lies in ``[0, capacity]``
+  (:class:`~repro.core.problem.CrossbarDesignProblem` rejects the rest).
+* The residual-demand bound compares the unplaced demand with the
+  residual capacity of all buses. Placed load plus unplaced demand is
+  the total demand at every node, so the bound is one packed subtract
+  and mask, ``(num_buses * CAP + GUARD - TOTAL) & GUARD``, evaluated once
+  per solve. Its fields reach ``num_buses * capacity`` and its demand
+  ``num_targets * capacity``, hence the **field-width condition**:
+  ``2**F > max(num_buses, num_targets) * max(capacity)``.
+* Each bus keeps an overlap row: entry ``t`` is the summed overlap
+  target ``t`` would add to the bus. A candidate's delta is one list
+  read, and the rows are the key of the stable candidate sort. Apply
+  replaces the row with ``row + overlap[:, target]``; undo restores the
+  old list.
+* Conflicts and bus membership are bitmasks.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from operator import add
+from typing import Optional, Tuple
 
-import numpy as np
-
+from repro.core.instrumentation import record_dfs_nodes
 from repro.core.preprocess import ConflictAnalysis
 from repro.core.problem import CrossbarDesignProblem
 from repro.errors import SolverError
@@ -86,51 +110,58 @@ def solve_assignment(
     known optimal objective therefore returns one *canonical* optimal
     binding -- the device :mod:`repro.core.binding` uses to keep reports
     byte-identical no matter which MILP backend proved the objective.
+
+    Every solve, budget-exhausted ones included, adds its node count to
+    ``repro_dfs_nodes_total`` once.
     """
     num_targets = problem.num_targets
     if num_buses < 1:
         raise SolverError(f"num_buses must be >= 1, got {num_buses}")
-    capacities = problem.capacities
     maxtb = max_targets_per_bus or num_targets
-    comm = problem.comm
-    overlap = problem.overlap_matrix
+    comm = problem.comm.tolist()
+    capacities = problem.capacities.tolist()
+    # columns[u][t] is overlap[t, u]: what placing u adds to t's delta
+    columns = problem.overlap_matrix.T.tolist()
 
-    order = sorted(
-        range(num_targets), key=lambda t: (-int(comm[t].sum()), t)
-    )
+    order = sorted(range(num_targets), key=lambda t: (-sum(comm[t]), t))
     if rng is not None:
         rng.shuffle(order)
 
     # conflict bitmasks: bit u set in conflict_bits[t] if t conflicts with u
     conflict_bits = [0] * num_targets
-    for (i, j) in conflicts.reasons:
+    for i, j in conflicts.reasons:
         conflict_bits[i] |= 1 << j
         conflict_bits[j] |= 1 << i
 
-    # residual-demand bound: demand of targets not yet placed
-    suffix_demand = np.zeros((num_targets + 1, problem.num_windows), dtype=np.int64)
-    for depth in range(num_targets - 1, -1, -1):
-        suffix_demand[depth] = suffix_demand[depth + 1] + comm[order[depth]]
+    width = (max(num_buses, num_targets) * max(capacities, default=1)).bit_length()
 
-    loads = np.zeros((num_buses, problem.num_windows), dtype=np.int64)
-    total_load = np.zeros(problem.num_windows, dtype=np.int64)
-    bus_members: List[List[int]] = [[] for _ in range(num_buses)]
+    def pack(fields) -> int:
+        return sum(value << (m * (width + 1)) for m, value in enumerate(fields))
+
+    guard = pack([1 << width] * len(capacities))
+    capacity = pack(capacities)
+    need = [pack(row) for row in comm]
+    overloaded = ((num_buses * capacity + guard - sum(need)) & guard) != guard
+
+    slack = [capacity | guard] * num_buses
+    sizes = [0] * num_buses
     bus_bits = [0] * num_buses
     bus_overlap = [0] * num_buses
+    rows = [[0] * num_targets] * num_buses  # replaced on apply, never mutated
     assignment = [-1] * num_targets
+    sort_by_overlap = rng is None and (optimize or overlap_budget is not None)
+    # prune any placement whose new max reaches the cutoff: the budget
+    # plus one, then (optimize) each incumbent's objective
+    cutoff = float("inf") if overlap_budget is None else overlap_budget + 1
 
-    best_binding: Optional[List[int]] = None
+    best_binding: Optional[list] = None
     best_objective: Optional[int] = None
     nodes = 0
     slow = solver_slowdown()
 
-    def capacity_bound_violated(depth: int) -> bool:
-        residual = num_buses * capacities - total_load
-        return bool((suffix_demand[depth] > residual).any())
-
     def search(depth: int, used: int, current_max: int) -> bool:
         """DFS; returns True to stop the whole search (feasibility mode)."""
-        nonlocal best_binding, best_objective, nodes, total_load
+        nonlocal best_binding, best_objective, nodes, cutoff
         nodes += 1
         if slow is not None:
             # Injection point ``solver.slow``, keyed by node ordinal.
@@ -140,52 +171,52 @@ def solve_assignment(
         if depth == num_targets:
             best_binding = list(assignment)
             best_objective = current_max
+            if optimize:
+                cutoff = current_max
             return not optimize
-        if capacity_bound_violated(depth):
+        if overloaded:
             return False
         target = order[depth]
-        candidates = list(range(min(used + 1, num_buses)))
+        count = used + 1 if used < num_buses else num_buses
         if rng is not None:
+            candidates = list(range(count))
             rng.shuffle(candidates)
-        elif optimize or overlap_budget is not None:
-            candidates.sort(
-                key=lambda b: sum(overlap[target, u] for u in bus_members[b])
-            )
+        elif sort_by_overlap:
+            deltas = [row[target] for row in rows[:count]]
+            candidates = sorted(range(count), key=deltas.__getitem__)
+        else:
+            candidates = range(count)
+        demand = need[target]
+        clash = conflict_bits[target]
+        bit = 1 << target
+        column = columns[target]
         for bus in candidates:
-            if len(bus_members[bus]) >= maxtb:
+            if sizes[bus] >= maxtb or clash & bus_bits[bus]:
                 continue
-            if conflict_bits[target] & bus_bits[bus]:
+            left = slack[bus] - demand
+            if (left & guard) != guard:
                 continue
-            if ((loads[bus] + comm[target]) > capacities).any():
+            row = rows[bus]
+            delta = row[target]
+            bus_max = bus_overlap[bus] + delta
+            new_max = bus_max if bus_max > current_max else current_max
+            if new_max >= cutoff:
                 continue
-            delta = int(sum(overlap[target, u] for u in bus_members[bus]))
-            new_bus_overlap = bus_overlap[bus] + delta
-            new_max = max(current_max, new_bus_overlap)
-            if overlap_budget is not None and new_max > overlap_budget:
-                continue
-            if (
-                optimize
-                and best_objective is not None
-                and new_max >= best_objective
-            ):
-                continue
-            # apply
+            # apply (a leaf copies ``assignment`` only once every target
+            # on its path is written, so undo leaves the entry stale)
             assignment[target] = bus
-            bus_members[bus].append(target)
-            bus_bits[bus] |= 1 << target
-            bus_overlap[bus] = new_bus_overlap
-            loads[bus] += comm[target]
-            total_load += comm[target]
-            stop = search(
-                depth + 1, max(used, bus + 1), new_max
-            )
+            sizes[bus] += 1
+            bus_bits[bus] |= bit
+            bus_overlap[bus] = bus_max
+            slack[bus] = left
+            rows[bus] = list(map(add, row, column))
+            stop = search(depth + 1, used if bus < used else bus + 1, new_max)
             # undo
-            loads[bus] -= comm[target]
-            total_load -= comm[target]
-            bus_overlap[bus] = new_bus_overlap - delta
-            bus_bits[bus] &= ~(1 << target)
-            bus_members[bus].pop()
-            assignment[target] = -1
+            rows[bus] = row
+            slack[bus] = left + demand
+            bus_overlap[bus] = bus_max - delta
+            bus_bits[bus] ^= bit
+            sizes[bus] -= 1
             if stop:
                 return True
         return False
@@ -195,6 +226,7 @@ def solve_assignment(
         search(0, 0, 0)
     except _BudgetExceeded:
         budget_hit = True
+    record_dfs_nodes(optimize, nodes)
 
     if best_binding is None:
         if budget_hit:

@@ -11,6 +11,10 @@ Every invocation is counted once, in the process-global
 ``/metrics`` view). :data:`SOLVE_COUNTER` stores nothing of its own: it
 is the resettable view cache tests want, reading the counter's growth
 since its last :meth:`SolveCounter.reset`.
+
+The assignment DFS also reports the nodes each solve explored, once per
+solve, into ``repro_dfs_nodes_total{mode=...}`` (``feasibility`` /
+``optimize``) through :func:`record_dfs_nodes`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "SolveCounter",
     "SOLVE_COUNTER",
     "record_solve",
+    "record_dfs_nodes",
 ]
 
 _SOLVES_TOTAL = _metrics.counter(
@@ -30,6 +35,13 @@ _SOLVES_TOTAL = _metrics.counter(
     "Solver invocations by kind (feasibility probe / binding MILP) "
     "and solver backend.",
     ("kind", "backend"),
+)
+
+_DFS_NODES_TOTAL = _metrics.counter(
+    "repro_dfs_nodes_total",
+    "Assignment DFS nodes by mode (feasibility / optimize), added once "
+    "per solve.",
+    ("mode",),
 )
 
 
@@ -94,3 +106,8 @@ def record_solve(kind: str, backend: str = "assignment") -> None:
     if kind not in ("feasibility", "binding"):
         raise ValueError(f"unknown solve kind {kind!r}")
     _SOLVES_TOTAL.inc(kind=kind, backend=backend)
+
+
+def record_dfs_nodes(optimize: bool, nodes: int) -> None:
+    """Add one assignment solve's ``nodes`` to ``repro_dfs_nodes_total``."""
+    _DFS_NODES_TOTAL.inc(nodes, mode="optimize" if optimize else "feasibility")

@@ -89,6 +89,8 @@ class CrossbarDesignProblem:
             object.__setattr__(self, "capacities", capacities)
         if (self.comm > self.capacities).any():
             raise SynthesisError("comm entries exceed their window capacity")
+        if (self.comm < 0).any():
+            raise SynthesisError("comm entries must be non-negative")
         if len(self.target_names) != num_targets:
             raise SynthesisError("target_names length mismatch")
 

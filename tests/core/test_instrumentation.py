@@ -5,8 +5,12 @@ import threading
 
 import pytest
 
+import repro.core.binding
+import repro.core.search
 from repro.apps import build_application
+from repro.cli import main
 from repro.core import SOLVE_COUNTER, SynthesisConfig
+from repro.core.assignment import solve_assignment
 from repro.core.instrumentation import record_solve
 from repro.obs import metrics
 from repro.pipeline import PipelineRunner
@@ -78,3 +82,27 @@ def test_reset_restarts_the_view_not_the_registry():
 def test_unknown_kind_is_rejected():
     with pytest.raises(ValueError, match="unknown solve kind"):
         record_solve("portfolio")
+
+
+def test_dfs_node_counter_grows_by_the_returned_nodes(monkeypatch, capsys):
+    """``repro_dfs_nodes_total`` adds each solve's ``nodes`` once, by mode."""
+    returned = {"feasibility": 0, "optimize": 0}
+
+    def recording(*args, **kwargs):
+        result = solve_assignment(*args, **kwargs)
+        returned["optimize" if kwargs["optimize"] else "feasibility"] += result.nodes
+        return result
+
+    monkeypatch.setattr(repro.core.search, "solve_assignment", recording)
+    monkeypatch.setattr(repro.core.binding, "solve_assignment", recording)
+    family = metrics.REGISTRY.get("repro_dfs_nodes_total")
+    before = family.collect()
+    assert main(["design", "fft", "--profile"]) == 0
+    grown = {
+        mode: int(value - before.get((mode,), 0))
+        for (mode,), value in family.collect().items()
+    }
+    assert grown == returned
+    assert returned["optimize"] > returned["feasibility"] > 0
+    profile = capsys.readouterr().out.split("DFS nodes (this run)")[1]
+    assert f"optimize     {returned['optimize']}" in profile

@@ -70,6 +70,18 @@ class TestValidation:
                 target_names=two_phase_problem.target_names,
             )
 
+    def test_negative_comm_rejected(self, two_phase_problem):
+        comm = two_phase_problem.comm.copy()
+        comm[0, 0] = -1
+        with pytest.raises(SynthesisError, match="non-negative"):
+            CrossbarDesignProblem(
+                comm=comm,
+                wo=two_phase_problem.wo,
+                window_size=100,
+                criticality=two_phase_problem.criticality,
+                target_names=two_phase_problem.target_names,
+            )
+
     def test_name_length_mismatch_rejected(self, two_phase_problem):
         with pytest.raises(SynthesisError):
             CrossbarDesignProblem(

@@ -483,7 +483,8 @@ def _cmd_design(args) -> int:
         source = TraceSource.of(full_run.trace)
     else:
         # Input-keyed: a warm cache answers without simulating, and a
-        # whole-result hit without even loading the stored trace.
+        # whole-result hit, or a point whose windows are stored (a
+        # threshold edit), without even loading the stored trace.
         source = engine.collector.source(app)
     result = engine.synthesize(
         source.trace,
@@ -769,6 +770,7 @@ def _cmd_pipeline_inspect(args) -> int:
         PipelineRunner,
         describe_stages,
     )
+    from repro.pipeline.artifacts import TraceDigestMismatch
     from repro.scenarios import SUITES
 
     if args.app not in APPLICATIONS and (
@@ -787,10 +789,17 @@ def _cmd_pipeline_inspect(args) -> int:
     # Collection shares the runner's store, so the breakdown below
     # shows whether this run simulated (computed) or read (disk-hit).
     source = CollectStage(runner.store).source(app)
-    collected = CollectedTraffic(
-        trace=source.trace(), fingerprint=source.digest, label=app.name
-    )
-    outcome = runner.design(collected, config, window, label=app.name)
+
+    def design():
+        collected = CollectedTraffic(source, source.digest, label=app.name)
+        return runner.design(collected, config, window, label=app.name)
+
+    try:
+        outcome = design()
+    except TraceDigestMismatch:
+        # The stored digest was stale: the source now carries the
+        # re-collected trace's own.
+        outcome = design()
     rows = [
         [stage, fingerprint[:12], summary]
         for stage, fingerprint, summary in describe_stages(outcome)

@@ -8,8 +8,10 @@ pure function of the trace digest, the effective window and the stage
 configuration slices, derived without executing anything. One step,
 :meth:`ExecutionEngine.lookup_or_solve`, is the only code that reads or
 writes a whole-result record, in this order: the engine's memory, the
-:class:`~repro.exec.cache.ResultCache` on disk, then load the trace,
-check its digest, solve and store. Solved points are never recomputed,
+:class:`~repro.exec.cache.ResultCache` on disk, then solve and store.
+The solve carries the trace's digest and its loader, not the trace: the
+loader runs only in a window stage that misses memory and disk, and its
+trace's digest is checked then. Solved points are never recomputed,
 across runs and across processes, and identical points share one solve.
 
 Points are solved through the staged pipeline (:mod:`repro.pipeline`)
@@ -17,9 +19,10 @@ on the engine's own :class:`~repro.pipeline.runner.PipelineRunner`.
 Like :func:`~repro.pipeline.runner.shared_runner` it memoizes the
 window/conflict analysis stages only and retains no trace; with a cache
 directory its store also persists the windowed tensors there, so a
-threshold edit in a fresh process reads its windows from disk. The
-engine's :class:`~repro.pipeline.collect.CollectStage` and that runner
-share one stage-side :class:`ResultCache` instance, apart from
+threshold edit in a fresh process reads its windows from disk and
+never loads its trace. The engine's
+:class:`~repro.pipeline.collect.CollectStage` and that runner share one
+stage-side :class:`ResultCache` instance, apart from
 :attr:`ExecutionEngine.cache`, so the latter counts whole-result
 lookups only.
 
@@ -35,12 +38,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.spec import CrossbarDesign, SynthesisConfig
-from repro.core.synthesis import CrossbarSynthesizer
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import trace_fingerprint
 from repro.exec.serialize import SynthesisResult
 from repro.obs import tracing as _tracing
+from repro.pipeline.artifacts import (
+    CollectedTraffic,
+    TraceDigestMismatch,
+    TraceSource,
+)
 from repro.pipeline.collect import CollectStage
 from repro.pipeline.runner import PipelineRunner
 from repro.pipeline.store import ArtifactStore
@@ -125,18 +132,22 @@ class ExecutionEngine:
         """The one read/write path of whole-result records.
 
         Looks the point's design fingerprint up in memory, then on
-        disk; on a miss loads ``trace``, solves on ``pipeline`` (by
-        default the engine's runner) and stores the result in both.
-        With ``trace=None`` the step only looks up and returns ``None``
-        on a miss. A hit comes back with ``config`` set to the task's:
-        the nominal ``config.window_size`` is the one field no stage
-        spec covers, so points differing only there share an address.
+        disk; on a miss solves on ``pipeline`` (by default the engine's
+        runner) and stores the result in both. With ``trace=None`` the
+        step only looks up and returns ``None`` on a miss. A hit comes
+        back with ``config`` set to the task's: the nominal
+        ``config.window_size`` is the one field no stage spec covers, so
+        points differing only there share an address.
 
         ``trace`` may be a zero-argument callable (e.g.
-        :meth:`repro.pipeline.collect.TraceSource.trace`): with
-        ``trace_digest`` given it is only called on a miss, and a loaded
-        trace whose digest differs is looked up, solved and stored under
-        its own digest.
+        :meth:`repro.pipeline.artifacts.TraceSource.trace`). With
+        ``trace_digest`` given, the solve hands the pipeline that digest
+        and the loader: only a window stage that misses memory and its
+        ``.npz`` sidecar calls it, so a point whose windows are stored
+        never loads, decodes or hashes its trace. A loaded trace whose
+        digest differs restarts the point under its own digest: that
+        address is looked up, else solved and stored, and nothing is
+        stored under the stale one.
         """
         if trace_digest is None:
             trace = trace() if callable(trace) else trace
@@ -146,23 +157,37 @@ class ExecutionEngine:
         )
         result = self._recall(key)
         if result is None and trace is not None:
-            trace = trace() if callable(trace) else trace
-            digest = trace_fingerprint(trace)
-            if digest != trace_digest:
+            load = trace if callable(trace) else lambda: trace
+            source = TraceSource(load, trace_digest)
+            try:
+                result = self._solve(source, task, pipeline)
+            except TraceDigestMismatch:
                 key = PipelineRunner.design_fingerprint(
-                    digest, task.config, task.window_size
+                    source.digest, task.config, task.window_size
                 )
                 result = self._recall(key)
-            if result is None:
-                synthesizer = CrossbarSynthesizer(
-                    task.config, pipeline or self.pipeline
-                )
-                report = synthesizer.design_from_trace(trace, task.window_size)
-                result = SynthesisResult.from_report(report)
-                self.pipeline.store.put(key, result)
-                if self.cache is not None:
-                    self.cache.put(key, result)
+                if result is None:
+                    result = self._solve(source, task, pipeline)
         return None if result is None else replace(result, config=task.config)
+
+    def _solve(
+        self,
+        source: TraceSource,
+        task: SynthesisTask,
+        pipeline: Optional[PipelineRunner],
+    ) -> SynthesisResult:
+        """Solve the point under ``source``'s digest and store the
+        result in memory and on disk."""
+        outcome = (pipeline or self.pipeline).design(
+            CollectedTraffic(source, source.digest),
+            task.config,
+            task.window_size,
+        )
+        result = SynthesisResult.from_design(outcome, task.config)
+        self.pipeline.store.put(outcome.fingerprint, result)
+        if self.cache is not None:
+            self.cache.put(outcome.fingerprint, result)
+        return result
 
     def _recall(self, key: str) -> Optional[SynthesisResult]:
         """The record at ``key`` from memory, else from disk."""

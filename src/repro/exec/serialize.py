@@ -75,6 +75,22 @@ class SynthesisResult:
         return self.design.bus_count
 
     @classmethod
+    def from_design(cls, design, config: SynthesisConfig) -> "SynthesisResult":
+        """Distill a staged flow's
+        :class:`~repro.pipeline.runner.PipelineDesign`, solved under
+        ``config``."""
+        it, ti = design.it, design.ti
+        return cls(
+            design=design.design,
+            window_size=it.windowed.problem.window_size,
+            config=config,
+            it_conflicts=it.conflicts.conflicts.num_conflicts,
+            ti_conflicts=ti.conflicts.conflicts.num_conflicts,
+            it_probes=dict(it.binding.search.probes),
+            ti_probes=dict(ti.binding.search.probes),
+        )
+
+    @classmethod
     def from_report(cls, report) -> "SynthesisResult":
         """Distill a full :class:`SynthesisReport` into a result."""
         return cls(

@@ -31,8 +31,9 @@ The artifact types mirror the paper's stages one-to-one:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict
+import threading
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.core.preprocess import ConflictAnalysis
 from repro.core.problem import CrossbarDesignProblem
@@ -50,6 +51,9 @@ __all__ = [
     "binding_stage_spec",
     "warm_hint_key",
     "replay_stage_spec",
+    "TraceShape",
+    "TraceSource",
+    "TraceDigestMismatch",
     "CollectedTraffic",
     "WindowedAnalysis",
     "ConflictArtifact",
@@ -151,17 +155,108 @@ def replay_stage_spec(
     }
 
 
+class TraceShape(NamedTuple):
+    """What a collected trace looks like, without its records."""
+
+    initiator_names: List[str]
+    target_names: List[str]
+    num_records: int
+    total_cycles: int
+
+    @classmethod
+    def of(cls, trace: TrafficTrace) -> "TraceShape":
+        return cls(
+            list(trace.initiator_names),
+            list(trace.target_names),
+            len(trace),
+            trace.total_cycles,
+        )
+
+
+class TraceSource:
+    """A collected trace known by its digest, loaded on first use.
+
+    :meth:`trace` materializes the records once (thread safe) and
+    returns the same object afterwards. :attr:`shape` (with the core
+    names) and :attr:`digest` are the given ones until the trace is
+    loaded, the loaded trace's own after: they differ once a stored
+    trace had to be re-simulated. A source given no shape loads the
+    trace to answer it, and one given no digest hashes the trace.
+    """
+
+    def __init__(
+        self,
+        load: Callable[[], TrafficTrace],
+        digest: Optional[str] = None,
+        shape: Optional[TraceShape] = None,
+    ) -> None:
+        self._load = load
+        self._digest = digest
+        self._shape = shape
+        self._trace: Optional[TrafficTrace] = None
+        self._lock = threading.Lock()
+
+    @classmethod
+    def of(cls, trace: TrafficTrace) -> "TraceSource":
+        """A source for a trace already in memory."""
+        source = cls(lambda: trace, shape=TraceShape.of(trace))
+        source._trace = trace
+        return source
+
+    @property
+    def shape(self) -> TraceShape:
+        if self._shape is None:
+            self.trace()
+        return self._shape
+
+    @property
+    def initiator_names(self) -> List[str]:
+        return self.shape.initiator_names
+
+    @property
+    def target_names(self) -> List[str]:
+        return self.shape.target_names
+
+    @property
+    def digest(self) -> str:
+        if self._digest is None:
+            self._digest = trace_fingerprint(self.trace())
+        return self._digest
+
+    def trace(self) -> TrafficTrace:
+        with self._lock:
+            if self._trace is None:
+                self._trace = self._load()
+                self._shape = TraceShape.of(self._trace)
+                # Memoized on the trace by a stored load's own check.
+                self._digest = trace_fingerprint(self._trace)
+            return self._trace
+
+
+class TraceDigestMismatch(Exception):
+    """A deferred trace loaded with a digest other than the one its
+    :class:`CollectedTraffic` is addressed by.
+
+    Nothing computed from the trace may be stored under the old
+    address. The point restarts under the source's
+    :attr:`~TraceSource.digest`, which is now the loaded trace's own.
+    """
+
+
 @dataclass(frozen=True)
 class CollectedTraffic:
-    """Phase 1 output: a full-crossbar traffic trace, content-addressed.
+    """Phase 1 output: a full-crossbar traffic trace, content-addressed
+    and loaded only when a stage must compute from it.
 
     ``fingerprint`` is the trace's record-level content hash
     (:func:`repro.exec.fingerprint.trace_fingerprint`), so two traces
     with equal records share every downstream artifact regardless of how
-    they were produced.
+    they were produced. It is fixed when the artifact is built -- for a
+    stored trace, the stored digest -- and keys every downstream stage,
+    so a stage served from memory or disk never touches ``source``.
     """
 
-    trace: TrafficTrace
+    source: TraceSource = field(compare=False, repr=False)
     fingerprint: str
     label: str = ""
 
@@ -169,7 +264,20 @@ class CollectedTraffic:
     def from_trace(
         cls, trace: TrafficTrace, label: str = ""
     ) -> "CollectedTraffic":
-        return cls(trace=trace, fingerprint=trace_fingerprint(trace), label=label)
+        return cls(TraceSource.of(trace), trace_fingerprint(trace), label)
+
+    @property
+    def trace(self) -> TrafficTrace:
+        """The trace, loaded on first use and checked against
+        ``fingerprint``; raises :class:`TraceDigestMismatch` when the
+        loaded trace's digest differs."""
+        trace = self.source.trace()
+        if self.source.digest != self.fingerprint:
+            raise TraceDigestMismatch(
+                f"loaded trace {self.source.digest[:12]} is not "
+                f"{self.fingerprint[:12]}"
+            )
+        return trace
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,23 @@ simulation's *inputs* instead:
 One entry lives in the artifact store's disk layer under that key: a
 JSON payload with the trace's digest, shape and core names, plus the
 records as a columnar integer matrix in a tensor sidecar. A lookup
-answers with a :class:`TraceSource` -- the digest and names up front,
-the records only when :meth:`TraceSource.trace` is called -- so a
-whole-result cache hit never loads, simulates or hashes a trace.
+answers with a :class:`~repro.pipeline.artifacts.TraceSource` -- the
+digest, core names and record and cycle counts up front, the records
+only when :meth:`~repro.pipeline.artifacts.TraceSource.trace` is
+called. A whole-result cache hit therefore never loads, simulates or
+hashes a trace, and neither does a point whose window artifacts are
+stored: the pipeline carries the stored digest and calls the loader
+only from a window stage that misses both memory and its ``.npz``
+sidecar, so such a point never loads, decodes or hashes its trace.
 
 A loaded trace is re-fingerprinted and must match the stored digest.
 Anything else -- an unreadable payload, a missing or truncated sidecar,
 a digest mismatch -- drops the entry and re-simulates (the source then
-reports the new trace's digest): a cache may cost time, never change an
-answer. Only content-addressable workloads (default registry builds)
-are cached, and they share the registry's per-process simulation memo
+reports the new trace's digest, and a point addressed by the stored one
+restarts under it): a cache may cost time, never change an answer. The
+read, decode and check run under one ``pipeline.collect.load`` span.
+Only content-addressable workloads (default registry builds) are
+cached, and they share the registry's per-process simulation memo
 (:func:`~repro.apps.registry.default_full_crossbar_trace`); customized
 builds simulate every time. Without a disk layer nothing is encoded or
 hashed.
@@ -34,15 +41,15 @@ hashed.
 
 from __future__ import annotations
 
-import threading
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
 from repro.exec.fingerprint import CACHE_SCHEMA_VERSION, trace_fingerprint
-from repro.pipeline.artifacts import stage_fingerprint
+from repro.obs import tracing as _tracing
+from repro.pipeline.artifacts import TraceShape, TraceSource, stage_fingerprint
 from repro.pipeline.runner import _timed_stage
 from repro.pipeline.store import ArtifactStore
 from repro.traffic.events import TraceRecord, TransactionKind
@@ -100,54 +107,6 @@ def collect_key(application) -> Optional[str]:
     return stage_fingerprint(_STAGE, None, spec)
 
 
-class TraceSource:
-    """A collected trace known by its digest, loaded on first use.
-
-    ``initiator_names`` and ``target_names`` are available without the
-    records; :meth:`trace` materializes them once (thread safe) and
-    returns the same object afterwards. :attr:`digest` is the stored
-    digest until the trace is loaded, the loaded trace's own digest
-    after; a source built from an in-memory trace hashes it on first
-    read only.
-    """
-
-    def __init__(
-        self,
-        initiator_names: Sequence[str],
-        target_names: Sequence[str],
-        load: Callable[[], TrafficTrace],
-        digest: Optional[str] = None,
-    ) -> None:
-        self.initiator_names = list(initiator_names)
-        self.target_names = list(target_names)
-        self._load = load
-        self._digest = digest
-        self._trace: Optional[TrafficTrace] = None
-        self._lock = threading.Lock()
-
-    @classmethod
-    def of(cls, trace: TrafficTrace) -> "TraceSource":
-        """A source for a trace already in memory."""
-        source = cls(trace.initiator_names, trace.target_names, lambda: trace)
-        source._trace = trace
-        return source
-
-    @property
-    def digest(self) -> str:
-        if self._digest is None:
-            self._digest = trace_fingerprint(self.trace())
-        return self._digest
-
-    def trace(self) -> TrafficTrace:
-        with self._lock:
-            if self._trace is None:
-                self._trace = self._load()
-                # Memoized on the trace by the load's own check, and it
-                # differs from the stored digest after a re-simulation.
-                self._digest = trace_fingerprint(self._trace)
-            return self._trace
-
-
 class CollectStage:
     """Program-driven Phase-1 collection behind an input-keyed store.
 
@@ -199,10 +158,14 @@ class CollectStage:
             return None
         self.counters.record_disk_hit(_STAGE)
         source = TraceSource(
-            entry["initiator_names"],
-            entry["target_names"],
             lambda: self._load(key, entry, application),
             digest=entry["digest"],
+            shape=TraceShape(
+                entry["initiator_names"],
+                entry["target_names"],
+                entry["num_records"],
+                entry["total_cycles"],
+            ),
         )
         self.store.put(key, source)
         return source
@@ -241,10 +204,11 @@ class CollectStage:
         )
 
     def _load(self, key: str, entry: Dict[str, Any], application) -> TrafficTrace:
-        arrays = self.store.get_arrays(key)
-        trace = _decode(arrays, entry) if arrays is not None else None
-        if trace is not None and trace_fingerprint(trace) == entry["digest"]:
-            return trace
+        with _tracing.span("pipeline.collect.load", records=entry["num_records"]):
+            arrays = self.store.get_arrays(key)
+            trace = _decode(arrays, entry) if arrays is not None else None
+            if trace is not None and trace_fingerprint(trace) == entry["digest"]:
+                return trace
         self.store.drop_arrays(key)
         trace = self._simulate(application, key)
         self._persist(key, trace)

@@ -193,7 +193,8 @@ class PipelineRunner:
 
         The fingerprint is the trace's record-level content hash, so
         equal traces -- however produced -- share every downstream
-        artifact.
+        artifact. A :class:`CollectedTraffic` passes through as is: a
+        deferred one keeps its trace unloaded (see :meth:`window`).
         """
         if isinstance(trace, CollectedTraffic):
             return trace
@@ -228,7 +229,11 @@ class PipelineRunner:
 
         Lookup order: store memo -> ``.npz`` sidecar -> compute. Every
         path yields byte-identical tensors; the tiers differ only in
-        cost.
+        cost. Only the compute reads ``collected.trace``, so it alone
+        loads a deferred trace; a load whose digest is not
+        ``collected.fingerprint`` raises
+        :class:`~repro.pipeline.artifacts.TraceDigestMismatch` before
+        anything is stored.
         """
         spec = window_stage_spec(config, window_size, mirrored)
         fingerprint = stage_fingerprint("window", collected.fingerprint, spec)
@@ -243,12 +248,12 @@ class PipelineRunner:
                 self.counters.record_disk_hit("window")
                 self.store.put(fingerprint, artifact)
                 return artifact
+        # Loaded before the tally: a stale digest raises right here.
+        loaded = collected.trace
         self.counters.record_computed("window")
 
         def _compute() -> WindowedAnalysis:
-            trace = (
-                collected.trace.mirrored() if mirrored else collected.trace
-            )
+            trace = loaded.mirrored() if mirrored else loaded
             return WindowedAnalysis(
                 problem=self._problem_for(trace, window_size, config),
                 mirrored=mirrored,
@@ -414,6 +419,12 @@ class PipelineRunner:
     ) -> SideArtifacts:
         """Phases 2-4 for one crossbar side."""
         windowed = self.window(collected, config, window_size, mirrored)
+        return self._side(windowed, config)
+
+    def _side(
+        self, windowed: WindowedAnalysis, config: SynthesisConfig
+    ) -> SideArtifacts:
+        """Phases 3-4 for one windowed crossbar side."""
         conflicts = self.conflicts(windowed, config)
         binding = self.bind(windowed, conflicts, config)
         return SideArtifacts(
@@ -462,7 +473,14 @@ class PipelineRunner:
         window_size: int,
         label: str = "",
     ) -> PipelineDesign:
-        """The full staged flow for both crossbars of one point."""
+        """The full staged flow for both crossbars of one point.
+
+        A deferred ``trace`` whose loaded digest differs from its
+        fingerprint raises
+        :class:`~repro.pipeline.artifacts.TraceDigestMismatch` before
+        any stage is stored under that fingerprint (see :meth:`window`);
+        the caller restarts the point under the source's new digest.
+        """
         with _tracing.span(
             "pipeline.design", window=window_size, label=label
         ):
@@ -476,8 +494,14 @@ class PipelineRunner:
         label: str = "",
     ) -> PipelineDesign:
         collected = self.collect(trace, label=label)
-        it = self.design_side(collected, config, window_size, mirrored=False)
-        ti = self.design_side(collected, config, window_size, mirrored=True)
+        # The windows are the only stages that read the trace: both run
+        # first, so a stale digest surfaces before anything downstream
+        # is stored under it.
+        windows = [
+            self.window(collected, config, window_size, mirrored)
+            for mirrored in (False, True)
+        ]
+        it, ti = [self._side(windowed, config) for windowed in windows]
         design = CrossbarDesign(
             it=it.binding.binding, ti=ti.binding.binding, label="windowed"
         )
@@ -666,12 +690,12 @@ def reset_shared_runner() -> None:
 def describe_stages(design: PipelineDesign) -> List[Tuple[str, str, str]]:
     """(stage, fingerprint, summary) rows for ``repro pipeline inspect``."""
     collected = design.collected
+    shape = collected.source.shape
     rows: List[Tuple[str, str, str]] = [
         (
             "collect",
             collected.fingerprint,
-            f"{len(collected.trace)} records, "
-            f"{collected.trace.total_cycles} cycles",
+            f"{shape.num_records} records, {shape.total_cycles} cycles",
         )
     ]
     for side_name, side in (("it", design.it), ("ti", design.ti)):

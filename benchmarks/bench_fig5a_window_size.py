@@ -5,19 +5,21 @@ with ~1000-cycle bursts: windows much smaller than the burst give a
 near-full crossbar; windows of 1-4 burst lengths compact sharply; very
 large windows degenerate toward the average-traffic design.
 
-The timed kernel is the full sweep (assignment backend, for baseline
-comparability); an untimed split then re-solves a window subset through
-the literal MILP (``--backend milp``, HiGHS) and charts seconds per
-window size.
+The timed kernel is the full sweep (the assignment DFS); an untimed
+split then checks a window subset's initiator->target problem against
+the literal MILP oracle (HiGHS on Eqs. 3-11, ``tests/oracles/milp``)
+and charts its seconds per window size.
 """
 
 import time
+from dataclasses import replace
 
 from repro.analysis import bar_chart, format_table, window_size_sweep, xy_plot
 from repro.apps.synthetic import synthetic_trace
-from repro.core import SynthesisConfig
+from repro.core import CrossbarSynthesizer, SynthesisConfig
 
 from _bench_utils import emit, engine_from_env, note_kernel_speedup
+from tests.oracles.milp.reference import assert_matches_dfs
 
 BURST = 1_000
 WINDOWS = [200, 300, 400, 750, 1_000, 2_000, 3_000, 4_000, 50_000, 120_000]
@@ -61,19 +63,20 @@ def test_fig5a_window_size_sweep(benchmark, results_dir):
 
     sizes = {int(point.value): point.it_buses for point in points}
 
-    # The same sweep points through the literal MILP. The assignment
-    # sweep above already warmed the shared window store, so the split
-    # isolates *solver* cost per window size. Both backends are exact --
-    # bus counts must match point for point.
-    milp_config = SynthesisConfig(max_targets_per_bus=None, backend="milp")
+    # The same sweep points on the literal MILP: every probe's verdict,
+    # the minimum bus count and the optimal overlap must match the DFS,
+    # whose bindings must be points of the model. The split times only
+    # the MILP solves.
     milp_split = {}
     for window in MILP_WINDOWS:
+        synthesizer = CrossbarSynthesizer(replace(config, window_size=window))
+        side = synthesizer.design_from_trace(trace, window).it_report
+        assert side.search.num_buses == sizes[window]
         begin = time.perf_counter()
-        (point,) = window_size_sweep(trace, [window], milp_config, engine=engine)
-        milp_split[window] = round(time.perf_counter() - begin, 4)
-        assert point.it_buses == sizes[window], (
-            f"milp disagrees with assignment at window {window}"
+        assert_matches_dfs(
+            side.problem, side.conflicts, None, side.search, side.binding
         )
+        milp_split[window] = round(time.perf_counter() - begin, 4)
     benchmark.extra_info["milp_split_s"] = milp_split
 
     milp_table = format_table(
@@ -81,7 +84,7 @@ def test_fig5a_window_size_sweep(benchmark, results_dir):
         [[window, milp_split[window]] for window in MILP_WINDOWS],
         title=(
             "Fig. 5(a) sweep on the literal MILP "
-            "(seconds per design point, windows pre-warmed)"
+            "(seconds per IT problem checked against the DFS)"
         ),
     )
     milp_chart = bar_chart(

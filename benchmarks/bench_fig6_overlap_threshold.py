@@ -7,19 +7,21 @@ threshold lets the bandwidth constraints take over and the crossbar
 shrinks. The plot ends at 50% because beyond it the window bandwidth
 constraint is violated anyway (Sec. 7.4).
 
-The timed kernel is the full threshold sweep (assignment backend, for
-baseline comparability); an untimed split then re-solves a threshold
-subset through the literal MILP (``--backend milp``, HiGHS) and charts
-seconds per threshold.
+The timed kernel is the full threshold sweep (the assignment DFS); an
+untimed split then checks a threshold subset's initiator->target
+problem against the literal MILP oracle (HiGHS on Eqs. 3-11,
+``tests/oracles/milp``) and charts its seconds per threshold.
 """
 
 import time
+from dataclasses import replace
 
 from repro.analysis import bar_chart, format_table, overlap_threshold_sweep
 from repro.apps.synthetic import synthetic_trace
-from repro.core import SynthesisConfig
+from repro.core import CrossbarSynthesizer, SynthesisConfig
 
 from _bench_utils import emit, engine_from_env, note_kernel_speedup
+from tests.oracles.milp.reference import assert_matches_dfs
 
 THRESHOLDS = [0.0, 0.05, 0.10, 0.20, 0.30, 0.40, 0.50]
 WINDOW = 2_000  # twice the typical burst
@@ -55,22 +57,23 @@ def test_fig6_overlap_threshold_sweep(benchmark, results_dir):
     )
     emit(results_dir, "fig6", table + "\n\n" + chart)
 
-    # The same design points through the literal MILP. The sweep above
-    # warmed the shared window store (threshold lives in the conflict
-    # stage, so every threshold shares one window fingerprint) -- the
-    # split isolates solver cost.
+    # The same design points on the literal MILP: every probe's
+    # verdict, the minimum bus count and the optimal overlap must match
+    # the DFS, whose bindings must be points of the model. The split
+    # times only the MILP solves.
     reference = {point.value: point.it_buses for point in points}
-    milp_config = SynthesisConfig(max_targets_per_bus=None, backend="milp")
     milp_split = {}
     for threshold in MILP_THRESHOLDS:
+        synthesizer = CrossbarSynthesizer(
+            replace(config, window_size=WINDOW, overlap_threshold=threshold)
+        )
+        side = synthesizer.design_from_trace(trace, WINDOW).it_report
+        assert side.search.num_buses == reference[threshold]
         begin = time.perf_counter()
-        (point,) = overlap_threshold_sweep(
-            trace, [threshold], WINDOW, milp_config, engine=engine
+        assert_matches_dfs(
+            side.problem, side.conflicts, None, side.search, side.binding
         )
         milp_split[threshold] = round(time.perf_counter() - begin, 4)
-        assert point.it_buses == reference[threshold], (
-            f"milp disagrees with assignment at {threshold:.0%}"
-        )
     benchmark.extra_info["milp_split_s"] = milp_split
 
     milp_table = format_table(
@@ -81,7 +84,7 @@ def test_fig6_overlap_threshold_sweep(benchmark, results_dir):
         ],
         title=(
             "Fig. 6 sweep on the literal MILP "
-            "(seconds per design point, windows pre-warmed)"
+            "(seconds per IT problem checked against the DFS)"
         ),
     )
     milp_chart = bar_chart(

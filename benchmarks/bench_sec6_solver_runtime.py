@@ -1,6 +1,6 @@
 """Sec. 6 -- solver runtime ablations.
 
-Three claims are exercised on Mat2's initiator->target problem:
+Two claims are exercised on Mat2's initiator->target problem:
 
 1. **Two-MILP split**: "solving MILP1 for feasibility check is usually
    faster than solving MILP2 with objective function and additional
@@ -11,9 +11,8 @@ Three claims are exercised on Mat2's initiator->target problem:
    on the same feasibility probe and on the MILP2 binding optimization
    (both exact, wildly different constants). The DFS must reach the
    same optimal objective as HiGHS on the literal MILP2, faster -- the
-   reason it is the default backend.
-3. **Warm starts**: a re-solve of the literal MILP2 bounded by a cached
-   binding's objective explores fewer HiGHS nodes than a cold one.
+   reason it is the only solver ``repro`` runs; the MILP is the test
+   oracle in ``tests/oracles/milp``, called here directly.
 
 These use pytest-benchmark's statistics properly (multiple rounds)
 where the kernels are sub-second; the literal MILP2 solve takes about
@@ -26,11 +25,11 @@ import pytest
 
 from repro.core import SynthesisConfig, build_conflicts
 from repro.core.assignment import solve_assignment
-from repro.core.binding import binding_overlap_objective
-from repro.core.formulation import build_binding_model, build_feasibility_model
 from repro.core.problem import CrossbarDesignProblem
 from repro.core.search import search_minimum_buses
-from repro.milp import BranchBoundOptions, SolveStatus, solve_milp
+from tests.oracles.milp import SolveStatus, solve_milp
+from tests.oracles.milp.formulation import build_binding_model
+from tests.oracles.milp.reference import is_model_point, milp1_feasible
 
 
 @pytest.fixture(scope="module")
@@ -71,17 +70,13 @@ def test_milp2_binding_optimization(benchmark, mat2_problem):
 def test_literal_milp_feasibility(benchmark, mat2_problem):
     """The same feasibility probe through the literal Eq. 3-9 MILP."""
     problem, conflicts, config, num_buses = mat2_problem
-
-    def probe():
-        model = build_feasibility_model(
+    feasible = benchmark.pedantic(
+        lambda: milp1_feasible(
             problem, conflicts, num_buses, config.max_targets_per_bus
-        )
-        return solve_milp(
-            model.model, BranchBoundOptions(feasibility_only=True)
-        )
-
-    solution = benchmark.pedantic(probe, rounds=3, iterations=1)
-    assert solution.is_feasible
+        ),
+        rounds=3, iterations=1,
+    )
+    assert feasible
 
 
 def test_split_is_faster_than_direct_optimization(benchmark, mat2_problem):
@@ -138,6 +133,7 @@ def test_milp2_dfs_vs_literal_milp(benchmark, mat2_problem):
     assert highs.status is SolveStatus.OPTIMAL
     assert assignment.status == "optimal"
     assert highs.objective == pytest.approx(assignment.objective)
+    assert is_model_point(model, assignment.binding, assignment.objective)
 
     highs_s = benchmark.stats.stats.mean
     benchmark.extra_info["dfs_s"] = round(dfs_s, 4)
@@ -147,33 +143,3 @@ def test_milp2_dfs_vs_literal_milp(benchmark, mat2_problem):
     benchmark.extra_info["highs_nodes"] = highs.nodes
     assert dfs_s < highs_s
 
-
-def test_milp2_warm_start_nodes(benchmark, app_traces):
-    """Warm-started re-solves explore strictly fewer nodes than cold.
-
-    HiGHS on Qsort's literal MILP2; the warm hint is the cold optimum's
-    binding, i.e. exactly what the pipeline's hint slot would serve
-    after a suite edit. It enters the solve as an objective cutoff.
-    """
-    _app, trace = app_traces["qsort"]
-    problem = CrossbarDesignProblem.from_trace(trace, window_size=1_000)
-    config = SynthesisConfig()
-    conflicts = build_conflicts(problem, config)
-    num_buses = search_minimum_buses(problem, conflicts, config).num_buses
-    model = build_binding_model(
-        problem, conflicts, num_buses, config.max_targets_per_bus
-    )
-    options = BranchBoundOptions()
-    cold = solve_milp(model.model, options)
-    binding = model.extract_binding(cold)
-    warm_values = model.warm_values(
-        binding, objective=binding_overlap_objective(problem, binding)
-    )
-    warm = benchmark.pedantic(
-        lambda: solve_milp(model.model, options, warm_values=warm_values),
-        rounds=3, iterations=1,
-    )
-    assert warm.objective == pytest.approx(cold.objective)
-    benchmark.extra_info["cold_nodes"] = cold.nodes
-    benchmark.extra_info["warm_nodes"] = warm.nodes
-    assert warm.nodes < cold.nodes

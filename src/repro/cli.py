@@ -24,7 +24,7 @@ invocations) and route through :class:`repro.exec.ExecutionEngine`.
 The same commands accept ``--profile``, which prints the run's growth
 of the metrics registry as tables: a per-phase wall-clock breakdown
 (windowing / overlap / conflicts / solve), per-stage pipeline timings,
-per-backend solver counts and assignment DFS nodes per mode; and
+solve counts by kind and assignment DFS nodes per mode; and
 ``--trace FILE``, which arms span tracing around the command and writes
 the captured spans as JSONL -- feed that file back to ``repro trace``
 for an indented tree or a Chrome/Perfetto export.
@@ -72,6 +72,15 @@ def _add_jobs_option(subparser: argparse.ArgumentParser) -> None:
     # Kept, hidden, so existing scripts passing "--jobs 1" still parse.
     subparser.add_argument(
         "--jobs", type=int, choices=[1], default=1, help=argparse.SUPPRESS
+    )
+
+
+def _add_backend_option(subparser: argparse.ArgumentParser) -> None:
+    # Kept, hidden, so existing scripts passing "--backend assignment"
+    # still parse; the assignment DFS is the only solver.
+    subparser.add_argument(
+        "--backend", choices=["assignment"], default="assignment",
+        help=argparse.SUPPRESS,
     )
 
 
@@ -141,7 +150,7 @@ class _PhaseProfile:
     The registry is monotonic for the process lifetime, so every table
     is the growth between the snapshot taken here and the one taken at
     :meth:`report`: phases (``repro_phase_seconds``), pipeline stages
-    (``repro_stage_seconds``), solver backends (``repro_solves_total``)
+    (``repro_stage_seconds``), solves by kind (``repro_solves_total``)
     and assignment DFS nodes (``repro_dfs_nodes_total``).
     """
 
@@ -167,8 +176,7 @@ class _PhaseProfile:
             for (stage,), (count, seconds) in grown("repro_stage_seconds")
         ]
         solves = [
-            [kind, backend, int(count)]
-            for (kind, backend), count in grown("repro_solves_total")
+            [kind, int(count)] for (kind,), count in grown("repro_solves_total")
         ]
         nodes = [
             [mode, int(count)]
@@ -176,7 +184,7 @@ class _PhaseProfile:
         ]
         tables = (
             ("pipeline stages (this run)", ["stage", "computed", "total ms"], stages),
-            ("solver backends (this run)", ["solve", "backend", "count"], solves),
+            ("solves (this run)", ["solve", "count"], solves),
             ("DFS nodes (this run)", ["mode", "nodes"], nodes),
         )
         for title, headers, rows in tables:
@@ -212,10 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--maxtb", type=int, default=4,
         help="max targets per bus (0 disables the limit)",
     )
-    design.add_argument(
-        "--backend", choices=("assignment", "milp"), default="assignment",
-        help="feasibility/binding solver backend",
-    )
+    _add_backend_option(design)
     design.add_argument(
         "--validate", action="store_true",
         help="re-simulate the designed crossbar and report latency",
@@ -350,10 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--maxtb", type=int, default=4,
         help="max targets per bus (0 disables the limit)",
     )
-    inspect.add_argument(
-        "--backend", choices=("assignment", "milp"), default="assignment",
-        help="feasibility/binding solver backend",
-    )
+    _add_backend_option(inspect)
     inspect.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist serializable stage artifacts here; a repeated "
@@ -463,7 +465,6 @@ def _config_from_args(args) -> SynthesisConfig:
         window_size=args.window,
         overlap_threshold=args.threshold,
         max_targets_per_bus=args.maxtb or None,
-        backend=args.backend,
     )
 
 
@@ -732,7 +733,6 @@ def _cmd_pipeline_inspect_suite(args) -> int:
     config = SynthesisConfig(
         overlap_threshold=args.threshold,
         max_targets_per_bus=args.maxtb or None,
-        backend=args.backend,
     )
     # Replay is part of the suite's stage DAG: inspect always runs it so
     # the replay stage rows (and their cache behaviour) are visible.

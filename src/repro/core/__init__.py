@@ -13,13 +13,12 @@ The design flow (paper Fig. 3) is implemented end to end:
 4. **Optimal binding** (:mod:`repro.core.binding`) -- minimize the
    maximum per-bus traffic overlap (MILP2, Eq. 11).
 
-Two interchangeable exact solvers answer the feasibility/binding
-problems: a specialized branch-and-bound assignment solver
-(:mod:`repro.core.assignment`, the fast default) and the literal MILP
-formulation (:mod:`repro.core.formulation`) solved with
-:mod:`repro.milp`. Baseline design styles from prior work (average-traffic
-and contention-free peak design, random binding) live in
-:mod:`repro.core.baselines`.
+One exact solver answers both problems: a specialized branch-and-bound
+over target-to-bus assignments (:mod:`repro.core.assignment`). The
+paper's literal MILP formulation is the test suite's oracle for it
+(``tests/oracles/milp``), not a second code path. Baseline design
+styles from prior work (average-traffic and contention-free peak
+design, random binding) live in :mod:`repro.core.baselines`.
 """
 
 from repro.core.instrumentation import SOLVE_COUNTER, SolveCounter

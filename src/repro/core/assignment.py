@@ -5,7 +5,9 @@ Solves exactly the model of paper Eqs. 3-9 (feasibility) and Eq. 11
 branch-and-bound over target-to-bus assignments rather than a generic
 MILP -- the structure (one bus per target, symmetric bus labels) makes
 this orders of magnitude faster while provably returning the same
-answers, which the test suite checks against the literal MILP.
+answers. It is the only binding solver; the test suite checks its
+verdicts, optima and bindings against the literal MILP
+(``tests/oracles/milp``).
 
 Search design:
 

@@ -7,7 +7,7 @@ feasibility probes in :mod:`repro.core.search` and binding optimization
 in :mod:`repro.core.binding` -- report every invocation here.
 
 Every invocation is counted once, in the process-global
-``repro_solves_total{kind=..., backend=...}`` registry counter (the
+``repro_solves_total{kind=...}`` registry counter (the
 ``/metrics`` view). :data:`SOLVE_COUNTER` stores nothing of its own: it
 is the resettable view cache tests want, reading the counter's growth
 since its last :meth:`SolveCounter.reset`.
@@ -32,9 +32,8 @@ __all__ = [
 
 _SOLVES_TOTAL = _metrics.counter(
     "repro_solves_total",
-    "Solver invocations by kind (feasibility probe / binding MILP) "
-    "and solver backend.",
-    ("kind", "backend"),
+    "Solver invocations by kind (feasibility probe / binding).",
+    ("kind",),
 )
 
 _DFS_NODES_TOTAL = _metrics.counter(
@@ -62,24 +61,16 @@ class SolveCounter:
         and is left alone)."""
         self._baseline = _SOLVES_TOTAL.collect()
 
-    def snapshot(self) -> Dict[str, object]:
-        """Both counts, their total and the per-backend split, in one read."""
+    def snapshot(self) -> Dict[str, int]:
+        """Both counts and their total, in one read."""
         kinds = {"feasibility": 0, "binding": 0}
-        by_backend: Dict[str, int] = {}
-        for (kind, backend), value in _SOLVES_TOTAL.collect().items():
-            grown = int(value - self._baseline.get((kind, backend), 0))
-            if grown:
-                kinds[kind] += grown
-                by_backend[backend] = by_backend.get(backend, 0) + grown
-        return {
-            **kinds,
-            "total": kinds["feasibility"] + kinds["binding"],
-            "by_backend": by_backend,
-        }
+        for (kind,), value in _SOLVES_TOTAL.collect().items():
+            kinds[kind] += int(value - self._baseline.get((kind,), 0))
+        return {**kinds, "total": kinds["feasibility"] + kinds["binding"]}
 
     @property
     def feasibility(self) -> int:
-        """Feasibility probes (MILP1 / assignment feasibility)."""
+        """Feasibility probes (MILP1)."""
         return self.snapshot()["feasibility"]
 
     @property
@@ -97,15 +88,11 @@ SOLVE_COUNTER = SolveCounter()
 """The process-global view cache tests and ``/v1/stats`` read."""
 
 
-def record_solve(kind: str, backend: str = "assignment") -> None:
-    """Report one solver invocation of ``kind`` on ``backend``.
-
-    ``backend`` names the solver that ran: ``"assignment"`` (the
-    specialized solver, default) or ``"highs"`` (the literal MILP).
-    """
+def record_solve(kind: str) -> None:
+    """Report one solver invocation of ``kind``."""
     if kind not in ("feasibility", "binding"):
         raise ValueError(f"unknown solve kind {kind!r}")
-    _SOLVES_TOTAL.inc(kind=kind, backend=backend)
+    _SOLVES_TOTAL.inc(kind=kind)
 
 
 def record_dfs_nodes(optimize: bool, nodes: int) -> None:

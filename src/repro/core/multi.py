@@ -20,7 +20,7 @@ Merge policies
     the longest scenario) and ``comm``/``wo`` take the element-wise
     maximum across scenarios. More conservative than ``union`` (it can
     combine demands no single scenario produces) but keeps the window
-    count of a single scenario, which the MILP backend appreciates.
+    count of a single scenario, so every solve checks fewer windows.
 ``weighted``
     Bandwidth constraints as in ``union``; threshold/real-time conflict
     pairs are kept only when the scenarios exhibiting them carry at

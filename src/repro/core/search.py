@@ -2,7 +2,8 @@
 
 The minimum feasible bus count is located by binary search over
 configurations, testing each candidate with the feasibility problem
-(MILP1 / the assignment solver). Feasibility is monotone in the bus
+(the paper's MILP1, answered by the assignment DFS of
+:mod:`repro.core.assignment`). Feasibility is monotone in the bus
 count -- any binding into ``k`` buses is also a binding into ``k + 1`` --
 so binary search is exact.
 
@@ -17,13 +18,11 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.core.assignment import solve_assignment
-from repro.core.formulation import build_feasibility_model
 from repro.core.instrumentation import record_solve
 from repro.core.preprocess import ConflictAnalysis
 from repro.core.problem import CrossbarDesignProblem
 from repro.core.spec import SynthesisConfig
-from repro.errors import SolverError, SynthesisError
-from repro.milp import SolveStatus, solve_milp
+from repro.errors import SynthesisError
 
 __all__ = ["SearchOutcome", "search_minimum_buses"]
 
@@ -52,83 +51,13 @@ class SearchOutcome:
     probes: Dict[int, bool]
 
 
-def _canonical_witness(
-    problem: CrossbarDesignProblem,
-    conflicts: ConflictAnalysis,
-    num_buses: int,
-    config: SynthesisConfig,
-    crossbar_model,
-    solution,
-):
-    """Re-derive a MILP feasibility witness deterministically.
-
-    Exact solvers agree that a witness *exists* but not on which one
-    they find, and the witness is serialized into binding artifacts --
-    so byte-identity across backends (and across warm vs cold solves)
-    requires deriving it from the verdict, not the solve: the same
-    deterministic assignment DFS the default backend runs. Falls back
-    to the MILP's own witness if the DFS exhausts its node budget; a
-    DFS *proof* of infeasibility contradicting the MILP verdict is a
-    solver bug and raises.
-    """
-    try:
-        result = solve_assignment(
-            problem,
-            conflicts,
-            num_buses,
-            max_targets_per_bus=config.max_targets_per_bus,
-            optimize=False,
-            node_limit=config.node_limit,
-        )
-    except SolverError:
-        return crossbar_model.extract_binding(solution)
-    if not result.is_feasible:
-        raise SynthesisError(
-            f"MILP found {num_buses} buses feasible but the assignment "
-            f"oracle proves them infeasible -- solver disagreement"
-        )
-    return result.binding
-
-
 def _is_feasible(
     problem: CrossbarDesignProblem,
     conflicts: ConflictAnalysis,
     num_buses: int,
     config: SynthesisConfig,
-    warm_binding=None,
 ):
-    """Feasibility check; returns a witness binding or None.
-
-    ``warm_binding`` is an advisory hint: when it still satisfies the
-    current model it short-circuits the MILP probe (a valid binding
-    *is* a feasibility proof); when stale it is rejected during
-    validation and the probe runs cold. Either way the returned witness
-    is canonical, so search outcomes stay byte-identical.
-    """
-    if config.backend == "milp":
-        from repro.core.binding import milp_solver_options
-
-        options = milp_solver_options(config, feasibility_only=True)
-        record_solve("feasibility", backend="highs")
-        crossbar_model = build_feasibility_model(
-            problem, conflicts, num_buses, config.max_targets_per_bus
-        )
-        warm_values = None
-        if warm_binding is not None and len(warm_binding) == problem.num_targets:
-            warm_values = crossbar_model.warm_values(warm_binding)
-        solution = solve_milp(
-            crossbar_model.model, options, warm_values=warm_values
-        )
-        if solution.status is SolveStatus.NODE_LIMIT:
-            raise SynthesisError(
-                f"MILP feasibility check for {num_buses} buses exhausted the "
-                f"node budget"
-            )
-        if solution.is_feasible:
-            return _canonical_witness(
-                problem, conflicts, num_buses, config, crossbar_model, solution
-            )
-        return None
+    """Feasibility check; returns a witness binding or None."""
     record_solve("feasibility")
     result = solve_assignment(
         problem,
@@ -145,16 +74,8 @@ def search_minimum_buses(
     problem: CrossbarDesignProblem,
     conflicts: ConflictAnalysis,
     config: SynthesisConfig,
-    warm_binding=None,
 ) -> SearchOutcome:
-    """Binary-search the minimum feasible crossbar configuration.
-
-    ``warm_binding`` (a cached binding from a similar earlier problem)
-    is forwarded to every feasibility probe as an advisory warm start;
-    it can only accelerate probes whose bus count covers it and whose
-    constraints it still satisfies -- verdicts, and therefore the
-    outcome, never depend on it.
-    """
+    """Binary-search the minimum feasible crossbar configuration."""
     num_targets = problem.num_targets
     lower = max(
         problem.bandwidth_lower_bound(),
@@ -170,7 +91,7 @@ def search_minimum_buses(
     witnesses: Dict[int, tuple] = {}
 
     def probe(k: int) -> bool:
-        witness = _is_feasible(problem, conflicts, k, config, warm_binding)
+        witness = _is_feasible(problem, conflicts, k, config)
         probes[k] = witness is not None
         if witness is not None:
             witnesses[k] = witness

@@ -1,4 +1,8 @@
-"""Synthesis configuration and result objects."""
+"""Synthesis configuration and result objects.
+
+A configuration names no solver: every feasibility probe and binding
+runs on the assignment DFS (:mod:`repro.core.assignment`).
+"""
 
 from __future__ import annotations
 
@@ -29,11 +33,6 @@ class SynthesisConfig:
     max_targets_per_bus:
         The paper's ``maxtb`` (Eq. 8), bounding worst-case serialization
         latency. ``None`` disables the limit.
-    backend:
-        ``"assignment"`` (specialized exact solver, default) or
-        ``"milp"`` (the literal Eq. 3-11 formulation via
-        :mod:`repro.milp`, solved by HiGHS). Both are exact and
-        report byte-identical designs.
     use_criticality:
         Whether overlapping real-time streams force conflicts.
     node_limit:
@@ -52,7 +51,6 @@ class SynthesisConfig:
     window_size: Optional[int] = None
     overlap_threshold: float = 0.3
     max_targets_per_bus: Optional[int] = 4
-    backend: str = "assignment"
     use_criticality: bool = True
     node_limit: int = 2_000_000
     variable_windows: bool = False
@@ -68,10 +66,6 @@ class SynthesisConfig:
             )
         if self.max_targets_per_bus is not None and self.max_targets_per_bus < 1:
             raise ConfigurationError("max_targets_per_bus must be >= 1 or None")
-        if self.backend not in ("assignment", "milp"):
-            raise ConfigurationError(
-                f"backend must be 'assignment' or 'milp', got {self.backend!r}"
-            )
         if self.node_limit < 1:
             raise ConfigurationError("node_limit must be positive")
         if self.variable_window_ratio < 1:

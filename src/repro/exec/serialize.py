@@ -29,9 +29,14 @@ RESULT_FORMAT = "repro-result-v1"
 
 # Configuration fields that no longer exist but that every
 # ``repro-result-v1`` record -- and every cache key hashed from a
-# record's config -- still carries, at the only values they ever took.
+# record's config -- still carries, at the only values they ever took
+# (``backend`` also took ``"milp"``, whose designs were byte-identical).
 # Writing them keeps records and keys byte-identical; reading drops them.
-_RETIRED_CONFIG_FIELDS = {"lp_engine": "scipy", "milp_backend": None}
+_RETIRED_CONFIG_FIELDS = {
+    "backend": "assignment",
+    "lp_engine": "scipy",
+    "milp_backend": None,
+}
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,12 @@ def _binding_from_dict(payload: Dict[str, Any]) -> BusBinding:
 
 def config_to_dict(config: SynthesisConfig) -> Dict[str, Any]:
     """The configuration as ``repro-result-v1`` records and hashes it."""
-    return {**asdict(config), **_RETIRED_CONFIG_FIELDS}
+    record = {}
+    for name, value in asdict(config).items():
+        record[name] = value
+        if name == "max_targets_per_bus":  # ``backend``'s slot
+            record["backend"] = _RETIRED_CONFIG_FIELDS["backend"]
+    return {**record, **_RETIRED_CONFIG_FIELDS}
 
 
 def result_to_dict(result: SynthesisResult) -> Dict[str, Any]:

@@ -49,7 +49,6 @@ __all__ = [
     "window_stage_spec",
     "conflict_stage_spec",
     "binding_stage_spec",
-    "warm_hint_key",
     "replay_stage_spec",
     "TraceShape",
     "TraceSource",
@@ -103,37 +102,17 @@ def conflict_stage_spec(config: SynthesisConfig) -> Dict[str, Any]:
 
 
 def binding_stage_spec(config: SynthesisConfig) -> Dict[str, Any]:
-    """The configuration slice the search/binding stage reads."""
+    """The configuration slice the search/binding stage reads.
+
+    ``backend`` is a constant: the assignment DFS is the only solver,
+    and the key keeps the slice's hash (and every stored binding)
+    stable.
+    """
     return {
-        "backend": config.backend,
+        "backend": "assignment",
         "max_targets_per_bus": config.max_targets_per_bus,
         "node_limit": config.node_limit,
     }
-
-
-def warm_hint_key(
-    stage: str, problem: CrossbarDesignProblem, config: SynthesisConfig
-) -> str:
-    """Content key for the binding stage's warm-start hint slot.
-
-    Deliberately *coarser* than the stage fingerprint: it hashes the
-    problem's shape (target count, window size) and the binding-stage
-    configuration slice, but not the traffic content. An edited suite
-    perturbs the traffic -- missing the artifact cache, which is
-    correct, the answer may change -- while still hitting this slot, so
-    the previous solve's binding seeds the new solve. Hints are
-    advisory and re-validated by the solver, which is what makes this
-    coarseness safe.
-    """
-    payload = {
-        "kind": "warm-hint",
-        "schema": STAGE_SCHEMA_VERSION,
-        "stage": stage,
-        "targets": int(problem.num_targets),
-        "window_size": int(problem.window_size),
-        "spec": binding_stage_spec(config),
-    }
-    return sha256_hex(canonical_json(payload))
 
 
 def replay_stage_spec(

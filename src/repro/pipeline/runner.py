@@ -67,7 +67,6 @@ from repro.pipeline.artifacts import (
     conflict_stage_spec,
     replay_stage_spec,
     stage_fingerprint,
-    warm_hint_key,
     window_stage_spec,
 )
 from repro.errors import ConfigurationError, SynthesisError
@@ -349,15 +348,6 @@ class PipelineRunner:
         conflicts: ConflictAnalysis,
         config: SynthesisConfig,
     ) -> BindingArtifact:
-        # Warm-start slot: keyed by problem shape + binding config, NOT
-        # traffic content -- so an edited suite that (correctly) misses
-        # the artifact cache still seeds its re-solve with the previous
-        # binding. Hints are advisory; the solver re-validates them.
-        warm_key = (
-            warm_hint_key(stage, problem, config)
-            if self.memoize_bindings
-            else None
-        )
         if self.memoize_bindings:
             cached = self.store.get(fingerprint)
             if cached is not None:
@@ -374,21 +364,14 @@ class PipelineRunner:
                 else:
                     self.counters.record_disk_hit(stage)
                     self.store.put(fingerprint, artifact)
-                    self.store.put_warm(warm_key, artifact.binding.binding)
                     return artifact
-        warm_binding = (
-            self.store.get_warm(warm_key) if warm_key is not None else None
-        )
         self.counters.record_computed(stage)
 
         def _compute() -> BindingArtifact:
             with track_phase("solve"):
-                search = search_minimum_buses(
-                    problem, conflicts, config, warm_binding=warm_binding
-                )
+                search = search_minimum_buses(problem, conflicts, config)
                 binding = optimize_binding(
-                    problem, conflicts, search.num_buses, config,
-                    warm_binding=warm_binding,
+                    problem, conflicts, search.num_buses, config
                 )
                 audit_binding(
                     problem,
@@ -405,21 +388,9 @@ class PipelineRunner:
         if self.memoize_bindings:
             self.store.put(fingerprint, artifact)
             self.store.put_payload(fingerprint, artifact.to_payload())
-            self.store.put_warm(warm_key, artifact.binding.binding)
         return artifact
 
     # -- composite drivers --------------------------------------------
-
-    def design_side(
-        self,
-        collected: CollectedTraffic,
-        config: SynthesisConfig,
-        window_size: int,
-        mirrored: bool,
-    ) -> SideArtifacts:
-        """Phases 2-4 for one crossbar side."""
-        windowed = self.window(collected, config, window_size, mirrored)
-        return self._side(windowed, config)
 
     def _side(
         self, windowed: WindowedAnalysis, config: SynthesisConfig

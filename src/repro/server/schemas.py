@@ -37,7 +37,9 @@ REQUEST_SCHEMA_VERSION = 1
 """Bump to invalidate request fingerprints on encoding changes."""
 
 _POLICIES = ("union", "worst-case", "weighted")
-_BACKENDS = ("assignment", "milp")
+# The request field stays for compatibility; the assignment DFS is the
+# only solver, so it accepts one value.
+_BACKENDS = ("assignment",)
 
 
 class RequestError(ReproError):

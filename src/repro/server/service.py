@@ -346,7 +346,6 @@ class SynthesisService:
             window_size=request.window,
             overlap_threshold=request.threshold,
             max_targets_per_bus=request.maxtb,
-            backend=request.backend,
         )
         window = request.resolved_window()
         result = self.engine.lookup_or_solve(
@@ -486,7 +485,6 @@ class SynthesisService:
         payload["solves"] = {
             "feasibility": solves["feasibility"],
             "binding": solves["binding"],
-            "by_backend": solves["by_backend"],
             "in_process": self._service_solves.total,
         }
         with self._stats_lock:

@@ -13,6 +13,8 @@ from repro.core import (
 )
 from repro.core.binding import binding_overlap_objective
 from repro.errors import SynthesisError, ValidationError
+from tests.oracles.milp.formulation import build_binding_model
+from tests.oracles.milp.reference import is_model_point, milp2_objective
 
 from tests.core.conftest import problem_from_activity
 from tests.traffic.test_windows import random_trace
@@ -33,13 +35,14 @@ class TestOptimizeBinding:
         with pytest.raises(SynthesisError):
             optimize_binding(two_phase_problem, conflicts, 1, default_config)
 
-    def test_milp_backend_matches(self, two_phase_problem):
-        config_milp = SynthesisConfig(backend="milp")
-        config_fast = SynthesisConfig()
-        conflicts = build_conflicts(two_phase_problem, config_fast)
-        fast = optimize_binding(two_phase_problem, conflicts, 2, config_fast)
-        slow = optimize_binding(two_phase_problem, conflicts, 2, config_milp)
-        assert fast.max_bus_overlap == slow.max_bus_overlap
+    def test_milp_backend_matches(self, two_phase_problem, default_config):
+        conflicts = build_conflicts(two_phase_problem, default_config)
+        fast = optimize_binding(two_phase_problem, conflicts, 2, default_config)
+        maxtb = default_config.max_targets_per_bus
+        objective = milp2_objective(two_phase_problem, conflicts, 2, maxtb)
+        assert fast.max_bus_overlap == objective
+        model = build_binding_model(two_phase_problem, conflicts, 2, maxtb)
+        assert is_model_point(model, fast.binding, objective)
 
     @settings(max_examples=15, deadline=None)
     @given(random_trace())

@@ -1,25 +1,36 @@
 """Tests for the literal MILP formulation and solver cross-validation.
 
-The specialized assignment solver and the Eq. 3-11 MILP must agree on
-feasibility verdicts and binding objectives -- the paper's results cannot
-depend on which solver answered.
+The assignment DFS is the only binding solver; the Eq. 3-11 MILP
+(``tests/oracles/milp``) is its reference. They must agree on
+feasibility verdicts and binding objectives, and every binding the DFS
+returns must be a feasible point of the literal model -- the paper's
+results cannot depend on which solver answered.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CrossbarDesignProblem, SynthesisConfig, build_conflicts
+from repro.core import (
+    CrossbarDesignProblem,
+    SynthesisConfig,
+    build_conflicts,
+    optimize_binding,
+)
 from repro.core.assignment import solve_assignment
 from repro.core.binding import binding_overlap_objective
-from repro.core.formulation import (
+from repro.core.search import search_minimum_buses
+from tests.oracles.milp import SolveStatus, solve_milp
+from tests.oracles.milp.formulation import (
     build_binding_model,
     build_feasibility_model,
 )
-from repro.core.search import search_minimum_buses
-from repro.milp import BranchBoundOptions, SolveStatus, solve_milp
+from tests.oracles.milp.reference import (
+    assert_matches_dfs,
+    is_model_point,
+    milp1_feasible,
+)
 
 from tests.core.conftest import problem_from_activity
 from tests.traffic.test_windows import random_trace
@@ -94,9 +105,7 @@ class TestModelStructure:
     def test_extract_binding_renumbers_densely(self, two_phase_problem):
         conflicts = conflicts_for(two_phase_problem, 0.5)
         crossbar = build_feasibility_model(two_phase_problem, conflicts, 3)
-        solution = solve_milp(
-            crossbar.model, BranchBoundOptions(feasibility_only=True)
-        )
+        solution = solve_milp(crossbar.model)
         binding = crossbar.extract_binding(solution)
         used = max(binding) + 1
         assert set(binding) == set(range(used))
@@ -106,16 +115,20 @@ class TestSolverAgreement:
     def test_two_phase_feasibility_agrees(self, two_phase_problem):
         conflicts = conflicts_for(two_phase_problem, 0.5)
         for num_buses in (1, 2, 3):
-            milp_model = build_feasibility_model(
-                two_phase_problem, conflicts, num_buses
-            )
-            milp = solve_milp(
-                milp_model.model, BranchBoundOptions(feasibility_only=True)
-            )
             assignment = solve_assignment(
                 two_phase_problem, conflicts, num_buses
             )
-            assert milp.is_feasible == assignment.is_feasible
+            assert (
+                milp1_feasible(two_phase_problem, conflicts, num_buses)
+                == assignment.is_feasible
+            )
+            if assignment.is_feasible:
+                assert is_model_point(
+                    build_feasibility_model(
+                        two_phase_problem, conflicts, num_buses
+                    ),
+                    assignment.binding,
+                )
 
     def test_two_phase_binding_objective_agrees(self, two_phase_problem):
         conflicts = conflicts_for(two_phase_problem, 0.5)
@@ -126,6 +139,9 @@ class TestSolverAgreement:
         )
         assert milp.status is SolveStatus.OPTIMAL
         assert milp.objective == pytest.approx(assignment.objective)
+        assert is_model_point(
+            milp_model, assignment.binding, assignment.objective
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(random_trace(), st.integers(1, 3))
@@ -134,12 +150,14 @@ class TestSolverAgreement:
             trace, window_size=max(1, trace.total_cycles // 2)
         )
         conflicts = conflicts_for(problem, 0.25)
-        milp_model = build_feasibility_model(problem, conflicts, num_buses)
-        milp = solve_milp(
-            milp_model.model, BranchBoundOptions(feasibility_only=True)
-        )
         assignment = solve_assignment(problem, conflicts, num_buses)
-        assert milp.is_feasible == assignment.is_feasible
+        assert (
+            milp1_feasible(problem, conflicts, num_buses)
+            == assignment.is_feasible
+        )
+        if assignment.is_feasible:
+            milp_model = build_feasibility_model(problem, conflicts, num_buses)
+            assert is_model_point(milp_model, assignment.binding)
 
     @settings(max_examples=10, deadline=None)
     @given(random_trace())
@@ -162,6 +180,9 @@ class TestSolverAgreement:
             assert binding_overlap_objective(problem, binding) == pytest.approx(
                 milp.objective
             )
+            assert is_model_point(
+                milp_model, assignment.binding, assignment.objective
+            )
         else:
             assert milp.status is SolveStatus.INFEASIBLE
 
@@ -174,18 +195,17 @@ class TestSolverAgreement:
     def test_minimum_bus_count_agreement_on_random_problems(
         self, problem, threshold, maxtb
     ):
-        # The whole Sec. 6 configuration search, once on HiGHS over the
-        # literal Eq. 3-10 model and once on the DFS: every probe's
-        # verdict, hence the minimum bus count, must match.
-        dfs_config = SynthesisConfig(
+        # The whole Sec. 6 method on the DFS, checked on HiGHS over the
+        # literal Eq. 3-11 model: every probe's verdict, hence the
+        # minimum bus count, the optimal objective, and both bindings
+        # as points of the model.
+        config = SynthesisConfig(
             overlap_threshold=threshold, max_targets_per_bus=maxtb
         )
-        milp_config = replace(dfs_config, backend="milp")
-        conflicts = build_conflicts(problem, dfs_config)
-        dfs = search_minimum_buses(problem, conflicts, dfs_config)
-        milp = search_minimum_buses(problem, conflicts, milp_config)
-        assert milp.num_buses == dfs.num_buses
-        assert milp.probes == dfs.probes
+        conflicts = build_conflicts(problem, config)
+        dfs = search_minimum_buses(problem, conflicts, config)
+        binding = optimize_binding(problem, conflicts, dfs.num_buses, config)
+        assert_matches_dfs(problem, conflicts, maxtb, dfs, binding)
 
     @settings(max_examples=15, deadline=None)
     @given(odd_conflict_cycles(), st.sampled_from([None, 2, 3]))
@@ -195,18 +215,13 @@ class TestSolverAgreement:
         # Chromatic number above the clique bound: a formulation whose
         # Eq. 7 conflict rows let two conflicting targets share a bus
         # answers two.
-        dfs_config = SynthesisConfig(
-            overlap_threshold=0.3, max_targets_per_bus=maxtb
-        )
-        conflicts = build_conflicts(problem, dfs_config)
+        config = SynthesisConfig(overlap_threshold=0.3, max_targets_per_bus=maxtb)
+        conflicts = build_conflicts(problem, config)
         assert conflicts.clique_lower_bound() == 2
-        dfs = search_minimum_buses(problem, conflicts, dfs_config)
-        milp = search_minimum_buses(
-            problem, conflicts, replace(dfs_config, backend="milp")
-        )
+        dfs = search_minimum_buses(problem, conflicts, config)
+        binding = optimize_binding(problem, conflicts, dfs.num_buses, config)
         per_bus_bound = (
             1 if maxtb is None else math.ceil(problem.num_targets / maxtb)
         )
         assert dfs.num_buses == max(3, per_bus_bound)
-        assert milp.num_buses == dfs.num_buses
-        assert milp.probes == dfs.probes
+        assert_matches_dfs(problem, conflicts, maxtb, dfs, binding)

@@ -30,18 +30,16 @@ def test_snapshot_is_the_registry_growth_since_reset():
     trace = build_application("qsort").simulate_full_crossbar().trace
     SOLVE_COUNTER.reset()
     before = metrics.REGISTRY.get("repro_solves_total").collect()
-    PipelineRunner().design(trace, SynthesisConfig(backend="milp"), 1_000)
+    PipelineRunner().design(trace, SynthesisConfig(), 1_000)
     snapshot = SOLVE_COUNTER.snapshot()
 
-    expected = {"feasibility": 0, "binding": 0, "total": 0, "by_backend": {}}
-    for (kind, backend), value in _solves_growth(before).items():
+    expected = {"feasibility": 0, "binding": 0, "total": 0}
+    for (kind,), value in _solves_growth(before).items():
         expected[kind] += value
         expected["total"] += value
-        by_backend = expected["by_backend"]
-        by_backend[backend] = by_backend.get(backend, 0) + value
     assert snapshot == expected
-    assert snapshot["by_backend"]["highs"] == snapshot["total"] > 0
-    assert SOLVE_COUNTER.total == snapshot["total"]
+    assert snapshot["binding"] == 2  # one Eq. 11 solve per crossbar side
+    assert SOLVE_COUNTER.total == snapshot["total"] > 0
 
 
 def test_concurrent_records_are_all_counted():
@@ -74,7 +72,6 @@ def test_reset_restarts_the_view_not_the_registry():
         "feasibility": 0,
         "binding": 0,
         "total": 0,
-        "by_backend": {},
     }
     assert metrics.REGISTRY.get("repro_solves_total").total() == registry_total
 

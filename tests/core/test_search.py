@@ -2,9 +2,15 @@
 
 from hypothesis import given, settings
 
-from repro.core import CrossbarDesignProblem, SynthesisConfig, build_conflicts
+from repro.core import (
+    CrossbarDesignProblem,
+    SynthesisConfig,
+    build_conflicts,
+    optimize_binding,
+)
 from repro.core.assignment import solve_assignment
 from repro.core.search import search_minimum_buses
+from tests.oracles.milp.reference import assert_matches_dfs
 
 from tests.core.conftest import problem_from_activity
 from tests.traffic.test_windows import random_trace
@@ -106,11 +112,8 @@ class TestMinimality:
         assert outcome.lower_bound <= outcome.num_buses
 
     def test_milp_backend_agrees_with_assignment(self, two_phase_problem):
-        assignment_outcome, _, _ = run_search(
-            two_phase_problem, SynthesisConfig(max_targets_per_bus=None)
+        outcome, conflicts, config = run_search(two_phase_problem)
+        binding = optimize_binding(
+            two_phase_problem, conflicts, outcome.num_buses, config
         )
-        milp_outcome, _, _ = run_search(
-            two_phase_problem,
-            SynthesisConfig(max_targets_per_bus=None, backend="milp"),
-        )
-        assert milp_outcome.num_buses == assignment_outcome.num_buses
+        assert_matches_dfs(two_phase_problem, conflicts, None, outcome, binding)

@@ -10,7 +10,6 @@ class TestSynthesisConfig:
     def test_defaults_valid(self):
         config = SynthesisConfig()
         assert config.overlap_threshold == pytest.approx(0.3)
-        assert config.backend == "assignment"
 
     def test_threshold_beyond_half_rejected(self):
         # Sec. 7.4: beyond 50% the bandwidth constraint fails anyway.
@@ -28,10 +27,6 @@ class TestSynthesisConfig:
     def test_bad_maxtb_rejected(self):
         with pytest.raises(ConfigurationError):
             SynthesisConfig(max_targets_per_bus=0)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SynthesisConfig(backend="cplex")
 
 
 class TestBusBinding:

@@ -34,8 +34,22 @@ def _sample_result() -> SynthesisResult:
 class TestRetiredConfigFields:
     def test_records_keep_the_retired_fields_at_their_only_values(self):
         config = result_to_dict(_sample_result())["config"]
+        assert config["backend"] == "assignment"
         assert config["lp_engine"] == "scipy"
         assert config["milp_backend"] is None
+        # ``backend`` keeps the slot it had while it was a field.
+        assert list(config) == [
+            "window_size",
+            "overlap_threshold",
+            "max_targets_per_bus",
+            "backend",
+            "use_criticality",
+            "node_limit",
+            "variable_windows",
+            "variable_window_ratio",
+            "lp_engine",
+            "milp_backend",
+        ]
 
 
 class TestRoundTrip:

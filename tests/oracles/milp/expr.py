@@ -3,8 +3,8 @@
 The modeling layer follows the conventions of mainstream MILP APIs:
 variables combine into :class:`LinExpr` objects through ``+``, ``-`` and
 scalar ``*``; comparing an expression with ``<=``, ``>=`` or ``==``
-produces a :class:`~repro.milp.model.Constraint` ready to be added to a
-:class:`~repro.milp.model.Model`.
+produces a :class:`~tests.oracles.milp.model.Constraint` ready to be added to a
+:class:`~tests.oracles.milp.model.Model`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class VarType(enum.Enum):
 
 
 class Variable:
-    """A decision variable owned by a :class:`~repro.milp.model.Model`.
+    """A decision variable owned by a :class:`~tests.oracles.milp.model.Model`.
 
     Construct variables through ``Model.binary_var`` and friends rather
     than directly; the model assigns the column ``index``.
@@ -184,17 +184,17 @@ class LinExpr:
     # -- constraint building (implemented in model.py to avoid a cycle) ------
 
     def __le__(self, other):
-        from repro.milp.model import Constraint, Sense
+        from tests.oracles.milp.model import Constraint, Sense
 
         return Constraint(self - self._as_expr(other), Sense.LE)
 
     def __ge__(self, other):
-        from repro.milp.model import Constraint, Sense
+        from tests.oracles.milp.model import Constraint, Sense
 
         return Constraint(self - self._as_expr(other), Sense.GE)
 
     def __eq__(self, other):  # type: ignore[override]
-        from repro.milp.model import Constraint, Sense
+        from tests.oracles.milp.model import Constraint, Sense
 
         return Constraint(self - self._as_expr(other), Sense.EQ)
 

@@ -1,7 +1,7 @@
 """The literal MILP formulation of the paper (Eqs. 3-11).
 
-These builders transcribe Section 5 of the paper onto :mod:`repro.milp`
-models, variable for variable:
+These builders transcribe Section 5 of the paper onto
+:mod:`tests.oracles.milp` models, variable for variable:
 
 * ``x[i][k]`` -- binding variables (Definition 3, Eq. 3, Eq. 9),
 * window bandwidth constraints (Eq. 4),
@@ -20,17 +20,18 @@ the model equivalent (the test suite checks this against brute force).
 
 The specialized solver in :mod:`repro.core.assignment` answers the same
 models faster; this module exists to keep the reproduction faithful and
-to cross-validate the specialized solver.
+to cross-validate the specialized solver
+(:mod:`tests.oracles.milp.reference`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.preprocess import ConflictAnalysis
 from repro.core.problem import CrossbarDesignProblem
-from repro.milp import LinExpr, Model, Variable
+from tests.oracles.milp import LinExpr, Model, Variable
 
 __all__ = ["CrossbarModel", "build_feasibility_model", "build_binding_model"]
 
@@ -43,38 +44,6 @@ class CrossbarModel:
     x: List[List[Variable]]  # x[i][k]: target i on bus k
     maxov: Optional[Variable] = None
     sb: Dict[Tuple[int, int, int], Variable] = field(default_factory=dict)
-
-    def warm_values(
-        self,
-        binding: Optional[Sequence[int]],
-        objective: Optional[float] = None,
-    ) -> Optional[Dict[Variable, float]]:
-        """Translate a cached binding into a warm-start hint.
-
-        Returns a full variable assignment (one-hot ``x``, consistent
-        ``sb`` products, ``maxov`` at ``objective``) or ``None`` when
-        the binding cannot possibly fit this model (wrong target count,
-        bus index out of range, or a binding model with no objective in
-        hand). The hint is *advisory*: the solver re-validates it
-        against all constraints, so a stale binding that no longer
-        satisfies e.g. the conflict rows is simply discarded there.
-        """
-        if binding is None or len(binding) != len(self.x):
-            return None
-        num_buses = len(self.x[0]) if self.x else 0
-        if any(bus < 0 or bus >= num_buses for bus in binding):
-            return None
-        if self.maxov is not None and objective is None:
-            return None
-        values: Dict[Variable, float] = {}
-        for i, row in enumerate(self.x):
-            for k, var in enumerate(row):
-                values[var] = 1.0 if binding[i] == k else 0.0
-        for (i, j, k), var in self.sb.items():
-            values[var] = 1.0 if binding[i] == k == binding[j] else 0.0
-        if self.maxov is not None:
-            values[self.maxov] = float(objective)
-        return values
 
     def extract_binding(self, solution) -> Tuple[int, ...]:
         """Read the target->bus assignment out of a MILP solution."""
@@ -126,23 +95,16 @@ def _build_common(
     for k in range(num_buses):
         for m in range(problem.num_windows):
             demand = LinExpr.total(
-                int(comm[i, m]) * x[i][k]
-                for i in range(num_targets)
-                if comm[i, m]
+                int(comm[i, m]) * x[i][k] for i in range(num_targets) if comm[i, m]
             )
             if demand.terms:
-                model.add(
-                    demand <= int(capacities[m]), name=f"bw[{k},{m}]"
-                )
+                model.add(demand <= int(capacities[m]), name=f"bw[{k},{m}]")
 
     # Eq. 8: bounded targets per bus.
     if max_targets_per_bus is not None:
         for k in range(num_buses):
-            model.add(
-                LinExpr.total(x[i][k] for i in range(num_targets))
-                <= max_targets_per_bus,
-                name=f"maxtb[{k}]",
-            )
+            on_bus = LinExpr.total(x[i][k] for i in range(num_targets))
+            model.add(on_bus <= max_targets_per_bus, name=f"maxtb[{k}]")
 
     maxov = None
     sb: Dict[Tuple[int, int, int], Variable] = {}
@@ -156,7 +118,7 @@ def _build_common(
 
     if with_sharing and interesting_pairs:
         # Definition 4 / Eqs. 5-6: sharing variables and linearization.
-        for (i, j) in interesting_pairs:
+        for i, j in interesting_pairs:
             for k in range(num_buses):
                 var = model.binary_var(f"sb_{i}_{j}_{k}")
                 sb[i, j, k] = var
@@ -166,7 +128,7 @@ def _build_common(
                     name=f"sb-ub[{i},{j},{k}]",
                 )
         # Eq. 7 via Eq. 6: conflicting pairs must share no bus.
-        for (i, j) in conflicts.reasons:
+        for i, j in conflicts.reasons:
             if (i, j, 0) in sb:
                 model.add(
                     LinExpr.total(sb[i, j, k] for k in range(num_buses)) <= 0,
@@ -177,7 +139,7 @@ def _build_common(
         for k in range(num_buses):
             bus_overlap = LinExpr.total(
                 int(overlap[i, j]) * sb[i, j, k]
-                for (i, j) in interesting_pairs
+                for i, j in interesting_pairs
                 if overlap[i, j]
             )
             if bus_overlap.terms:
@@ -186,11 +148,9 @@ def _build_common(
     else:
         # Feasibility flavour: Eq. 7 enforced directly on x without the
         # sharing machinery (equivalent and much smaller).
-        for (i, j) in conflicts.reasons:
+        for i, j in conflicts.reasons:
             for k in range(num_buses):
-                model.add(
-                    x[i][k] + x[j][k] <= 1, name=f"conflict[{i},{j},{k}]"
-                )
+                model.add(x[i][k] + x[j][k] <= 1, name=f"conflict[{i},{j},{k}]")
 
     return CrossbarModel(model=model, x=x, maxov=maxov, sb=sb)
 
@@ -203,8 +163,12 @@ def build_feasibility_model(
 ) -> CrossbarModel:
     """MILP1 (Eq. 10): pure feasibility, no objective."""
     return _build_common(
-        problem, conflicts, num_buses, max_targets_per_bus,
-        with_sharing=False, name=f"feasibility-{num_buses}buses",
+        problem,
+        conflicts,
+        num_buses,
+        max_targets_per_bus,
+        with_sharing=False,
+        name=f"feasibility-{num_buses}buses",
     )
 
 
@@ -216,6 +180,10 @@ def build_binding_model(
 ) -> CrossbarModel:
     """MILP2 (Eq. 11): optimal binding minimizing ``maxov``."""
     return _build_common(
-        problem, conflicts, num_buses, max_targets_per_bus,
-        with_sharing=True, name=f"binding-{num_buses}buses",
+        problem,
+        conflicts,
+        num_buses,
+        max_targets_per_bus,
+        with_sharing=True,
+        name=f"binding-{num_buses}buses",
     )

@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Union
 import numpy as np
 
 from repro.errors import ModelError
-from repro.milp.expr import LinExpr, Number, Variable, VarType
+from tests.oracles.milp.expr import LinExpr, Number, Variable, VarType
 
 __all__ = ["Sense", "Constraint", "StandardForm", "Model"]
 
@@ -38,7 +38,7 @@ class Sense(enum.Enum):
 class Constraint:
     """A linear constraint ``expr (<=|>=|==) 0`` in homogeneous form.
 
-    Built by comparing a :class:`~repro.milp.expr.LinExpr` with a scalar or
+    Built by comparing a :class:`~tests.oracles.milp.expr.LinExpr` with a scalar or
     another expression; the right-hand side is folded into the expression's
     constant, so the stored form is always ``expr sense 0``.
     """
@@ -81,10 +81,9 @@ class StandardForm:
     def check_point(self, x: np.ndarray, tol: float = 1e-6) -> bool:
         """Whether ``x`` is a feasible *integral* point of this form.
 
-        This is the gate every warm-start hint passes through before a
-        solver is allowed to use it: hints are advisory, so a stale
-        binding that violates the (possibly edited) constraints is
-        simply rejected here rather than corrupting the solve.
+        The oracle asks it of every binding the assignment DFS returns
+        (:func:`~tests.oracles.milp.reference.is_model_point`): a DFS
+        answer that breaks any row of the literal model is a solver bug.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != self.lower.shape:

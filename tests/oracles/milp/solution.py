@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.milp.expr import Variable
+from tests.oracles.milp.expr import Variable
 
 __all__ = ["SolveStatus", "Solution", "solution_from_vector"]
 
@@ -24,7 +24,7 @@ class SolveStatus(enum.Enum):
 
 @dataclass
 class Solution:
-    """Result of :func:`repro.milp.solver.solve_milp`.
+    """Result of :func:`tests.oracles.milp.solver.solve_milp`.
 
     Attributes
     ----------
@@ -73,7 +73,7 @@ def solution_from_vector(
 ) -> Solution:
     """Build a :class:`Solution` from a raw variable vector.
 
-    ``form`` is the model's :class:`~repro.milp.model.StandardForm`;
+    ``form`` is the model's :class:`~tests.oracles.milp.model.StandardForm`;
     integral variables are rounded to exact integers (every backend
     returns them within tolerance of integrality). With ``x`` ``None``
     the solution carries only the status -- infeasible/unbounded/limit

@@ -171,14 +171,13 @@ class TestArtifactStore:
 
 class TestBindingPersistence:
     def test_binding_artifact_round_trips(self, trace):
-        runner = PipelineRunner()
-        collected = runner.collect(trace)
-        side = runner.design_side(collected, CONFIG, 500, mirrored=False)
-        artifact = side.binding
-        rebuilt = BindingArtifact.from_payload(
-            artifact.to_payload(), artifact.fingerprint
-        )
-        assert rebuilt == artifact
+        design = PipelineRunner().design(trace, CONFIG, 500)
+        for side in (design.it, design.ti):
+            artifact = side.binding
+            rebuilt = BindingArtifact.from_payload(
+                artifact.to_payload(), artifact.fingerprint
+            )
+            assert rebuilt == artifact
 
     def test_disk_layer_skips_solves_across_runners(self, trace, tmp_path):
         from repro.core import SOLVE_COUNTER

@@ -2,9 +2,10 @@
 
 Two properties, both load-bearing:
 
-* **Status mapping**: HiGHS reports a node or time limit as one status
-  (1), with or without an incumbent. ``solve_milp`` maps it, and every
-  other status, onto :class:`SolveStatus` -- a deadline returns the
+* **Status mapping** (the literal-MILP oracle, ``tests/oracles/milp``):
+  HiGHS reports a node or time limit as one status (1), with or
+  without an incumbent. ``solve_milp`` maps it, and every other status,
+  onto :class:`SolveStatus` -- a deadline returns the
   best incumbent flagged ``timed_out`` (or a bare ``TIME_LIMIT``)
   instead of running unboundedly. The mapping is tested on stubbed
   ``scipy.optimize.milp`` results, so every branch is reached without
@@ -22,14 +23,14 @@ import scipy.optimize
 
 from repro.core import SynthesisConfig, build_conflicts, optimize_binding
 from repro.errors import SolverError
-from repro.milp import (
+from repro.resilience import FaultPlan, FaultRule, install_plan, solver_slowdown
+from tests.oracles.milp import (
     BranchBoundOptions,
     LinExpr,
     Model,
     SolveStatus,
     solve_milp,
 )
-from repro.resilience import FaultPlan, FaultRule, install_plan, solver_slowdown
 
 from tests.core.conftest import problem_from_activity
 

@@ -118,6 +118,19 @@ class TestSchemas:
             parse_job_request({"kind": "design", "app": "nope"})
         assert "qsort" in excinfo.value.details["choices"]
 
+    def test_backend_accepts_only_assignment(self):
+        explicit = parse_job_request(
+            {"kind": "design", "app": "qsort", "backend": "assignment"}
+        )
+        implicit = parse_job_request({"kind": "design", "app": "qsort"})
+        assert explicit == implicit
+        with pytest.raises(RequestError, match="assignment") as excinfo:
+            parse_job_request({"kind": "design", "app": "qsort", "backend": "milp"})
+        assert excinfo.value.details == {
+            "field": "backend",
+            "choices": ["assignment"],
+        }
+
     def test_out_of_range_threshold_rejected(self):
         with pytest.raises(RequestError, match="threshold"):
             parse_job_request(
@@ -500,6 +513,14 @@ class TestHTTP:
         status, body = http_post(base, ["not", "an", "object"])
         assert status == 400
         assert "JSON object" in body["error"]["message"]
+
+    def test_milp_backend_gets_json_400(self, base):
+        status, body = http_post(
+            base, {"kind": "design", "app": "qsort", "backend": "milp"}
+        )
+        assert status == 400
+        assert "'backend' must be one of assignment" in body["error"]["message"]
+        assert body["error"]["choices"] == ["assignment"]
 
     def test_unparseable_body_gets_json_400(self, base):
         request = urllib.request.Request(

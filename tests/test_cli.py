@@ -170,6 +170,21 @@ class TestEngineOptions:
             main(["design", "--help"])
         assert "--jobs" not in capsys.readouterr().out
 
+    def test_backend_accepts_only_assignment(self, capsys):
+        # --backend survives, hidden, only so scripts passing
+        # "--backend assignment" still parse: the literal MILP is a test
+        # oracle, not a solver the CLI can select.
+        for command in (["design", "qsort"], ["pipeline", "inspect", "qsort"]):
+            args = build_parser().parse_args(command + ["--backend", "assignment"])
+            assert args.backend == "assignment"
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--backend", "milp"])
+            assert excinfo.value.code == 2
+            assert "invalid choice: 'milp'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["design", "--help"])
+        assert "--backend" not in capsys.readouterr().out
+
     def test_design_with_cache_dir_reuses_results(self, tmp_path, capsys):
         from repro.core import SOLVE_COUNTER
 
@@ -343,12 +358,12 @@ class TestCacheCommands:
         assert main(["cache", "stats", cache_dir]) == 0
         out = capsys.readouterr().out
         # two persisted binding stages + two windowed-tensor npz
-        # sidecars + two warm-start hint slots (one per crossbar side),
-        # plus the collect stage's payload and npz sidecar
-        assert "8 entries" in out
+        # sidecars (one per crossbar side), plus the collect stage's
+        # payload and npz sidecar
+        assert "6 entries" in out
 
         assert main(["cache", "prune", cache_dir, "--max-bytes", "0"]) == 0
-        assert "pruned 8 entries" in capsys.readouterr().out
+        assert "pruned 6 entries" in capsys.readouterr().out
 
         assert main(["cache", "stats", cache_dir]) == 0
         assert "0 entries" in capsys.readouterr().out
@@ -439,7 +454,7 @@ class TestObservabilityFlags:
             solve_row = next(
                 line for line in out.splitlines() if line.startswith("  solve ")
             )
-            return solve_row.split()[-1], out.split("solver backends")[1]
+            return solve_row.split()[-1], out.split("solves (this run)")[1]
 
         first = profile()
         assert first[0] == "2x"

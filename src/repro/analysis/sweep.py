@@ -22,7 +22,8 @@ point was solved or read from the cache.
 The pipeline is what makes sweeps cheap beyond caching: every point of
 a sweep shares the trace's *collection* artifact, a threshold sweep's
 points share the *windowing* artifacts outright (only conflicts and the
-solve re-run per threshold), and the columnar kernel compilation
+solve re-run per threshold, highest threshold first so each bind reuses
+the last one's answer where that is exact), and the columnar kernel compilation
 (:meth:`repro.traffic.kernels.TraceAnalytics.of`, memoized on the trace
 and on its memoized mirror for the TI side) runs once per sweep, at the
 first window stage, not once per point.
@@ -121,7 +122,14 @@ def overlap_threshold_sweep(
         )
         for threshold in thresholds
     ]
-    results = _resolve_engine(engine).run_sweep(trace, tasks)
+    # Highest threshold first: a lower threshold only adds conflict
+    # pairs, so each bind can reuse the previous point's answer exactly
+    # (PipelineRunner.bind's reuse record). Points return in input order.
+    order = sorted(range(len(tasks)), key=lambda index: -thresholds[index])
+    solved = _resolve_engine(engine).run_sweep(
+        trace, [tasks[index] for index in order]
+    )
+    results = [result for _, result in sorted(zip(order, solved))]
     return [
         SweepPoint(
             value=threshold,

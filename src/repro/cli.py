@@ -24,7 +24,8 @@ invocations) and route through :class:`repro.exec.ExecutionEngine`.
 The same commands accept ``--profile``, which prints the run's growth
 of the metrics registry as tables: a per-phase wall-clock breakdown
 (windowing / overlap / conflicts / solve), per-stage pipeline timings,
-solve counts by kind and assignment DFS nodes per mode; and
+solve counts by kind, assignment DFS nodes per mode and bind reuses
+by tier; and
 ``--trace FILE``, which arms span tracing around the command and writes
 the captured spans as JSONL -- feed that file back to ``repro trace``
 for an indented tree or a Chrome/Perfetto export.
@@ -151,7 +152,8 @@ class _PhaseProfile:
     is the growth between the snapshot taken here and the one taken at
     :meth:`report`: phases (``repro_phase_seconds``), pipeline stages
     (``repro_stage_seconds``), solves by kind (``repro_solves_total``)
-    and assignment DFS nodes (``repro_dfs_nodes_total``).
+    assignment DFS nodes (``repro_dfs_nodes_total``) and bind reuses
+    (``repro_bind_reuse_total``).
     """
 
     def __init__(self, enabled: bool) -> None:
@@ -182,10 +184,15 @@ class _PhaseProfile:
             [mode, int(count)]
             for (mode,), count in grown("repro_dfs_nodes_total")
         ]
+        reuses = [
+            [tier, int(count)]
+            for (tier,), count in grown("repro_bind_reuse_total")
+        ]
         tables = (
             ("pipeline stages (this run)", ["stage", "computed", "total ms"], stages),
             ("solves (this run)", ["solve", "count"], solves),
             ("DFS nodes (this run)", ["mode", "nodes"], nodes),
+            ("bind reuse (this run)", ["tier", "binds"], reuses),
         )
         for title, headers, rows in tables:
             if rows:

@@ -45,6 +45,23 @@ Kernel representation (pure Python ints, no numpy inside the DFS):
   replaces the row with ``row + overlap[:, target]``; undo restores the
   old list.
 * Conflicts and bus membership are bitmasks.
+
+Early stop and ``found_at``:
+
+* :attr:`AssignmentResult.found_at` is the node ordinal of the returned
+  leaf. In optimization mode the returned leaf is the *first* leaf, in
+  one fixed DFS order, whose objective equals the optimum: the target
+  order and every candidate order read the path only (never the
+  conflicts or the incumbent), and pruning only cuts placements whose
+  running maximum reaches the incumbent. ``nodes - found_at`` is the
+  proof phase, the nodes spent showing that no better leaf exists.
+* ``lower_bound=V`` stops an optimization at the first leaf whose
+  objective is at most ``V`` and reports it ``optimal``. When ``V`` is a
+  true lower bound of the optimum, that leaf is the one the full search
+  returns (it skips only the proof phase), so the caller must certify
+  that the full search would have finished within ``node_limit``;
+  :meth:`repro.pipeline.runner.PipelineRunner.bind` does so from a
+  recorded proof phase.
 """
 
 from __future__ import annotations
@@ -69,6 +86,8 @@ class AssignmentResult:
 
     ``status`` is ``"optimal"`` (proven), ``"feasible"`` (budget hit with
     an incumbent; optimization mode only) or ``"infeasible"`` (proven).
+    ``found_at`` is the node ordinal of the returned leaf (0 without a
+    binding).
     """
 
     status: str
@@ -76,6 +95,7 @@ class AssignmentResult:
     objective: Optional[int] = None
     buses_used: int = 0
     nodes: int = 0
+    found_at: int = 0
 
     @property
     def is_feasible(self) -> bool:
@@ -96,6 +116,7 @@ def solve_assignment(
     node_limit: int = 2_000_000,
     rng: Optional[random.Random] = None,
     overlap_budget: Optional[int] = None,
+    lower_bound: Optional[int] = None,
 ) -> AssignmentResult:
     """Find a feasible (or overlap-optimal) binding into ``num_buses``.
 
@@ -112,6 +133,10 @@ def solve_assignment(
     known optimal objective therefore returns one *canonical* optimal
     binding -- the device :mod:`repro.core.binding` uses to keep reports
     byte-identical no matter which MILP backend proved the objective.
+
+    ``lower_bound`` (optimization mode) stops the search at the first
+    leaf whose objective is at most it; see the module docstring for
+    when that leaf is the full search's answer.
 
     Every solve, budget-exhausted ones included, adds its node count to
     ``repro_dfs_nodes_total`` once.
@@ -155,15 +180,18 @@ def solve_assignment(
     # prune any placement whose new max reaches the cutoff: the budget
     # plus one, then (optimize) each incumbent's objective
     cutoff = float("inf") if overlap_budget is None else overlap_budget + 1
+    # objectives are >= 0, so -1 never stops a search
+    floor = -1 if lower_bound is None else lower_bound
 
     best_binding: Optional[list] = None
     best_objective: Optional[int] = None
     nodes = 0
+    found_at = 0
     slow = solver_slowdown()
 
     def search(depth: int, used: int, current_max: int) -> bool:
         """DFS; returns True to stop the whole search (feasibility mode)."""
-        nonlocal best_binding, best_objective, nodes, cutoff
+        nonlocal best_binding, best_objective, nodes, cutoff, found_at
         nodes += 1
         if slow is not None:
             # Injection point ``solver.slow``, keyed by node ordinal.
@@ -173,9 +201,10 @@ def solve_assignment(
         if depth == num_targets:
             best_binding = list(assignment)
             best_objective = current_max
+            found_at = nodes
             if optimize:
                 cutoff = current_max
-            return not optimize
+            return not optimize or current_max <= floor
         if overloaded:
             return False
         target = order[depth]
@@ -246,4 +275,5 @@ def solve_assignment(
         objective=int(best_objective),
         buses_used=buses_used,
         nodes=nodes,
+        found_at=found_at,
     )

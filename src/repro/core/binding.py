@@ -17,8 +17,9 @@ Eq. 3-11 MILP is the test suite's reference for both steps
 from __future__ import annotations
 
 import random
+from typing import Optional
 
-from repro.core.assignment import solve_assignment
+from repro.core.assignment import AssignmentResult, solve_assignment
 from repro.core.instrumentation import record_solve
 from repro.core.preprocess import ConflictAnalysis
 from repro.core.problem import CrossbarDesignProblem
@@ -27,6 +28,8 @@ from repro.errors import SynthesisError
 
 __all__ = [
     "optimize_binding",
+    "solve_binding",
+    "bus_binding",
     "random_feasible_binding",
     "binding_overlap_objective",
 ]
@@ -56,15 +59,35 @@ def optimize_binding(
     config: SynthesisConfig,
 ) -> BusBinding:
     """Solve MILP2: the overlap-minimizing binding for ``num_buses``."""
+    return bus_binding(
+        solve_binding(problem, conflicts, num_buses, config), num_buses
+    )
+
+
+def solve_binding(
+    problem: CrossbarDesignProblem,
+    conflicts: ConflictAnalysis,
+    num_buses: int,
+    config: SynthesisConfig,
+    lower_bound: Optional[int] = None,
+) -> AssignmentResult:
+    """The Eq. 11 solve behind :func:`optimize_binding`, as the DFS's
+    own result (``nodes`` and ``found_at`` included); ``lower_bound``
+    is passed to :func:`~repro.core.assignment.solve_assignment`."""
     record_solve("binding")
-    result = solve_assignment(
+    return solve_assignment(
         problem,
         conflicts,
         num_buses,
         max_targets_per_bus=config.max_targets_per_bus,
         optimize=True,
         node_limit=config.node_limit,
+        lower_bound=lower_bound,
     )
+
+
+def bus_binding(result: AssignmentResult, num_buses: int) -> BusBinding:
+    """The :class:`BusBinding` of an Eq. 11 solve's result."""
     if not result.is_feasible:
         raise SynthesisError(
             f"binding search infeasible for {num_buses} buses (configuration "

@@ -15,8 +15,6 @@ __all__ = [
     "WindowError",
     "ModelError",
     "SolverError",
-    "InfeasibleError",
-    "UnboundedError",
     "SynthesisError",
     "ConfigurationError",
     "ValidationError",
@@ -54,14 +52,6 @@ class ModelError(ReproError):
 
 class SolverError(ReproError):
     """Raised when an optimization solver fails for an internal reason."""
-
-
-class InfeasibleError(SolverError):
-    """Raised when a model is proven to admit no feasible solution."""
-
-
-class UnboundedError(SolverError):
-    """Raised when an optimization objective is unbounded."""
 
 
 class SynthesisError(ReproError):

@@ -25,6 +25,7 @@ The artifact types mirror the paper's stages one-to-one:
 :class:`WindowedAnalysis`   Phase 2 -- one side's windowed design problem
 :class:`ConflictArtifact`   Phase 3 -- the conflict matrix
 :class:`BindingArtifact`    Phase 4 -- configuration search + binding
+:class:`BindReuseRecord`    Phase 4 -- recent binds of one window artifact
 :class:`ReplayArtifact`     Phase 4' -- a workload replayed on the design
 =====================  ==============================================
 """
@@ -33,7 +34,16 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.core.preprocess import ConflictAnalysis
 from repro.core.problem import CrossbarDesignProblem
@@ -57,6 +67,9 @@ __all__ = [
     "WindowedAnalysis",
     "ConflictArtifact",
     "BindingArtifact",
+    "BindReuseEntry",
+    "BindReuseRecord",
+    "reuse_record_fingerprint",
     "ReplayArtifact",
 ]
 
@@ -344,6 +357,114 @@ class BindingArtifact:
             optimal=bool(binding_payload["optimal"]),
         )
         return cls(search=search, binding=binding, fingerprint=fingerprint)
+
+
+REUSE_RECORD_ENTRIES = 4
+"""Computed answers a :class:`BindReuseRecord` keeps, newest first."""
+
+
+@dataclass(frozen=True)
+class BindReuseEntry:
+    """One computed bind stage: its conflict pairs, its artifact and an
+    upper bound on its Eq. 11 solve's proof-phase nodes (the nodes after
+    the returned leaf, ``nodes - found_at``)."""
+
+    pairs: FrozenSet[Tuple[int, int]]
+    artifact: BindingArtifact
+    proof: int
+
+
+@dataclass(frozen=True)
+class BindReuseRecord:
+    """The last few bind answers for one window artifact and binding spec.
+
+    Keyed by :func:`reuse_record_fingerprint`, which leaves the conflict
+    configuration out: a threshold edit finds the answers of the other
+    thresholds here. :meth:`PipelineRunner.bind
+    <repro.pipeline.runner.PipelineRunner.bind>` reads it after its
+    stage lookups miss (docs/architecture.md gives the exactness
+    argument).
+    """
+
+    entries: Tuple[BindReuseEntry, ...] = ()
+
+    def same_conflicts(self, pairs: FrozenSet) -> Optional[BindReuseEntry]:
+        """The entry computed under exactly ``pairs``, if any."""
+        for entry in self.entries:
+            if entry.pairs == pairs:
+                return entry
+        return None
+
+    def lower_bound(
+        self, pairs: FrozenSet, num_buses: int
+    ) -> Optional[BindReuseEntry]:
+        """The optimal entry, among those with conflicts ``<= pairs`` and
+        ``num_buses`` buses, with the highest objective (the tightest
+        lower bound), ties to the smallest proof bound."""
+        usable = [
+            entry
+            for entry in self.entries
+            if entry.artifact.binding.optimal
+            and entry.artifact.search.num_buses == num_buses
+            and entry.pairs <= pairs
+        ]
+        return max(
+            usable,
+            key=lambda entry: (
+                entry.artifact.binding.max_bus_overlap,
+                -entry.proof,
+            ),
+            default=None,
+        )
+
+    def with_entry(self, entry: BindReuseEntry) -> "BindReuseRecord":
+        """This record with ``entry`` first, trimmed to its bound."""
+        others = [e for e in self.entries if e.pairs != entry.pairs]
+        return BindReuseRecord(
+            entries=tuple([entry, *others][:REUSE_RECORD_ENTRIES])
+        )
+
+    def to_payload(self) -> Dict[str, Any]:
+        """JSON-ready encoding for the persistent stage store."""
+        return {
+            "entries": [
+                {
+                    "pairs": [list(pair) for pair in sorted(entry.pairs)],
+                    "proof": entry.proof,
+                    "artifact": entry.artifact.to_payload(),
+                }
+                for entry in self.entries
+            ]
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Dict[str, Any]) -> "BindReuseRecord":
+        """Decode a payload written by :meth:`to_payload`.
+
+        Raises ``KeyError``/``TypeError``/``ValueError`` on malformed
+        payloads; the runner treats those as misses. Entry artifacts
+        carry no fingerprint: a reuse returns them under the asking
+        stage's own.
+        """
+        entries = []
+        for item in payload["entries"]:
+            pairs = frozenset((int(i), int(j)) for i, j in item["pairs"])
+            proof = int(item["proof"])
+            if proof < 0:
+                raise ValueError(f"negative proof bound {proof}")
+            artifact = BindingArtifact.from_payload(item["artifact"], "")
+            entries.append(BindReuseEntry(pairs, artifact, proof))
+        return cls(entries=tuple(entries[:REUSE_RECORD_ENTRIES]))
+
+
+def reuse_record_fingerprint(
+    windowed_fingerprint: str, config: SynthesisConfig
+) -> str:
+    """The key of the bind reuse record of one window artifact: its
+    fingerprint and the binding slice, not the conflict slice."""
+    return stage_fingerprint(
+        "bind-reuse", windowed_fingerprint, binding_stage_spec(config)
+    )
 
 
 def _stats_payload(stats: LatencyStats) -> Dict[str, Any]:

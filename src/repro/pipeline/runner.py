@@ -33,25 +33,41 @@ across runs so editing a suite reuses the unchanged scenarios' stages.
 which the engine caches a whole solved point.
 
 A process-global runner (:func:`shared_runner`) and the engine's own
-runner memoize the window/conflict *analysis* stages only:
-search/binding results are deliberately recomputed there so
-solver-level observability (solve counters, benchmarks) keeps meaning
-"this point was solved" (the engine caches whole points instead), and
-collection artifacts are not retained so those stores never pin
-callers' traces in memory. Callers that want binding or trace reuse --
-the suite runner, daemon jobs, or anyone constructing a
-:class:`PipelineRunner` explicitly -- opt in per runner.
+runner memoize the window/conflict *analysis* stages only: a bind stage
+is not looked up under its own fingerprint there (the engine caches
+whole points instead), and collection artifacts are not retained so
+those stores never pin callers' traces in memory. Callers that want
+binding or trace reuse -- the suite runner, daemon jobs, or anyone
+constructing a :class:`PipelineRunner` explicitly -- opt in per runner.
+
+Every runner, those two included, keeps a **bind reuse record** per
+window artifact (:class:`~repro.pipeline.artifacts.BindReuseRecord`,
+keyed by :func:`~repro.pipeline.artifacts.reuse_record_fingerprint`:
+the window fingerprint and the binding slice, not the conflict slice),
+in memory and, with a disk layer, as a stage entry. :meth:`PipelineRunner.bind`
+reads it after its stage lookups miss and writes each computed answer
+to it. An entry with the same conflict pairs is returned outright (a
+memo or disk hit, never ``computed``). Otherwise, for an ``optimal``
+entry under a subset of the pairs with the same bus count, the Eq. 11
+DFS runs with ``lower_bound`` set to its objective and stops at the
+first leaf that reaches it, which is the full search's answer; the
+result is kept only when the leaf's ``found_at`` (its node ordinal,
+:attr:`~repro.core.assignment.AssignmentResult.found_at`) plus the
+entry's recorded proof-phase bound fits ``node_limit``, i.e. the full
+search would have finished and proved it. docs/architecture.md gives
+the argument; ``repro_bind_reuse_total{tier}`` counts both tiers.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.binding import optimize_binding
+from repro.core.assignment import AssignmentResult
+from repro.core.binding import bus_binding, solve_binding
 from repro.core.preprocess import ConflictAnalysis, build_conflicts
 from repro.core.problem import CrossbarDesignProblem
 from repro.core.search import search_minimum_buses
@@ -59,6 +75,8 @@ from repro.core.spec import CrossbarDesign, SynthesisConfig
 from repro.core.validate import audit_binding
 from repro.pipeline.artifacts import (
     BindingArtifact,
+    BindReuseEntry,
+    BindReuseRecord,
     CollectedTraffic,
     ConflictArtifact,
     ReplayArtifact,
@@ -66,6 +84,7 @@ from repro.pipeline.artifacts import (
     binding_stage_spec,
     conflict_stage_spec,
     replay_stage_spec,
+    reuse_record_fingerprint,
     stage_fingerprint,
     window_stage_spec,
 )
@@ -91,6 +110,14 @@ _STAGE_SECONDS = _metrics.histogram(
     "repro_stage_seconds",
     "Wall-clock seconds per executed (non-cached) pipeline stage.",
     ("stage",),
+)
+
+_BIND_REUSE = _metrics.counter(
+    "repro_bind_reuse_total",
+    "Bind stages answered through a bind reuse record, by tier "
+    "(same_conflicts: a stored answer for identical conflict pairs; "
+    "lower_bound: an Eq. 11 search stopped at a stored optimum).",
+    ("tier",),
 )
 
 
@@ -306,14 +333,25 @@ class PipelineRunner:
         conflicts: ConflictArtifact,
         config: SynthesisConfig,
     ) -> BindingArtifact:
-        """Search the minimum configuration and optimize the binding."""
+        """Search the minimum configuration and optimize the binding.
+
+        After the stage lookups miss, the window artifact's bind reuse
+        record (see the module docstring) answers an unchanged conflict
+        set outright and stops a grown one's Eq. 11 search at a stored
+        optimum when that is exact.
+        """
         fingerprint = stage_fingerprint(
             "bind",
             [windowed.fingerprint, conflicts.fingerprint],
             binding_stage_spec(config),
         )
         return self._bind_at(
-            "bind", fingerprint, windowed.problem, conflicts.conflicts, config
+            "bind",
+            fingerprint,
+            windowed.problem,
+            conflicts.conflicts,
+            config,
+            record_key=reuse_record_fingerprint(windowed.fingerprint, config),
         )
 
     def bind_merged(
@@ -347,6 +385,7 @@ class PipelineRunner:
         problem: CrossbarDesignProblem,
         conflicts: ConflictAnalysis,
         config: SynthesisConfig,
+        record_key: Optional[str] = None,
     ) -> BindingArtifact:
         if self.memoize_bindings:
             cached = self.store.get(fingerprint)
@@ -365,14 +404,39 @@ class PipelineRunner:
                     self.counters.record_disk_hit(stage)
                     self.store.put(fingerprint, artifact)
                     return artifact
+        record, from_disk = self._reuse_record(record_key)
+        pairs = frozenset(conflicts.reasons)
+        same = record.same_conflicts(pairs)
+        if same is not None and not audit_binding(
+            problem,
+            conflicts,
+            same.artifact.binding.binding,
+            config.max_targets_per_bus,
+        ):
+            # Tier 1: the same inputs of a deterministic stage.
+            if from_disk:
+                self.counters.record_disk_hit(stage)
+            else:
+                self.counters.record_memo_hit(stage)
+            _BIND_REUSE.inc(tier="same_conflicts")
+            artifact = replace(same.artifact, fingerprint=fingerprint)
+            self._keep(fingerprint, artifact)
+            return artifact
         self.counters.record_computed(stage)
+        proof = 0
 
         def _compute() -> BindingArtifact:
+            nonlocal proof
             with track_phase("solve"):
                 search = search_minimum_buses(problem, conflicts, config)
-                binding = optimize_binding(
-                    problem, conflicts, search.num_buses, config
+                result, proof = _optimize(
+                    problem,
+                    conflicts,
+                    search.num_buses,
+                    config,
+                    record.lower_bound(pairs, search.num_buses),
                 )
+                binding = bus_binding(result, search.num_buses)
                 audit_binding(
                     problem,
                     conflicts,
@@ -385,10 +449,38 @@ class PipelineRunner:
             )
 
         artifact = _timed_stage(stage, fingerprint, _compute)
+        self._keep(fingerprint, artifact)
+        if record_key is not None:
+            record = record.with_entry(BindReuseEntry(pairs, artifact, proof))
+            self.store.put(record_key, record)
+            self.store.put_payload(record_key, record.to_payload())
+        return artifact
+
+    def _keep(self, fingerprint: str, artifact: BindingArtifact) -> None:
+        """Store a bind artifact in both layers when bindings memoize."""
         if self.memoize_bindings:
             self.store.put(fingerprint, artifact)
             self.store.put_payload(fingerprint, artifact.to_payload())
-        return artifact
+
+    def _reuse_record(
+        self, key: Optional[str]
+    ) -> Tuple[BindReuseRecord, bool]:
+        """The bind reuse record at ``key`` (empty without one or when
+        malformed) and whether it came from disk."""
+        if key is None:
+            return BindReuseRecord(), False
+        record = self.store.get(key)
+        if record is not None:
+            return record, False
+        payload = self.store.get_payload(key)
+        if payload is None:
+            return BindReuseRecord(), False
+        try:
+            record = BindReuseRecord.from_payload(payload)
+        except (KeyError, TypeError, ValueError):
+            return BindReuseRecord(), False  # malformed record: a miss
+        self.store.put(key, record)
+        return record, True
 
     # -- composite drivers --------------------------------------------
 
@@ -554,6 +646,39 @@ class PipelineRunner:
         return artifact
 
 
+def _optimize(
+    problem: CrossbarDesignProblem,
+    conflicts: ConflictAnalysis,
+    num_buses: int,
+    config: SynthesisConfig,
+    stored: Optional[BindReuseEntry],
+) -> Tuple[AssignmentResult, int]:
+    """The Eq. 11 solve of a computed bind, and an upper bound on its
+    proof-phase nodes.
+
+    ``stored`` is an optimal answer under a subset of the conflicts with
+    the same bus count, so its objective ``V`` bounds the optimum from
+    below and the search may stop at its first leaf ``<= V``: the leaf a
+    full search returns. The full search would also have finished, and
+    so reported ``optimal``, when ``found_at`` plus the stored proof
+    bound fits ``node_limit`` (its nodes after that leaf are a subset of
+    the stored solve's). A stop that never fires leaves the full search
+    itself; a stop without that certificate solves again in full.
+    """
+    if stored is not None:
+        bound = stored.artifact.binding.max_bus_overlap
+        result = solve_binding(
+            problem, conflicts, num_buses, config, lower_bound=bound
+        )
+        if result.objective is None or result.objective > bound:
+            return result, result.nodes - result.found_at
+        if result.found_at + stored.proof <= config.node_limit:
+            _BIND_REUSE.inc(tier="lower_bound")
+            return result, stored.proof
+    result = solve_binding(problem, conflicts, num_buses, config)
+    return result, result.nodes - result.found_at
+
+
 def _run_replay(
     driver: WorkloadDriver,
     design: CrossbarDesign,
@@ -636,11 +761,11 @@ _SHARED_RUNNER: Optional[PipelineRunner] = None
 def shared_runner() -> PipelineRunner:
     """The process-global analysis-stage runner (see module docstring).
 
-    Bindings are not memoized here -- a solve requested without an
-    explicit store is a solve performed, which keeps solver-level
-    instrumentation and benchmarks meaningful -- and traces are not
-    retained, so the global store holds only derived window/conflict
-    artifacts under its LRU bound.
+    Bindings are not memoized under their stage fingerprints here (a
+    bind reuse record still answers an unchanged conflict set of a
+    window it has solved), and traces are not retained, so the global
+    store holds only derived window/conflict artifacts and reuse
+    records under its LRU bound.
     """
     global _SHARED_RUNNER
     if _SHARED_RUNNER is None:

@@ -3,7 +3,7 @@
 :func:`repro.core.assignment.solve_assignment` must return the same
 :class:`~repro.core.assignment.AssignmentResult` as
 ``tests/oracles/assignment_reference.py`` -- status, binding, objective,
-``buses_used`` and ``nodes`` -- or raise the same
+``buses_used``, ``nodes`` and ``found_at`` -- or raise the same
 :class:`~repro.errors.SolverError`, on random instances and on every
 solve the five seed apps make at thresholds 0.3 and 0.2.
 """
@@ -108,9 +108,10 @@ def instances(draw):
     st.one_of(st.none(), st.integers(0, 60)),
     st.one_of(st.none(), st.integers(0, 2**32)),
     st.sampled_from([0, 1, 3, 10, 40, 2_000_000]),
+    st.one_of(st.none(), st.integers(0, 60)),
 )
 def test_kernel_matches_reference(
-    instance, data, maxtb, optimize, overlap_budget, seed, node_limit
+    instance, data, maxtb, optimize, overlap_budget, seed, node_limit, lower_bound
 ):
     problem, conflicts = instance
     num_buses = data.draw(st.integers(1, problem.num_targets + 1))
@@ -123,6 +124,7 @@ def test_kernel_matches_reference(
         node_limit=node_limit,
         rng=seed,
         overlap_budget=overlap_budget,
+        lower_bound=lower_bound,
     )
 
 

@@ -1,11 +1,12 @@
-"""The pre-kernel assignment DFS, kept verbatim as the exactness oracle.
+"""The pre-kernel assignment DFS, kept as the exactness oracle.
 
 This is the body :func:`repro.core.assignment.solve_assignment` had
 before it became a packed-integer kernel: numpy per-window loads, a
 per-node residual-demand check and a candidate sort that sums the
 overlap over each bus's members. The kernel must return the same
 :class:`~repro.core.assignment.AssignmentResult` -- status, binding,
-objective, ``buses_used`` and ``nodes`` -- or raise the same
+objective, ``buses_used``, ``nodes`` and ``found_at`` (the ordinal of
+the returned leaf, recorded here for that comparison) -- or raise the same
 :class:`~repro.errors.SolverError`; ``tests/core/test_assignment_kernel.py``
 checks that, and ``benchmarks/bench_bind_kernel.py`` times the two.
 """
@@ -39,6 +40,7 @@ def solve_assignment_reference(
     node_limit: int = 2_000_000,
     rng: Optional[random.Random] = None,
     overlap_budget: Optional[int] = None,
+    lower_bound: Optional[int] = None,
 ) -> AssignmentResult:
     """Find a feasible (or overlap-optimal) binding into ``num_buses``.
 
@@ -55,6 +57,10 @@ def solve_assignment_reference(
     known optimal objective therefore returns one *canonical* optimal
     binding -- the device :mod:`repro.core.binding` uses to keep reports
     byte-identical no matter which MILP backend proved the objective.
+
+    ``lower_bound`` (added with the kernel's early stop, for the same
+    comparison) stops an optimization at the first leaf whose objective
+    is at most it.
     """
     num_targets = problem.num_targets
     if num_buses < 1:
@@ -89,6 +95,7 @@ def solve_assignment_reference(
     best_binding: Optional[List[int]] = None
     best_objective: Optional[int] = None
     nodes = 0
+    found_at = 0
     slow = solver_slowdown()
 
     def capacity_bound_violated(depth: int) -> bool:
@@ -97,7 +104,7 @@ def solve_assignment_reference(
 
     def search(depth: int, used: int, current_max: int) -> bool:
         """DFS; returns True to stop the whole search (feasibility mode)."""
-        nonlocal best_binding, best_objective, nodes, total_load
+        nonlocal best_binding, best_objective, nodes, total_load, found_at
         nodes += 1
         if slow is not None:
             # Injection point ``solver.slow``, keyed by node ordinal.
@@ -107,7 +114,10 @@ def solve_assignment_reference(
         if depth == num_targets:
             best_binding = list(assignment)
             best_objective = current_max
-            return not optimize
+            found_at = nodes
+            return not optimize or (
+                lower_bound is not None and current_max <= lower_bound
+            )
         if capacity_bound_violated(depth):
             return False
         target = order[depth]
@@ -173,4 +183,5 @@ def solve_assignment_reference(
         objective=int(best_objective),
         buses_used=buses_used,
         nodes=nodes,
+        found_at=found_at,
     )

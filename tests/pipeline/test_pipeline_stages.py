@@ -109,9 +109,16 @@ class TestRunnerMemoization:
         runner = shared_runner()
         assert runner.memoize_bindings is False
         before = runner.counters.computed.get("bind", 0)
-        runner.design(trace, CONFIG, 500)
-        runner.design(trace, CONFIG, 500)
-        assert runner.counters.computed.get("bind", 0) == before + 4
+        design = runner.design(trace, CONFIG, 500)
+        for side in (design.it, design.ti):
+            assert side.binding.fingerprint not in runner.store
+        # A repeat is answered by the sides' bind reuse records (same
+        # conflict pairs), never by a stage lookup, and solves nothing.
+        again = runner.design(trace, CONFIG, 500)
+        assert again.design == design.design
+        assert runner.counters.computed.get("bind", 0) == before + 2
+        for side in (again.it, again.ti):
+            assert side.binding.fingerprint not in runner.store
 
     def test_shared_runner_never_retains_traces(self, trace):
         """The global store must not pin callers' traces in memory;

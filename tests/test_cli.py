@@ -357,13 +357,13 @@ class TestCacheCommands:
 
         assert main(["cache", "stats", cache_dir]) == 0
         out = capsys.readouterr().out
-        # two persisted binding stages + two windowed-tensor npz
-        # sidecars (one per crossbar side), plus the collect stage's
-        # payload and npz sidecar
-        assert "6 entries" in out
+        # two persisted binding stages, two bind reuse records and two
+        # windowed-tensor npz sidecars (one each per crossbar side), plus
+        # the collect stage's payload and npz sidecar
+        assert "8 entries" in out
 
         assert main(["cache", "prune", cache_dir, "--max-bytes", "0"]) == 0
-        assert "pruned 6 entries" in capsys.readouterr().out
+        assert "pruned 8 entries" in capsys.readouterr().out
 
         assert main(["cache", "stats", cache_dir]) == 0
         assert "0 entries" in capsys.readouterr().out

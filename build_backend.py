@@ -30,9 +30,9 @@ Version: {VERSION}
 Summary: Application-specific STbus crossbar generation (Murali & De Micheli, DATE 2005)
 Requires-Python: >=3.10
 Requires-Dist: numpy>=1.24
-Requires-Dist: networkx>=3.0
 Provides-Extra: test
 Requires-Dist: scipy>=1.10; extra == "test"
+Requires-Dist: networkx>=3.0; extra == "test"
 """
 
 WHEEL_FILE = f"""\

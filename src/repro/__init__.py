@@ -18,54 +18,53 @@ See ``examples/`` for runnable end-to-end scenarios and ``benchmarks/``
 for the scripts that regenerate every table and figure of the paper.
 """
 
-from repro.apps import APPLICATIONS, Application, build_application
-from repro.core import (
-    BusBinding,
-    CrossbarDesign,
-    CrossbarDesignProblem,
-    CrossbarSynthesizer,
-    SynthesisConfig,
-    SynthesisReport,
-    average_traffic_design,
-    full_crossbar_design,
-    peak_bandwidth_design,
-    shared_bus_design,
-)
-from repro.errors import ReproError
-from repro.exec import (
-    ExecutionEngine,
-    ResultCache,
-    SynthesisResult,
-    SynthesisTask,
-)
-from repro.core.multi import RobustSynthesisReport, RobustSynthesizer
-from repro.pipeline import ArtifactStore, PipelineRunner
-from repro.platform import (
-    ProgramDriver,
-    SimulationResult,
-    SoC,
-    SoCConfig,
-    TimingModel,
-    TraceDrivenInitiator,
-    WorkloadDriver,
-    simulate_workload,
-)
-from repro.scenarios import (
-    Scenario,
-    ScenarioSuite,
-    ScenarioSuiteRunner,
-    SuiteRunReport,
-    build_suite,
-    load_suite,
-    save_suite,
-)
-from repro.traffic import (
-    SyntheticTrafficConfig,
-    TrafficTrace,
-    WindowedTraffic,
-    generate_synthetic_trace,
-    load_trace_jsonl,
-    save_trace_jsonl,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.errors": ("ReproError",),
+        "repro.apps.descriptor": ("Application",),
+        "repro.apps.registry": ("APPLICATIONS", "build_application"),
+        "repro.platform.soc": ("SoC", "SoCConfig", "SimulationResult"),
+        "repro.platform.transaction": ("TimingModel",),
+        "repro.platform.drivers": (
+            "WorkloadDriver",
+            "ProgramDriver",
+            "TraceDrivenInitiator",
+            "simulate_workload",
+        ),
+        "repro.traffic.trace": ("TrafficTrace",),
+        "repro.traffic.windows": ("WindowedTraffic",),
+        "repro.traffic.synthetic": (
+            "SyntheticTrafficConfig",
+            "generate_synthetic_trace",
+        ),
+        "repro.traffic.io": ("save_trace_jsonl", "load_trace_jsonl"),
+        "repro.core.synthesis": ("CrossbarSynthesizer", "SynthesisReport"),
+        "repro.core.spec": ("SynthesisConfig", "CrossbarDesign", "BusBinding"),
+        "repro.core.problem": ("CrossbarDesignProblem",),
+        "repro.core.baselines": (
+            "average_traffic_design",
+            "peak_bandwidth_design",
+            "shared_bus_design",
+            "full_crossbar_design",
+        ),
+        "repro.exec.engine": ("ExecutionEngine", "SynthesisTask"),
+        "repro.exec.cache": ("ResultCache",),
+        "repro.exec.serialize": ("SynthesisResult",),
+        "repro.pipeline.runner": ("PipelineRunner",),
+        "repro.pipeline.store": ("ArtifactStore",),
+        "repro.scenarios.model": (
+            "Scenario",
+            "ScenarioSuite",
+            "save_suite",
+            "load_suite",
+        ),
+        "repro.scenarios.library": ("build_suite",),
+        "repro.scenarios.runner": ("ScenarioSuiteRunner", "SuiteRunReport"),
+        "repro.core.multi": ("RobustSynthesizer", "RobustSynthesisReport"),
+    },
 )
 
 __version__ = "1.0.0"

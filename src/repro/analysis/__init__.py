@@ -11,16 +11,27 @@ These helpers regenerate the paper's tables and figures:
 * :mod:`~repro.analysis.report` -- aligned text tables.
 """
 
-from repro.analysis.compare import DesignEvaluation, compare_designs
-from repro.analysis.pareto import DesignPoint, explore_design_space, pareto_front
-from repro.analysis.report import format_synthesis_result, format_table
-from repro.analysis.sweep import (
-    SweepPoint,
-    acceptable_window_search,
-    overlap_threshold_sweep,
-    window_size_sweep,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.analysis.compare": ("DesignEvaluation", "compare_designs"),
+        "repro.analysis.pareto": (
+            "DesignPoint",
+            "explore_design_space",
+            "pareto_front",
+        ),
+        "repro.analysis.report": ("format_synthesis_result", "format_table"),
+        "repro.analysis.sweep": (
+            "SweepPoint",
+            "acceptable_window_search",
+            "overlap_threshold_sweep",
+            "window_size_sweep",
+        ),
+        "repro.analysis.textplot": ("bar_chart", "xy_plot"),
+    },
 )
-from repro.analysis.textplot import bar_chart, xy_plot
 
 __all__ = [
     "DesignEvaluation",

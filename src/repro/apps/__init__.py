@@ -21,11 +21,18 @@ platform description plus per-core program builders, directly consumable
 by :class:`repro.platform.SoC` and the synthesis flow.
 """
 
-from repro.apps.descriptor import Application, standard_platform
-from repro.apps.registry import (
-    APPLICATIONS,
-    build_application,
-    default_full_crossbar_trace,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.apps.descriptor": ("Application", "standard_platform"),
+        "repro.apps.registry": (
+            "APPLICATIONS",
+            "build_application",
+            "default_full_crossbar_trace",
+        ),
+    },
 )
 
 __all__ = [

@@ -39,32 +39,21 @@ an existing span-JSONL file renders the span tree (optionally
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401 - argparse's gettext loads it on the first parser
 import sys
 import threading
 import time
 from typing import List, Optional
 
-from repro.analysis import (
-    compare_designs,
-    format_synthesis_result,
-    format_table,
-    window_size_sweep,
-)
+from repro.analysis.report import format_synthesis_result, format_table
 from repro.apps import APPLICATIONS, build_application
-from repro.apps.synthetic import synthetic_trace
-from repro.core import (
-    SynthesisConfig,
-    average_traffic_design,
-    full_crossbar_design,
-    shared_bus_design,
-)
+from repro.core import SynthesisConfig
 from repro.errors import ReproError
 from repro.exec import ExecutionEngine
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.pipeline.collect import CollectStage, TraceSource
+from repro.pipeline.collect import CollectStage
 from repro.profiling import PHASES
-from repro.traffic import save_trace_jsonl
 
 __all__ = ["main", "build_parser"]
 
@@ -488,7 +477,7 @@ def _cmd_design(args) -> int:
     if args.validate:
         # The reference latencies need the full-crossbar run itself.
         full_run = app.simulate_full_crossbar()
-        source = TraceSource.of(full_run.trace)
+        source = engine.collector.record(app, full_run.trace)
     else:
         # Input-keyed: a warm cache answers without simulating, and a
         # whole-result hit, or a point whose windows are stored (a
@@ -534,6 +523,13 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.analysis.compare import compare_designs
+    from repro.core.baselines import (
+        average_traffic_design,
+        full_crossbar_design,
+        shared_bus_design,
+    )
+
     app = build_application(args.app)
     engine = _engine_from_args(args)
     profile = _PhaseProfile(args.profile)
@@ -585,6 +581,8 @@ def _cmd_trace(args) -> int:
             "application's traffic trace (span mode needs an existing "
             "span-JSONL file instead)"
         )
+    from repro.traffic.io import save_trace_jsonl
+
     app = build_application(args.app)
     result = app.simulate_full_crossbar()
     save_trace_jsonl(result.trace, args.output)
@@ -624,6 +622,9 @@ def _cmd_trace_spans(args) -> int:
 
 
 def _cmd_sweep_window(args) -> int:
+    from repro.analysis.sweep import window_size_sweep
+    from repro.apps.synthetic import synthetic_trace
+
     engine = _engine_from_args(args)
     profile = _PhaseProfile(args.profile)
     trace = synthetic_trace(

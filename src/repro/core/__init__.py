@@ -21,28 +21,35 @@ styles from prior work (average-traffic and contention-free peak
 design, random binding) live in :mod:`repro.core.baselines`.
 """
 
-from repro.core.instrumentation import SOLVE_COUNTER, SolveCounter
-from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
-from repro.core.problem import CrossbarDesignProblem
-from repro.core.preprocess import ConflictAnalysis, build_conflicts
-from repro.core.search import search_minimum_buses
-from repro.core.binding import optimize_binding, random_feasible_binding
-from repro.core.synthesis import CrossbarSynthesizer, SynthesisReport
-from repro.core.multi import (
-    MERGE_POLICIES,
-    RobustSynthesisReport,
-    RobustSynthesizer,
-    merge_conflict_analyses,
-    merge_criticality,
-    merge_problems,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.instrumentation": ("SOLVE_COUNTER", "SolveCounter"),
+        "repro.core.spec": ("BusBinding", "CrossbarDesign", "SynthesisConfig"),
+        "repro.core.problem": ("CrossbarDesignProblem",),
+        "repro.core.preprocess": ("ConflictAnalysis", "build_conflicts"),
+        "repro.core.search": ("search_minimum_buses",),
+        "repro.core.binding": ("optimize_binding", "random_feasible_binding"),
+        "repro.core.synthesis": ("CrossbarSynthesizer", "SynthesisReport"),
+        "repro.core.multi": (
+            "MERGE_POLICIES",
+            "RobustSynthesisReport",
+            "RobustSynthesizer",
+            "merge_conflict_analyses",
+            "merge_criticality",
+            "merge_problems",
+        ),
+        "repro.core.baselines": (
+            "average_traffic_design",
+            "full_crossbar_design",
+            "peak_bandwidth_design",
+            "shared_bus_design",
+        ),
+        "repro.core.validate": ("audit_binding",),
+    },
 )
-from repro.core.baselines import (
-    average_traffic_design,
-    full_crossbar_design,
-    peak_bandwidth_design,
-    shared_bus_design,
-)
-from repro.core.validate import audit_binding
 
 __all__ = [
     "SynthesisConfig",

@@ -37,13 +37,20 @@ Contracts
   byte-identical whether a point was solved or read from the cache.
 """
 
-from repro.exec.cache import CacheStats, CacheUsage, ResultCache
-from repro.exec.engine import ExecutionEngine, SynthesisTask
-from repro.exec.fingerprint import CACHE_SCHEMA_VERSION, trace_fingerprint
-from repro.exec.serialize import (
-    SynthesisResult,
-    result_from_dict,
-    result_to_dict,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.exec.cache": ("CacheStats", "CacheUsage", "ResultCache"),
+        "repro.exec.engine": ("ExecutionEngine", "SynthesisTask"),
+        "repro.exec.fingerprint": ("CACHE_SCHEMA_VERSION", "trace_fingerprint"),
+        "repro.exec.serialize": (
+            "SynthesisResult",
+            "result_from_dict",
+            "result_to_dict",
+        ),
+    },
 )
 
 __all__ = [

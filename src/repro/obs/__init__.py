@@ -21,36 +21,43 @@ phase timings into it) so any layer can instrument itself without
 import cycles.
 """
 
-from repro.obs.export import (
-    format_span_tree,
-    load_jsonl,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.jsonlog import JsonLogger
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-    counter,
-    gauge,
-    histogram,
-    render_prometheus,
-)
-from repro.obs.tracing import (
-    Span,
-    TraceCollector,
-    arm_tracing,
-    clear_spans,
-    collect_spans,
-    current_span,
-    disarm_tracing,
-    root_span,
-    span,
-    tracing_enabled,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.obs.export": (
+            "format_span_tree",
+            "load_jsonl",
+            "to_chrome_trace",
+            "write_chrome_trace",
+            "write_jsonl",
+        ),
+        "repro.obs.jsonlog": ("JsonLogger",),
+        "repro.obs.metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "REGISTRY",
+            "counter",
+            "gauge",
+            "histogram",
+            "render_prometheus",
+        ),
+        "repro.obs.tracing": (
+            "Span",
+            "TraceCollector",
+            "arm_tracing",
+            "clear_spans",
+            "collect_spans",
+            "current_span",
+            "disarm_tracing",
+            "root_span",
+            "span",
+            "tracing_enabled",
+        ),
+    },
 )
 
 __all__ = [

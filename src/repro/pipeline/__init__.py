@@ -35,25 +35,32 @@ Contracts
   operations are lock-protected).
 """
 
-from repro.pipeline.artifacts import (
-    STAGE_SCHEMA_VERSION,
-    BindingArtifact,
-    CollectedTraffic,
-    ConflictArtifact,
-    ReplayArtifact,
-    WindowedAnalysis,
-    stage_fingerprint,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.pipeline.artifacts": (
+            "STAGE_SCHEMA_VERSION",
+            "BindingArtifact",
+            "CollectedTraffic",
+            "ConflictArtifact",
+            "ReplayArtifact",
+            "WindowedAnalysis",
+            "stage_fingerprint",
+        ),
+        "repro.pipeline.runner": (
+            "PipelineDesign",
+            "PipelineRunner",
+            "SideArtifacts",
+            "describe_stages",
+            "reset_shared_runner",
+            "shared_runner",
+        ),
+        "repro.pipeline.store": ("ArtifactStore", "StageCounters"),
+        "repro.pipeline.collect": ("SIMULATOR_SALT", "CollectStage", "TraceSource"),
+    },
 )
-from repro.pipeline.runner import (
-    PipelineDesign,
-    PipelineRunner,
-    SideArtifacts,
-    describe_stages,
-    reset_shared_runner,
-    shared_runner,
-)
-from repro.pipeline.store import ArtifactStore, StageCounters
-from repro.pipeline.collect import SIMULATOR_SALT, CollectStage, TraceSource
 
 __all__ = [
     "STAGE_SCHEMA_VERSION",

@@ -148,6 +148,26 @@ class CollectStage:
             self.store.put(key, source)
         return source
 
+    def record(self, application, trace: TrafficTrace) -> TraceSource:
+        """``trace`` as a source, filed as ``application``'s collection.
+
+        For a full-crossbar run simulated outside this stage (``repro
+        design --validate`` needs the run itself, not just its trace).
+        The trace is hashed; a stored entry with that digest is kept,
+        any other is rewritten, so a later :meth:`source` reads the
+        entry instead of simulating again.
+        """
+        self.counters.record_computed(_STAGE)
+        source = TraceSource.of(trace)
+        key = collect_key(application)
+        if key is None:
+            return source
+        entry = _read_entry(self.store.get_payload(key))
+        if entry is None or entry["digest"] != source.digest:
+            self._persist(key, trace)
+        self.store.put(key, source)
+        return source
+
     def _stored(self, key: str, application) -> Optional[TraceSource]:
         cached = self.store.get(key)
         if cached is not None:

@@ -29,41 +29,48 @@ initiators reach every bus) and one for target->initiator responses
 one bus on each side; a full crossbar has one bus per target / initiator.
 """
 
-from repro.platform.transaction import TimingModel, Transaction
-from repro.platform.arbiter import make_arbiter, ARBITRATION_POLICIES
-from repro.platform.bus import Bus
-from repro.platform.fabric import (
-    Fabric,
-    full_crossbar_binding,
-    shared_bus_binding,
-    validate_binding,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.platform.transaction": ("TimingModel", "Transaction"),
+        "repro.platform.arbiter": ("make_arbiter", "ARBITRATION_POLICIES"),
+        "repro.platform.bus": ("Bus",),
+        "repro.platform.fabric": (
+            "Fabric",
+            "full_crossbar_binding",
+            "shared_bus_binding",
+            "validate_binding",
+        ),
+        "repro.platform.target": ("TargetConfig", "TargetKind"),
+        "repro.platform.initiator": (
+            "Barrier",
+            "Compute",
+            "Lock",
+            "Read",
+            "Unlock",
+            "Write",
+            "trace_replay_program",
+        ),
+        "repro.platform.soc": (
+            "SIMULATION_COUNTER",
+            "SimulationCounter",
+            "SimulationResult",
+            "SoC",
+            "SoCConfig",
+        ),
+        "repro.platform.drivers": (
+            "ProgramDriver",
+            "TraceDrivenInitiator",
+            "WorkloadDriver",
+            "platform_spec",
+            "replay_platform",
+            "simulate_workload",
+        ),
+        "repro.platform.metrics": ("LatencyStats", "summarize_latencies"),
+    },
 )
-from repro.platform.target import TargetConfig, TargetKind
-from repro.platform.initiator import (
-    Barrier,
-    Compute,
-    Lock,
-    Read,
-    Unlock,
-    Write,
-    trace_replay_program,
-)
-from repro.platform.soc import (
-    SIMULATION_COUNTER,
-    SimulationCounter,
-    SimulationResult,
-    SoC,
-    SoCConfig,
-)
-from repro.platform.drivers import (
-    ProgramDriver,
-    TraceDrivenInitiator,
-    WorkloadDriver,
-    platform_spec,
-    replay_platform,
-    simulate_workload,
-)
-from repro.platform.metrics import LatencyStats, summarize_latencies
 
 __all__ = [
     "TimingModel",

@@ -13,21 +13,28 @@ installed plan, synthesis reports must stay byte-identical to a
 fault-free run.
 """
 
-from repro.resilience.faults import (
-    FAULT_POINTS,
-    FAULTS_ENV_VAR,
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
-    active_plan,
-    clear_plan,
-    fault_summary,
-    install_from_spec,
-    install_plan,
-    maybe_io_error,
-    should_corrupt_cache,
-    should_inject,
-    solver_slowdown,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.resilience.faults": (
+            "FAULT_POINTS",
+            "FAULTS_ENV_VAR",
+            "FaultPlan",
+            "FaultRule",
+            "InjectedFault",
+            "active_plan",
+            "clear_plan",
+            "fault_summary",
+            "install_from_spec",
+            "install_plan",
+            "maybe_io_error",
+            "should_corrupt_cache",
+            "should_inject",
+            "solver_slowdown",
+        ),
+    },
 )
 
 __all__ = [

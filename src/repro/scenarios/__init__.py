@@ -32,21 +32,28 @@ Contracts
   run (asserted by the incremental and replay-determinism suites).
 """
 
-from repro.scenarios.model import (
-    SUITE_FORMAT,
-    Scenario,
-    ScenarioSuite,
-    load_suite,
-    save_suite,
-    suite_from_dict,
-    suite_to_dict,
-)
-from repro.scenarios.library import SUITES, build_suite
-from repro.scenarios.runner import (
-    ScenarioOutcome,
-    SuiteParetoPoint,
-    SuiteRunReport,
-    ScenarioSuiteRunner,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.scenarios.model": (
+            "SUITE_FORMAT",
+            "Scenario",
+            "ScenarioSuite",
+            "load_suite",
+            "save_suite",
+            "suite_from_dict",
+            "suite_to_dict",
+        ),
+        "repro.scenarios.library": ("SUITES", "build_suite"),
+        "repro.scenarios.runner": (
+            "ScenarioOutcome",
+            "SuiteParetoPoint",
+            "SuiteRunReport",
+            "ScenarioSuiteRunner",
+        ),
+    },
 )
 
 __all__ = [

@@ -28,17 +28,24 @@ No third-party dependencies: the daemon is ``python -m``-grade stdlib
 HTTP on top of the existing engine, exactly like the rest of the repo.
 """
 
-from repro.server.coalesce import RequestCoalescer
-from repro.server.jobs import Job, JobQueue
-from repro.server.schemas import (
-    DesignRequest,
-    JobRequest,
-    RequestError,
-    SuiteRequest,
-    parse_job_request,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.server.coalesce": ("RequestCoalescer",),
+        "repro.server.jobs": ("Job", "JobQueue"),
+        "repro.server.schemas": (
+            "DesignRequest",
+            "JobRequest",
+            "RequestError",
+            "SuiteRequest",
+            "parse_job_request",
+        ),
+        "repro.server.service": ("ServiceOverloaded", "SynthesisService"),
+        "repro.server.app": ("SynthesisServer", "serve"),
+    },
 )
-from repro.server.service import ServiceOverloaded, SynthesisService
-from repro.server.app import SynthesisServer, serve
 
 __all__ = [
     "RequestCoalescer",

@@ -21,8 +21,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
+from repro.apps import APPLICATIONS, build_application
 from repro.errors import ReproError
 from repro.exec.fingerprint import canonical_json, sha256_hex
+from repro.scenarios import SUITES, suite_from_dict
 
 __all__ = [
     "REQUEST_SCHEMA_VERSION",
@@ -155,8 +157,6 @@ class DesignRequest(JobRequest):
         object.__setattr__(self, "kind", "design")
 
     def resolved_window(self) -> int:
-        from repro.apps import build_application
-
         if self.window is not None:
             return int(self.window)
         return build_application(self.app).default_window
@@ -226,8 +226,6 @@ class SuiteRequest(JobRequest):
 
 
 def _parse_design(payload: Mapping[str, Any]) -> DesignRequest:
-    from repro.apps import APPLICATIONS
-
     _reject_unknown(
         payload, ("kind", "app", "window", "threshold", "maxtb", "backend")
     )
@@ -253,8 +251,6 @@ def _parse_design(payload: Mapping[str, Any]) -> DesignRequest:
 
 
 def _parse_suite(payload: Mapping[str, Any]) -> SuiteRequest:
-    from repro.scenarios import SUITES
-
     _reject_unknown(
         payload,
         ("kind", "suite", "suite_payload", "policy", "min_weight",
@@ -282,8 +278,6 @@ def _parse_suite(payload: Mapping[str, Any]) -> SuiteRequest:
                 "field 'suite_payload' must be a suite JSON object",
                 field="suite_payload",
             )
-        from repro.scenarios import suite_from_dict
-
         try:
             suite_from_dict(suite_payload)  # full structural validation
         except ReproError as error:

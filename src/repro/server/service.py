@@ -40,6 +40,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.apps import build_application
 from repro.core import SynthesisConfig
 from repro.core.instrumentation import SOLVE_COUNTER, SolveCounter
 from repro.exec.engine import ExecutionEngine, SynthesisTask
@@ -49,6 +50,7 @@ from repro.obs import tracing as _tracing
 from repro.obs.jsonlog import JsonLogger
 from repro.pipeline import ArtifactStore, PipelineRunner, TraceSource
 from repro.resilience import fault_summary
+from repro.scenarios import ScenarioSuiteRunner, build_suite, suite_from_dict
 from repro.server.coalesce import RequestCoalescer
 from repro.server.jobs import Job, JobQueue
 from repro.server.schemas import (
@@ -265,8 +267,6 @@ class SynthesisService:
         """
         if not isinstance(request, DesignRequest):
             return None
-        from repro.apps import build_application
-
         source = self.engine.collector.lookup(build_application(request.app))
         if source is None:
             return None
@@ -370,8 +370,6 @@ class SynthesisService:
     def _run_design(
         self, job: Job, request: DesignRequest
     ) -> Dict[str, Any]:
-        from repro.apps import build_application
-
         source = self.engine.collector.source(build_application(request.app))
         runner = self._job_runner()
         runner.counters.subscribe(job.record_progress)
@@ -381,12 +379,6 @@ class SynthesisService:
             runner.counters.unsubscribe(job.record_progress)
 
     def _run_suite(self, job: Job, request: SuiteRequest) -> Dict[str, Any]:
-        from repro.scenarios import (
-            ScenarioSuiteRunner,
-            build_suite,
-            suite_from_dict,
-        )
-
         if request.suite:
             suite = build_suite(request.suite)
         else:

@@ -15,9 +15,16 @@ The kernel is deliberately small: cycle-accurate behaviour lives in the
 platform models, which schedule events at cycle granularity.
 """
 
-from repro.sim.engine import Engine, Event
-from repro.sim.process import Process, spawn
-from repro.sim.resource import Request, Resource, fifo_policy, priority_policy
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.sim.engine": ("Engine", "Event"),
+        "repro.sim.process": ("Process", "spawn"),
+        "repro.sim.resource": ("Request", "Resource", "fifo_policy", "priority_policy"),
+    },
+)
 
 __all__ = [
     "Engine",

@@ -14,25 +14,35 @@ overlap-threshold studies (paper Sections 7.2 and 7.4) without requiring a
 platform simulation.
 """
 
-from repro.traffic.events import TraceRecord, TransactionKind
-from repro.traffic.trace import TrafficTrace
-from repro.traffic.kernels import CompiledActivity, TraceAnalytics
-from repro.traffic.windows import WindowedTraffic
-from repro.traffic.overlap import PairwiseOverlap
-from repro.traffic.criticality import CriticalityReport, analyze_criticality
-from repro.traffic.qos import phase_aligned_boundaries
-from repro.traffic.synthetic import SyntheticTrafficConfig, generate_synthetic_trace
-from repro.traffic.profiles import (
-    HotspotTrafficConfig,
-    PipelineTrafficConfig,
-    PoissonTrafficConfig,
-    generate_hotspot_trace,
-    generate_pipeline_trace,
-    generate_poisson_trace,
-    scaled_config,
-    thin_trace,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.traffic.events": ("TraceRecord", "TransactionKind"),
+        "repro.traffic.trace": ("TrafficTrace",),
+        "repro.traffic.kernels": ("CompiledActivity", "TraceAnalytics"),
+        "repro.traffic.windows": ("WindowedTraffic",),
+        "repro.traffic.overlap": ("PairwiseOverlap",),
+        "repro.traffic.criticality": ("CriticalityReport", "analyze_criticality"),
+        "repro.traffic.qos": ("phase_aligned_boundaries",),
+        "repro.traffic.synthetic": (
+            "SyntheticTrafficConfig",
+            "generate_synthetic_trace",
+        ),
+        "repro.traffic.profiles": (
+            "HotspotTrafficConfig",
+            "PipelineTrafficConfig",
+            "PoissonTrafficConfig",
+            "generate_hotspot_trace",
+            "generate_pipeline_trace",
+            "generate_poisson_trace",
+            "scaled_config",
+            "thin_trace",
+        ),
+        "repro.traffic.io": ("load_trace_jsonl", "save_trace_jsonl"),
+    },
 )
-from repro.traffic.io import load_trace_jsonl, save_trace_jsonl
 
 __all__ = [
     "TraceRecord",

@@ -133,6 +133,38 @@ class TestCollector:
         custom = build_application("qsort", critical_targets=(0,))
         collector.source(custom).trace()
 
+    def test_record_files_a_run_simulated_elsewhere(self, tmp_path, monkeypatch):
+        """``record`` (``repro design --validate``) files the trace it is
+        handed: it keeps an entry with the same digest, rewrites one
+        whose digest differs, and a later ``source`` reads the entry."""
+        app = build_application("qsort")
+        trace = app.simulate_full_crossbar().trace
+        store = ArtifactStore(disk=ResultCache(tmp_path))
+        key = collect_key(app)
+        writes = []
+        put_payload = ArtifactStore.put_payload
+
+        def counting_put(store, fingerprint, payload):
+            writes.append(payload["digest"])
+            put_payload(store, fingerprint, payload)
+
+        monkeypatch.setattr(ArtifactStore, "put_payload", counting_put)
+        golden = GOLDEN_TRACE_DIGESTS["qsort"]
+        assert collector_at(tmp_path).record(app, trace).digest == golden
+        assert collector_at(tmp_path).record(app, trace).digest == golden
+        assert writes == [golden]
+
+        store.put_payload(key, dict(store.get_payload(key), digest="0" * 64))
+        collector_at(tmp_path).record(app, trace)
+        assert writes == [golden, "0" * 64, golden]
+        assert store.get_payload(key)["digest"] == golden
+
+        SIMULATION_COUNTER.reset()
+        reader = collector_at(tmp_path)
+        assert reader.source(app).digest == golden
+        assert reader.counters.disk_hits == {"collect": 1}
+        assert SIMULATION_COUNTER.runs == 0
+
     def test_customized_build_simulates_every_time(self, tmp_path):
         collector = collector_at(tmp_path)
         custom = build_application("qsort", critical_targets=(0,))

@@ -7,9 +7,13 @@ every MILP/assignment invocation, so a duplicated solve cannot hide).
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -597,6 +601,40 @@ class TestSuiteJobs:
         assert report["scenarios"]
         assert job.progress  # stage tallies streamed during the run
         service.close()
+
+
+PRELOAD_PROBE = """
+import json, sys
+import repro.cli
+from repro.server import SynthesisService, serve  # what `repro serve` loads
+
+service = SynthesisService(cache_dir=sys.argv[1], workers=1)
+before = set(sys.modules)
+for payload in ({"kind": "design", "app": "qsort"},
+                {"kind": "suite", "suite": "smoke"}):
+    job, _ = service.submit(payload)
+    assert job.wait(300) and job.state == "done", job.state
+service.close()
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestDaemonPreload:
+    def test_requests_import_no_repro_module(self, tmp_path):
+        """The daemon loads every module its request paths use before
+        it serves, so no request compiles one: neither on a cold cache
+        nor on a daemon restarted over the filled cache."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        for _ in ("cold", "restarted"):
+            completed = subprocess.run(
+                [sys.executable, "-c", PRELOAD_PROBE, str(tmp_path)],
+                capture_output=True, text=True, env=env, timeout=300,
+                check=True,
+            )
+            loaded = json.loads(completed.stdout)
+            assert [name for name in loaded if name.startswith("repro")] == []
 
 
 class TestShutdown:

@@ -297,6 +297,45 @@ class TestDesignCacheAddress:
         assert _report(hit) == _report(fresh)
 
 
+    def test_validate_files_the_collect_entry(self, tmp_path, capsys):
+        """``--validate`` simulates the full crossbar itself and files
+        that trace as the collect entry, with the digest a plain
+        collection stores, so a later plain run simulates nothing and
+        prints the same design report."""
+        from repro.apps import build_application
+        from repro.exec import ResultCache
+        from repro.obs import metrics
+        from repro.pipeline import ArtifactStore
+        from repro.pipeline.collect import collect_key
+        from repro.platform import SIMULATION_COUNTER
+
+        def stored_digest(cache):
+            store = ArtifactStore(disk=ResultCache(cache))
+            return store.get_payload(collect_key(build_application("qsort")))["digest"]
+
+        def collect_events():
+            events = metrics.REGISTRY.get("repro_stage_events_total").collect()
+            return {kind: events.get(("collect", kind), 0)
+                    for kind in ("computed", "disk_hit")}
+
+        validated = str(tmp_path / "validated")
+        assert main(["design", "qsort", "--validate", "--cache-dir", validated]) == 0
+        design_report = capsys.readouterr().out.split("\nvalidation\n")[0]
+        before, runs = collect_events(), SIMULATION_COUNTER.runs
+        assert main(["design", "qsort", "--cache-dir", validated]) == 0
+        plain = capsys.readouterr().out
+        after = collect_events()
+        assert after["disk_hit"] - before["disk_hit"] == 1
+        assert after["computed"] == before["computed"]
+        assert SIMULATION_COUNTER.runs == runs
+        assert "cache: 1/1 hits" in plain
+        assert _report(plain) == _report(design_report)
+        fresh = str(tmp_path / "fresh")
+        assert main(["design", "qsort", "--cache-dir", fresh]) == 0
+        capsys.readouterr()
+        assert stored_digest(validated) == stored_digest(fresh)
+
+
 class TestPipelineCommands:
     def test_pipeline_inspect(self, capsys):
         assert main(["pipeline", "inspect", "qsort"]) == 0

@@ -3,26 +3,30 @@
 
 Reads the machine-readable timings the bench session emits
 (``benchmarks/results/timings.json``) and compares each bench's mean
-against ``benchmarks/results/baseline.json``. A bench slower than
-``--max-ratio`` times its baseline fails the check (CI's perf gate);
-the per-bench ratios are also written to ``results/regression_report.json``
-so the perf artifact records the trajectory.
+against its measured mean in ``benchmarks/results/baseline.json``. A
+bench slower than ``--max-ratio`` times that mean fails the check (CI's
+perf gate); the per-bench ratios are also written to
+``results/regression_report.json`` so the perf artifact records the
+trajectory.
 
-Baselines are wall-clock means measured on one reference machine, so the
-gate is deliberately loose (default 2x): it catches algorithmic
-regressions -- e.g. losing the columnar-kernel speedup -- not scheduler
-noise.
+The baseline holds plain measured means, unpadded, so the default 2x
+gate fails a bench that got twice as slow as on the reference machine:
+it catches algorithmic regressions -- e.g. losing the columnar-kernel
+speedup -- not scheduler noise. Given several timings files (one per
+bench session), every mode reads each bench's median mean across them.
 
 Usage::
 
     python benchmarks/check_regression.py            # gate (CI)
-    python benchmarks/check_regression.py --update-baseline
+    python benchmarks/check_regression.py --update-baseline \
+        --timings run1.json run2.json run3.json      # re-measure
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -42,11 +46,36 @@ def load_timings(path: Path) -> dict:
     return means
 
 
+def significant(seconds: float) -> float:
+    """``seconds`` to four significant digits: a sub-millisecond mean
+    keeps its precision instead of rounding to 0 or to twice itself."""
+    return float(f"{seconds:.4g}")
+
+
+def median_timings(paths) -> dict:
+    """Per-bench median of the means across several timings files."""
+    runs = [load_timings(path) for path in paths]
+    names = sorted(set().union(*runs))
+    return {
+        name: statistics.median(run[name] for run in runs if name in run)
+        for name in names
+    }
+
+
+def write_baseline(path: Path, baseline: dict) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(
+        json.dumps(baseline, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--timings", type=Path, default=RESULTS_DIR / "timings.json",
-        help="timings JSON written by the bench session",
+        "--timings", type=Path, nargs="+",
+        default=[RESULTS_DIR / "timings.json"],
+        help="timings JSON written by the bench session; given several, "
+        "each bench's median mean across them is used",
     )
     parser.add_argument(
         "--baseline", type=Path, default=RESULTS_DIR / "baseline.json",
@@ -54,7 +83,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--max-ratio", type=float, default=2.0,
-        help="fail when mean exceeds baseline * ratio (default: 2.0)",
+        help="fail when mean exceeds the measured baseline mean * ratio "
+        "(default: 2.0)",
     )
     parser.add_argument(
         "--allow-missing", action="store_true",
@@ -65,50 +95,41 @@ def main(argv=None) -> int:
         help="rewrite the baseline from the current timings and exit",
     )
     parser.add_argument(
-        "--headroom", type=float, default=1.5,
-        help="padding factor applied to measured means when writing the "
-        "baseline, absorbing cross-machine/CI scheduler variance "
-        "(default: 1.5)",
-    )
-    parser.add_argument(
         "--record-new", action="store_true",
-        help="append padded baseline entries for benches that have none "
-        "yet (existing entries are left untouched)",
+        help="add the measured means of benches that have no baseline "
+        "entry yet (existing entries are left untouched)",
     )
     args = parser.parse_args(argv)
 
-    if not args.timings.exists():
-        print(f"error: no timings at {args.timings}; run the benches first")
+    missing = [path for path in args.timings if not path.exists()]
+    if missing:
+        print(f"error: no timings at {missing[0]}; run the benches first")
         return 1
-    measured = load_timings(args.timings)
+    measured = median_timings(args.timings)
 
     if args.update_baseline:
-        payload = {
-            "format": BASELINE_FORMAT,
-            "note": (
-                "Upper-bound mean bench wall-clock seconds: measured "
-                f"reference-machine means padded by {args.headroom}x for "
-                "cross-machine and CI scheduler variance. CI fails when a "
-                "bench regresses past max-ratio times these values. "
-                "Regenerate with 'python benchmarks/check_regression.py "
-                "--update-baseline' after intentional performance changes."
-            ),
-            "measured_means_s": {
-                name: round(mean, 4) for name, mean in sorted(measured.items())
+        write_baseline(
+            args.baseline,
+            {
+                "format": BASELINE_FORMAT,
+                "note": (
+                    "Mean bench wall-clock seconds measured on one reference "
+                    "machine (the median over the bench sessions given). CI "
+                    "fails when a bench regresses past max-ratio times these "
+                    "values. Regenerate with 'python "
+                    "benchmarks/check_regression.py --update-baseline "
+                    "--timings <one file per session>' after intentional "
+                    "performance changes."
+                ),
+                "measured_means_s": {
+                    name: significant(mean)
+                    for name, mean in sorted(measured.items())
+                },
             },
-            "benchmarks": {
-                name: round(mean * args.headroom, 4)
-                for name, mean in sorted(measured.items())
-            },
-        }
-        args.baseline.parent.mkdir(exist_ok=True)
-        args.baseline.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
         )
         print(
             f"baseline updated: {args.baseline} ({len(measured)} benches, "
-            f"means padded {args.headroom}x)"
+            f"median of {len(args.timings)} session(s))"
         )
         return 0
 
@@ -121,9 +142,8 @@ def main(argv=None) -> int:
         baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
     else:
         print(f"note: no baseline at {args.baseline}; all benches are new")
-        baseline = {"format": BASELINE_FORMAT, "benchmarks": {},
-                    "measured_means_s": {}}
-    expected = baseline.get("benchmarks", {})
+        baseline = {"format": BASELINE_FORMAT, "measured_means_s": {}}
+    expected = baseline.get("measured_means_s", {})
 
     failures = []
     report = {}
@@ -158,24 +178,15 @@ def main(argv=None) -> int:
         print(f"  {name}: {measured[name]:.4f}s (no baseline yet -- recorded)")
     if args.record_new and new_benches:
         for name in new_benches:
-            baseline.setdefault("measured_means_s", {})[name] = round(
-                measured[name], 4
-            )
-            baseline.setdefault("benchmarks", {})[name] = round(
-                measured[name] * args.headroom, 4
-            )
-        args.baseline.parent.mkdir(exist_ok=True)
-        args.baseline.write_text(
-            json.dumps(baseline, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+            expected[name] = significant(measured[name])
+        baseline["measured_means_s"] = expected
+        write_baseline(args.baseline, baseline)
         print(
             f"recorded {len(new_benches)} new baseline entr"
-            f"{'y' if len(new_benches) == 1 else 'ies'} "
-            f"(means padded {args.headroom}x) into {args.baseline}"
+            f"{'y' if len(new_benches) == 1 else 'ies'} into {args.baseline}"
         )
 
-    report_path = args.timings.parent / "regression_report.json"
+    report_path = args.timings[0].parent / "regression_report.json"
     report_path.write_text(
         json.dumps(
             {"max_ratio": args.max_ratio, "benchmarks": report},

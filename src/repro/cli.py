@@ -22,10 +22,10 @@ Commands that solve or simulate independent points accept
 ``--cache-dir`` (content-addressed result cache, reused across
 invocations) and route through :class:`repro.exec.ExecutionEngine`.
 The same commands accept ``--profile``, which prints the run's growth
-of the metrics registry as tables: a per-phase wall-clock breakdown
-(windowing / overlap / conflicts / solve), per-stage pipeline timings,
-solve counts by kind, assignment DFS nodes per mode and bind reuses
-by tier; and
+of the metrics registry as tables: the pipeline stages' self times
+(with ``other`` for the time outside every stage and the run's
+``total``), solve counts by kind, assignment DFS nodes per mode and
+bind reuses by tier; and
 ``--trace FILE``, which arms span tracing around the command and writes
 the captured spans as JSONL -- feed that file back to ``repro trace``
 for an indented tree or a Chrome/Perfetto export.
@@ -53,7 +53,6 @@ from repro.exec import ExecutionEngine
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.pipeline.collect import CollectStage
-from repro.profiling import PHASES
 
 __all__ = ["main", "build_parser"]
 
@@ -83,9 +82,9 @@ def _add_engine_options(subparser: argparse.ArgumentParser) -> None:
     )
     subparser.add_argument(
         "--profile", action="store_true",
-        help="print a per-phase timing breakdown (windowing / overlap / "
-        "conflicts / solve) and the per-stage pipeline timings after "
-        "the run",
+        help="print each pipeline stage's self time and share of the "
+        "run (plus the time outside every stage), solves, DFS nodes "
+        "and bind reuses after the run",
     )
     subparser.add_argument(
         "--trace", dest="trace_out", default=None, metavar="FILE",
@@ -94,54 +93,33 @@ def _add_engine_options(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _growth(before, after, family):
-    """``{labels: delta}`` for one family between two registry snapshots.
-
-    Counter deltas are numbers; histogram deltas are ``(count,
-    seconds)``. Children that did not grow are left out.
-    """
-    prior = before.get(family, {}).get("samples", {})
-    grown = {}
-    for key, value in after.get(family, {}).get("samples", {}).items():
-        if isinstance(value, dict):  # histogram child
-            old = prior.get(key, {"count": 0, "sum": 0.0})
-            if value["count"] > old["count"]:
-                grown[key] = (
-                    value["count"] - old["count"],
-                    value["sum"] - old["sum"],
-                )
-        elif value > prior.get(key, 0):
-            grown[key] = value - prior.get(key, 0)
-    return grown
-
-
-def _format_phases(phases, elapsed: float) -> str:
-    """The per-phase table, plus an ``other`` row for the time spent
-    outside every phase (simulation, I/O, cache look-ups)."""
-    order = {name: rank for rank, name in enumerate(PHASES)}
-    rows = sorted(
-        ((phase, seconds, count) for (phase,), (count, seconds) in phases),
-        key=lambda row: (order.get(row[0], len(order)), row[0]),
+def _format_stages(stages, elapsed: float) -> str:
+    """The stage table: each executed stage's computed count, self time
+    and share of the run, then ``other`` (the run's time outside every
+    stage) and ``total``, so the rows sum to the run's wall time."""
+    rows = [
+        [stage, count, f"{seconds * 1e3:.1f}", f"{seconds / elapsed:.1%}"]
+        for (stage,), (count, seconds) in stages
+    ]
+    other = elapsed - sum(seconds for _, (_, seconds) in stages)
+    rows.append(["other", "", f"{other * 1e3:.1f}", f"{other / elapsed:.1%}"])
+    rows.append(["total", "", f"{elapsed * 1e3:.1f}", "100.0%"])
+    return format_table(
+        ["stage", "computed", "self ms", "share"],
+        rows,
+        title="pipeline stages (this run)",
     )
-    rows.append(("other", max(0.0, elapsed - sum(row[1] for row in rows)), 0))
-    lines = ["phase breakdown (wall-clock):"]
-    for phase, seconds, count in rows:
-        calls = f"{count:>5}x" if count else "      "
-        lines.append(
-            f"  {phase:<10} {seconds:>9.4f} s  {seconds / elapsed:>6.1%}  {calls}"
-        )
-    lines.append(f"  {'total':<10} {elapsed:>9.4f} s")
-    return "\n".join(lines)
 
 
-class _PhaseProfile:
+class _Profile:
     """Prints one command's share of the metrics registry.
 
     The registry is monotonic for the process lifetime, so every table
-    is the growth between the snapshot taken here and the one taken at
-    :meth:`report`: phases (``repro_phase_seconds``), pipeline stages
-    (``repro_stage_seconds``), solves by kind (``repro_solves_total``)
-    assignment DFS nodes (``repro_dfs_nodes_total``) and bind reuses
+    is the growth (:func:`repro.obs.metrics.growth`) between the
+    snapshot taken here and the one taken at :meth:`report`: pipeline
+    stage self times (``repro_stage_seconds``), solves by kind
+    (``repro_solves_total``), assignment DFS nodes
+    (``repro_dfs_nodes_total``) and bind reuses
     (``repro_bind_reuse_total``).
     """
 
@@ -158,14 +136,10 @@ class _PhaseProfile:
         after = _metrics.REGISTRY.snapshot()
 
         def grown(family):
-            return sorted(_growth(self._before, after, family).items())
+            return sorted(_metrics.growth(self._before, after, family).items())
 
         print()
-        print(_format_phases(grown("repro_phase_seconds"), elapsed))
-        stages = [
-            [stage, count, f"{seconds * 1e3:.1f}"]
-            for (stage,), (count, seconds) in grown("repro_stage_seconds")
-        ]
+        print(_format_stages(grown("repro_stage_seconds"), elapsed))
         solves = [
             [kind, int(count)] for (kind,), count in grown("repro_solves_total")
         ]
@@ -178,7 +152,6 @@ class _PhaseProfile:
             for (tier,), count in grown("repro_bind_reuse_total")
         ]
         tables = (
-            ("pipeline stages (this run)", ["stage", "computed", "total ms"], stages),
             ("solves (this run)", ["solve", "count"], solves),
             ("DFS nodes (this run)", ["mode", "nodes"], nodes),
             ("bind reuse (this run)", ["tier", "binds"], reuses),
@@ -472,7 +445,7 @@ def _cmd_design(args) -> int:
     app = build_application(args.app)
     engine = _engine_from_args(args)
     config = _config_from_args(args)
-    profile = _PhaseProfile(args.profile)
+    profile = _Profile(args.profile)
     print(f"designing crossbars for {app.name} ({app.num_cores} cores) ...")
     if args.validate:
         # The reference latencies need the full-crossbar run itself.
@@ -532,7 +505,7 @@ def _cmd_compare(args) -> int:
 
     app = build_application(args.app)
     engine = _engine_from_args(args)
-    profile = _PhaseProfile(args.profile)
+    profile = _Profile(args.profile)
     trace = app.simulate_full_crossbar().trace
     windowed = engine.synthesize(
         trace,
@@ -626,7 +599,7 @@ def _cmd_sweep_window(args) -> int:
     from repro.apps.synthetic import synthetic_trace
 
     engine = _engine_from_args(args)
-    profile = _PhaseProfile(args.profile)
+    profile = _Profile(args.profile)
     trace = synthetic_trace(
         burst_cycles=args.burst, total_cycles=max(80_000, args.burst * 40)
     )
@@ -682,7 +655,7 @@ def _cmd_scenarios_run(args) -> int:
 
     suite = _resolve_suite(args.suite)
     engine = _engine_from_args(args)
-    profile = _PhaseProfile(args.profile)
+    profile = _Profile(args.profile)
     config = SynthesisConfig(
         overlap_threshold=args.threshold,
         max_targets_per_bus=args.maxtb or None,

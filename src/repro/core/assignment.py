@@ -131,8 +131,8 @@ def solve_assignment(
     candidate buses are tried in increasing overlap-delta order so the
     search is deterministic. Feasibility mode with the budget set to a
     known optimal objective therefore returns one *canonical* optimal
-    binding -- the device :mod:`repro.core.binding` uses to keep reports
-    byte-identical no matter which MILP backend proved the objective.
+    binding: a function of the problem and the objective alone, not of
+    the search that proved the objective.
 
     ``lower_bound`` (optimization mode) stops the search at the first
     leaf whose objective is at most it; see the module docstring for

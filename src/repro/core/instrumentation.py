@@ -19,7 +19,7 @@ solve, into ``repro_dfs_nodes_total{mode=...}`` (``feasibility`` /
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Dict
 
 from repro.obs import metrics as _metrics
 
@@ -54,18 +54,21 @@ class SolveCounter:
     """
 
     def __init__(self) -> None:
-        self._baseline: Dict[Tuple[str, ...], float] = {}
+        self._baseline: Dict[str, Any] = {}
 
     def reset(self) -> None:
         """Count from now on (the registry counter itself is monotonic
         and is left alone)."""
-        self._baseline = _SOLVES_TOTAL.collect()
+        self._baseline = _metrics.REGISTRY.snapshot()
 
     def snapshot(self) -> Dict[str, int]:
         """Both counts and their total, in one read."""
         kinds = {"feasibility": 0, "binding": 0}
-        for (kind,), value in _SOLVES_TOTAL.collect().items():
-            kinds[kind] += int(value - self._baseline.get((kind,), 0))
+        grown = _metrics.growth(
+            self._baseline, _metrics.REGISTRY.snapshot(), _SOLVES_TOTAL.name
+        )
+        for (kind,), value in grown.items():
+            kinds[kind] += int(value)
         return {**kinds, "total": kinds["feasibility"] + kinds["binding"]}
 
     @property

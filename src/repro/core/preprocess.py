@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.problem import CrossbarDesignProblem
 from repro.core.spec import SynthesisConfig
-from repro.profiling import track_phase
 
 __all__ = ["ConflictAnalysis", "build_conflicts", "max_clique_size"]
 
@@ -128,22 +127,21 @@ def build_conflicts(
         matrix[i, j] = matrix[j, i] = True
         reasons.setdefault(pair, set()).add(rule)
 
-    with track_phase("conflicts"):
-        threshold_cycles = config.overlap_threshold * capacities
-        over_threshold = (problem.wo > threshold_cycles).any(axis=2)
-        combined = problem.comm[:, None, :] + problem.comm[None, :, :]
-        over_bandwidth = (combined > capacities).any(axis=2)
-        candidates = np.triu(over_threshold | over_bandwidth, k=1)
-        for i, j in np.argwhere(candidates):
-            i, j = int(i), int(j)
-            if over_threshold[i, j]:
-                mark(i, j, "threshold")
-            if over_bandwidth[i, j]:
-                mark(i, j, "bandwidth")
+    threshold_cycles = config.overlap_threshold * capacities
+    over_threshold = (problem.wo > threshold_cycles).any(axis=2)
+    combined = problem.comm[:, None, :] + problem.comm[None, :, :]
+    over_bandwidth = (combined > capacities).any(axis=2)
+    candidates = np.triu(over_threshold | over_bandwidth, k=1)
+    for i, j in np.argwhere(candidates):
+        i, j = int(i), int(j)
+        if over_threshold[i, j]:
+            mark(i, j, "threshold")
+        if over_bandwidth[i, j]:
+            mark(i, j, "bandwidth")
 
-        if config.use_criticality:
-            for i, j in problem.criticality.conflicting_pairs:
-                mark(i, j, "real-time")
+    if config.use_criticality:
+        for i, j in problem.criticality.conflicting_pairs:
+            mark(i, j, "real-time")
 
     return ConflictAnalysis(
         matrix=matrix,

@@ -2,7 +2,7 @@
 
 One package holds every process-global tally; ``--profile``,
 ``SOLVE_COUNTER`` and ``/v1/stats`` read their numbers as growth of
-its registry between two cuts:
+its registry between two cuts (:func:`repro.obs.metrics.growth`):
 
 * :mod:`repro.obs.metrics` -- a thread-safe registry of counters,
   gauges and histograms with label sets, rendered as Prometheus text
@@ -16,8 +16,7 @@ its registry between two cuts:
   ``repro serve --log-json``.
 
 The package imports only the standard library, sitting below every
-other ``repro`` subpackage (like :mod:`repro.profiling`, which records
-phase timings into it) so any layer can instrument itself without
+other ``repro`` subpackage so any layer can instrument itself without
 import cycles.
 """
 

@@ -24,8 +24,8 @@ Design constraints, in order:
 
 Counters are monotonic for the life of the process (Prometheus
 semantics). Views that want "since X" numbers (``SOLVE_COUNTER``,
-``--profile``, ``/v1/stats``'s ``solves.in_process``) keep no tallies
-of their own: they take a cut at X and report the growth since.
+``--profile``, ``/v1/stats``) keep no tallies of their own: they take a
+:meth:`~MetricsRegistry.snapshot` at X and report :func:`growth` since.
 :meth:`MetricsRegistry.reset` exists for test isolation only.
 """
 
@@ -44,6 +44,7 @@ __all__ = [
     "REGISTRY",
     "counter",
     "gauge",
+    "growth",
     "histogram",
     "render_prometheus",
 ]
@@ -430,3 +431,27 @@ def histogram(
 def render_prometheus() -> str:
     """Text exposition of the global :data:`REGISTRY` (``GET /metrics``)."""
     return REGISTRY.render_prometheus()
+
+
+def growth(
+    before: Mapping[str, Any], after: Mapping[str, Any], family: str
+) -> Dict[Tuple[str, ...], Any]:
+    """``{labels: delta}`` of ``family`` between two
+    :meth:`MetricsRegistry.snapshot` cuts.
+
+    Counter deltas are numbers; histogram deltas are ``(count, sum)``.
+    Children that did not grow are left out.
+    """
+    prior = before.get(family, {}).get("samples", {})
+    grown: Dict[Tuple[str, ...], Any] = {}
+    for key, value in after.get(family, {}).get("samples", {}).items():
+        if isinstance(value, dict):  # histogram child
+            old = prior.get(key, {"count": 0, "sum": 0.0})
+            if value["count"] > old["count"]:
+                grown[key] = (
+                    value["count"] - old["count"],
+                    value["sum"] - old["sum"],
+                )
+        elif value > prior.get(key, 0):
+            grown[key] = value - prior.get(key, 0)
+    return grown

@@ -142,9 +142,7 @@ class CollectStage:
             return TraceSource.of(self._simulate(application, ""))
         source = self._stored(key, application)
         if source is None:
-            trace = self._simulate(application, key)
-            self._persist(key, trace)
-            source = TraceSource.of(trace)
+            source = TraceSource.of(self._simulate(application, key))
             self.store.put(key, source)
         return source
 
@@ -191,14 +189,18 @@ class CollectStage:
         return source
 
     def _simulate(self, application, key: str) -> TrafficTrace:
+        """A fresh simulation, persisted under ``key`` when keyed; the
+        persist step (hashing and encoding) is part of the stage."""
         from repro.apps.registry import default_full_crossbar_trace
 
         def run() -> TrafficTrace:
-            if key:
-                # A keyed build is a default registry build: share the
-                # process-wide memo with every other consumer.
-                return default_full_crossbar_trace(application.registry_key)
-            return application.simulate_full_crossbar().trace
+            if not key:
+                return application.simulate_full_crossbar().trace
+            # A keyed build is a default registry build: share the
+            # process-wide memo with every other consumer.
+            trace = default_full_crossbar_trace(application.registry_key)
+            self._persist(key, trace)
+            return trace
 
         self.counters.record_computed(_STAGE)
         return _timed_stage(_STAGE, key, run)
@@ -230,9 +232,7 @@ class CollectStage:
             if trace is not None and trace_fingerprint(trace) == entry["digest"]:
                 return trace
         self.store.drop_arrays(key)
-        trace = self._simulate(application, key)
-        self._persist(key, trace)
-        return trace
+        return self._simulate(application, key)
 
 
 def _read_entry(payload: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:

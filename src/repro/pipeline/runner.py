@@ -60,6 +60,7 @@ the argument; ``repro_bind_reuse_total{tier}`` counts both tiers.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -93,7 +94,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.pipeline.store import ArtifactStore
 from repro.platform.drivers import WorkloadDriver, simulate_workload
-from repro.profiling import track_phase
 from repro.traffic.criticality import CriticalityReport
 from repro.traffic.trace import TrafficTrace
 
@@ -108,7 +108,8 @@ __all__ = [
 
 _STAGE_SECONDS = _metrics.histogram(
     "repro_stage_seconds",
-    "Wall-clock seconds per executed (non-cached) pipeline stage.",
+    "Self wall-clock seconds per executed (non-cached) pipeline stage: "
+    "its own time minus that of the stages nested in it.",
     ("stage",),
 )
 
@@ -121,20 +122,38 @@ _BIND_REUSE = _metrics.counter(
 )
 
 
+_NESTING = threading.local()
+
+
 def _timed_stage(stage: str, fingerprint: str, compute):
     """Run one stage compute under a ``pipeline.<stage>`` span and feed
-    its duration into ``repro_stage_seconds``.
+    its self time into ``repro_stage_seconds``.
 
     Only *executed* stages pass through here -- cache hits stay on
     their untimed fast path, so the histogram measures real stage cost,
-    not lookup cost.
+    not lookup cost. Stages nest (an ``app:`` scenario's ``collect``
+    runs inside its ``scenario-trace``, a lazy trace load inside a
+    ``window``), so each thread keeps a stack of the seconds its open
+    stages spent in nested ones; a stage records its wall time minus
+    those, and the histogram's sums partition the run instead of
+    counting nested time twice.
     """
+    nested = getattr(_NESTING, "stack", None)
+    if nested is None:
+        nested = _NESTING.stack = []
+    nested.append(0.0)
     begin = time.perf_counter()
-    with _tracing.span(
-        f"pipeline.{stage}", fingerprint=fingerprint[:12]
-    ):
-        artifact = compute()
-    _STAGE_SECONDS.observe(time.perf_counter() - begin, stage=stage)
+    try:
+        with _tracing.span(
+            f"pipeline.{stage}", fingerprint=fingerprint[:12]
+        ):
+            artifact = compute()
+    finally:
+        elapsed = time.perf_counter() - begin
+        inner = nested.pop()
+    if nested:
+        nested[-1] += elapsed
+    _STAGE_SECONDS.observe(elapsed - inner, stage=stage)
     return artifact
 
 
@@ -427,23 +446,22 @@ class PipelineRunner:
 
         def _compute() -> BindingArtifact:
             nonlocal proof
-            with track_phase("solve"):
-                search = search_minimum_buses(problem, conflicts, config)
-                result, proof = _optimize(
-                    problem,
-                    conflicts,
-                    search.num_buses,
-                    config,
-                    record.lower_bound(pairs, search.num_buses),
-                )
-                binding = bus_binding(result, search.num_buses)
-                audit_binding(
-                    problem,
-                    conflicts,
-                    binding.binding,
-                    config.max_targets_per_bus,
-                    raise_on_violation=True,
-                )
+            search = search_minimum_buses(problem, conflicts, config)
+            result, proof = _optimize(
+                problem,
+                conflicts,
+                search.num_buses,
+                config,
+                record.lower_bound(pairs, search.num_buses),
+            )
+            binding = bus_binding(result, search.num_buses)
+            audit_binding(
+                problem,
+                conflicts,
+                binding.binding,
+                config.max_targets_per_bus,
+                raise_on_violation=True,
+            )
             return BindingArtifact(
                 search=search, binding=binding, fingerprint=fingerprint
             )

@@ -21,7 +21,9 @@ registry that turns identical addresses into shared work:
 
 All transitions happen under one lock; the check-then-register race two
 concurrent submitters would otherwise hit (both miss, both enqueue) is
-exactly what this type exists to close.
+exactly what this type exists to close. The coalescer counts no
+dispositions: the service tallies each admission once, in the metrics
+registry's ``repro_requests_total``.
 """
 
 from __future__ import annotations
@@ -53,10 +55,6 @@ class RequestCoalescer:
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
         self.finished_ttl = finished_ttl
-        self.submitted = 0
-        self.executed = 0
-        self.coalesced = 0
-        self.finished_hits = 0
         self.ttl_evictions = 0
 
     def _expire_locked(self) -> None:
@@ -104,21 +102,17 @@ class RequestCoalescer:
         """
         with self._lock:
             self._expire_locked()
-            self.submitted += 1
             existing = self._jobs.get(fingerprint)
             if existing is not None:
                 if existing.state in ("queued", "running"):
-                    self.coalesced += 1
                     existing.coalesced += 1
                     return existing, "coalesced"
                 if existing.state == "done":
-                    self.finished_hits += 1
                     return existing, "finished"
                 # failed/cancelled: fall through, retry with a fresh job
                 del self._jobs[fingerprint]
             job = create()
             self._jobs[fingerprint] = job
-            self.executed += 1
             return job, "new"
 
     def lookup(self, fingerprint: str) -> Optional[Job]:
@@ -137,13 +131,10 @@ class RequestCoalescer:
                 self.ttl_evictions += 1
 
     def stats(self) -> Dict[str, int]:
-        """Counters for the ``/v1/stats`` endpoint (one consistent read)."""
+        """The registry's own numbers for ``/v1/stats`` (one consistent
+        read): TTL evictions and the live entry count."""
         with self._lock:
             return {
-                "submitted": self.submitted,
-                "executed": self.executed,
-                "coalesced": self.coalesced,
-                "finished_hits": self.finished_hits,
                 "ttl_evictions": self.ttl_evictions,
                 "registry_size": len(self._jobs),
             }

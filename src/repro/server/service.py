@@ -28,6 +28,12 @@ lookup runs on the HTTP handler thread and never simulates or solves:
 a digest the collector does not already store queues the job, which
 collects on its worker.
 
+Each admission is tallied once, in the registry's
+``repro_requests_total{disposition}``; ``/v1/stats`` and ``/v1/health``
+read that family's growth since the service was built (as they read
+``repro_solves_total`` for ``solves.in_process``), so services that
+overlap in one process share those numbers.
+
 Per-job progress is streamed by subscribing the job's
 :meth:`~repro.server.jobs.Job.record_progress` to the runner's
 :class:`~repro.pipeline.store.StageCounters`; pollers see live
@@ -36,13 +42,12 @@ per-stage computed/memo-hit/disk-hit tallies while the job runs.
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.apps import build_application
 from repro.core import SynthesisConfig
-from repro.core.instrumentation import SOLVE_COUNTER, SolveCounter
+from repro.core.instrumentation import SOLVE_COUNTER
 from repro.exec.engine import ExecutionEngine, SynthesisTask
 from repro.exec.serialize import RESULT_FORMAT, result_to_dict
 from repro.obs import metrics as _metrics
@@ -69,6 +74,8 @@ _REQUESTS_TOTAL = _metrics.counter(
     "cached/shed).",
     ("disposition",),
 )
+_DISPOSITIONS = ("new", "cached", "coalesced", "finished", "shed")
+
 _QUEUE_DEPTH = _metrics.gauge(
     "repro_queue_depth", "Jobs admitted but not yet picked up by a worker."
 )
@@ -157,13 +164,9 @@ class SynthesisService:
         )
         self.finished_ttl = finished_ttl
         self.max_queue_depth = max_queue_depth
-        self._stats_lock = threading.Lock()
-        self._cached_hits = 0
-        self._shed = 0
-        # ``solves.in_process`` is the registry's solve count grown
-        # since this cut, from every job thread.
-        self._service_solves = SolveCounter()
-        self._service_solves.reset()
+        # Dispositions and ``solves.in_process`` are the registry's
+        # growth since this cut, from every thread.
+        self._cut = _metrics.REGISTRY.snapshot()
         # Queue gauges are callback-backed: sampled at scrape time, so
         # they are always current and cost nothing between scrapes.
         _QUEUE_DEPTH.set_function(self.queue.depth)
@@ -208,8 +211,6 @@ class SynthesisService:
             return job, disposition
         warm = self._warm_lookup(request)
         if warm is not None:
-            with self._stats_lock:
-                self._cached_hits += 1
             job.mark_done(warm)
             self._record_admission(fingerprint, "cached")
             return job, "cached"
@@ -231,8 +232,6 @@ class SynthesisService:
         if self.max_queue_depth is not None:
             depth = self.queue.depth()
             if depth >= self.max_queue_depth:
-                with self._stats_lock:
-                    self._shed += 1
                 self._record_admission(fingerprint, "shed")
                 raise ServiceOverloaded(depth)
         return self.queue.new_job(request, fingerprint)
@@ -404,6 +403,12 @@ class SynthesisService:
 
     # -- observability ------------------------------------------------
 
+    def _dispositions(self, now: Dict[str, Any]) -> Dict[str, int]:
+        """Admissions by disposition between the service's cut and the
+        registry snapshot ``now``."""
+        grown = _metrics.growth(self._cut, now, _REQUESTS_TOTAL.name)
+        return {name: int(grown.get((name,), 0)) for name in _DISPOSITIONS}
+
     def job_trace(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The span tree of one job (``GET /v1/jobs/<id>/trace``).
 
@@ -434,8 +439,7 @@ class SynthesisService:
         timeouts = self.queue.timeouts()
         if timeouts:
             reasons.append(f"{timeouts} job(s) hit the per-job timeout")
-        with self._stats_lock:
-            shed = self._shed
+        shed = self._dispositions(_metrics.REGISTRY.snapshot())["shed"]
         if shed:
             reasons.append(f"{shed} request(s) shed at the queue bound")
         return reasons
@@ -456,6 +460,14 @@ class SynthesisService:
         states: Dict[str, int] = {}
         for job in jobs:
             states[job.state] = states.get(job.state, 0) + 1
+        # Atomic snapshots, not field-by-field reads: one locked cut per
+        # source, so a concurrent admission or solve cannot make two
+        # numbers of one source disagree with each other or with their
+        # total.
+        now = _metrics.REGISTRY.snapshot()
+        served = self._dispositions(now)
+        solved = _metrics.growth(self._cut, now, "repro_solves_total")
+        solves = SOLVE_COUNTER.snapshot()
         payload: Dict[str, Any] = {
             "queue": {
                 "depth": self.queue.depth(),
@@ -464,24 +476,25 @@ class SynthesisService:
                 "timeouts": self.queue.timeouts(),
                 "job_timeout": self.queue.job_timeout,
             },
-            "coalescing": self.coalescer.stats(),
+            "coalescing": {
+                "submitted": sum(served.values()),
+                "executed": served["new"] + served["cached"],
+                "coalesced": served["coalesced"],
+                "finished_hits": served["finished"],
+                **self.coalescer.stats(),
+                "cached_hits": served["cached"],
+            },
             "shedding": {
                 "max_queue_depth": self.max_queue_depth,
+                "shed": served["shed"],
             },
             "faults": fault_summary(),
+            "solves": {
+                "feasibility": solves["feasibility"],
+                "binding": solves["binding"],
+                "in_process": int(sum(solved.values())),
+            },
         }
-        # Atomic snapshots, not field-by-field reads: one locked cut per
-        # source, so a concurrent solve cannot make two numbers of one
-        # source disagree with each other or with their total.
-        solves = SOLVE_COUNTER.snapshot()
-        payload["solves"] = {
-            "feasibility": solves["feasibility"],
-            "binding": solves["binding"],
-            "in_process": self._service_solves.total,
-        }
-        with self._stats_lock:
-            payload["coalescing"]["cached_hits"] = self._cached_hits
-            payload["shedding"]["shed"] = self._shed
         cache = self.engine.cache
         if cache is not None:
             usage = cache.usage()

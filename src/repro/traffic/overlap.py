@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WindowError
-from repro.profiling import track_phase
 from repro.traffic.intervals import intersect
 from repro.traffic.kernels import TraceAnalytics
 from repro.traffic.windows import WindowedTraffic
@@ -77,10 +76,9 @@ class PairwiseOverlap:
     def __init__(self, windowed: WindowedTraffic, critical_only: bool = False) -> None:
         self.windowed = windowed
         self.critical_only = critical_only
-        with track_phase("overlap"):
-            self._wo = TraceAnalytics.of(windowed.trace).wo(
-                windowed.boundaries, critical_only=critical_only
-            )
+        self._wo = TraceAnalytics.of(windowed.trace).wo(
+            windowed.boundaries, critical_only=critical_only
+        )
 
     @property
     def wo(self) -> np.ndarray:

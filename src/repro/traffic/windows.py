@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import WindowError
-from repro.profiling import track_phase
 from repro.traffic.intervals import coverage_in_bins, coverage_in_windows
 from repro.traffic.kernels import TraceAnalytics
 from repro.traffic.trace import TrafficTrace
@@ -117,8 +116,7 @@ class WindowedTraffic:
                 self.num_windows, self.window_size, dtype=np.int64
             )
             self._edges = None
-        with track_phase("windowing"):
-            self._comm = self._build_comm(critical_only=False)
+        self._comm = self._build_comm(critical_only=False)
         self._critical_comm: Optional[np.ndarray] = None
 
     @property
@@ -175,8 +173,7 @@ class WindowedTraffic:
         :attr:`comm` -- requesting both costs one record walk, not two.
         """
         if self._critical_comm is None:
-            with track_phase("windowing"):
-                self._critical_comm = self._build_comm(critical_only=True)
+            self._critical_comm = self._build_comm(critical_only=True)
         return self._critical_comm
 
     def utilization(self) -> np.ndarray:

@@ -287,6 +287,5 @@ class TestExpositionGolden:
             "repro_http_request_seconds",
             "repro_queue_depth",
             "repro_jobs_active",
-            "repro_phase_seconds",
         ):
             assert expected in families, f"{expected} not registered"

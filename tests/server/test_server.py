@@ -24,6 +24,7 @@ from repro.server import (
     JobQueue,
     RequestCoalescer,
     RequestError,
+    ServiceOverloaded,
     SynthesisServer,
     SynthesisService,
     parse_job_request,
@@ -199,11 +200,9 @@ class TestRequestCoalescer:
         done, disposition = coalescer.admit("fp", lambda: 1 / 0)
         assert disposition == "finished" and done is job
 
-        stats = coalescer.stats()
-        assert stats["submitted"] == 3
-        assert stats["executed"] == 1
-        assert stats["coalesced"] == 1
-        assert stats["finished_hits"] == 1
+        # Dispositions are tallied by the service, in the registry
+        # (TestDispositionTallies); the coalescer reports only itself.
+        assert coalescer.stats() == {"ttl_evictions": 0, "registry_size": 1}
 
     def test_failed_jobs_are_retried(self):
         coalescer = RequestCoalescer()
@@ -427,6 +426,77 @@ class TestServiceCoalescing:
         fingerprint = job.result["design_fingerprint"]
         record = json.loads((tmp_path / f"{fingerprint}.json").read_text())
         assert record == job.result["result"]
+
+
+class TestDispositionTallies:
+    """``/v1/stats`` and ``/v1/health`` read each disposition from
+    ``repro_requests_total`` growth since the service was built."""
+
+    @staticmethod
+    def _design(threshold):
+        return {"kind": "design", "app": "qsort", "threshold": threshold}
+
+    def test_each_disposition_counted_once_per_service(self, tmp_path):
+        first = SynthesisServer(port=0, cache_dir=str(tmp_path), workers=1)
+        first.start()
+        try:
+            job, disposition = first.service.submit(self._design(0.3))
+            assert disposition == "new"
+            assert job.wait(120) and job.state == "done"
+            status, stats = http_get(first.address, "/v1/stats")
+        finally:
+            first.stop()
+        assert status == 200
+        assert stats["coalescing"] == {
+            "submitted": 1, "executed": 1, "coalesced": 0,
+            "finished_hits": 0, "ttl_evictions": 0, "registry_size": 1,
+            "cached_hits": 0,
+        }
+        assert stats["shedding"]["shed"] == 0
+
+        # Built after the first: it reports only its own requests.
+        started, release = threading.Event(), threading.Event()
+
+        def blocking_execute(job):
+            started.set()
+            release.wait(10.0)
+            return {"ok": True}
+
+        second = SynthesisServer(
+            port=0, cache_dir=str(tmp_path), workers=1, max_queue_depth=1
+        )
+        second.start()
+        service = second.service
+        try:
+            _, disposition = service.submit(self._design(0.3))
+            assert disposition == "cached"
+            service.queue._execute = blocking_execute
+            running, disposition = service.submit(self._design(0.35))
+            assert disposition == "new" and started.wait(5.0)
+            queued, disposition = service.submit(self._design(0.4))
+            assert disposition == "new"
+            _, disposition = service.submit(self._design(0.4))
+            assert disposition == "coalesced"
+            with pytest.raises(ServiceOverloaded):
+                service.submit(self._design(0.45))
+            release.set()
+            assert running.wait(5.0) and queued.wait(5.0)
+            _, disposition = service.submit(self._design(0.35))
+            assert disposition == "finished"
+            status, stats = http_get(second.address, "/v1/stats")
+            health_status, health = http_get(second.address, "/v1/health")
+        finally:
+            release.set()
+            second.stop(drain=False)
+        assert status == health_status == 200
+        assert stats["coalescing"] == {
+            "submitted": 6, "executed": 3, "coalesced": 1,
+            "finished_hits": 1, "ttl_evictions": 0, "registry_size": 3,
+            "cached_hits": 1,
+        }
+        assert stats["shedding"] == {"max_queue_depth": 1, "shed": 1}
+        assert health["status"] == "degraded"
+        assert health["reasons"] == ["1 request(s) shed at the queue bound"]
 
 
 # -- HTTP surface -----------------------------------------------------

@@ -5,6 +5,25 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _stage_rows(out):
+    """``{stage: (computed, ms, share)}`` from the ``--profile`` stage
+    table, ``other`` and ``total`` included (their computed is "")."""
+    table = out.split("pipeline stages (this run)")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.strip().splitlines()[2:]:
+        cells = line.split()
+        computed = cells[1] if len(cells) == 4 else ""
+        rows[cells[0]] = (computed, float(cells[-2]), cells[-1])
+    return rows
+
+
+def _stage_ms(rows):
+    """The summed self time of the stage rows, in ms."""
+    return sum(
+        ms for name, (_, ms, _) in rows.items() if name not in ("other", "total")
+    )
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -468,7 +487,6 @@ class TestObservabilityFlags:
     def test_profile_includes_pipeline_stage_table(self, capsys):
         assert main(["design", "qsort", "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "phase breakdown" in out
         assert "pipeline stages (this run)" in out
         assert "bind" in out
 
@@ -484,20 +502,42 @@ class TestObservabilityFlags:
 
     def test_profile_reports_only_its_own_run(self, capsys):
         """Every table is the registry's growth over one command, so a
-        repeat in the same process prints the same solve-phase calls and
+        repeat in the same process prints the same bind-stage count and
         solver counts, not their running sum."""
 
         def profile():
             assert main(["design", "qsort", "--profile"]) == 0
             out = capsys.readouterr().out
-            solve_row = next(
-                line for line in out.splitlines() if line.startswith("  solve ")
-            )
-            return solve_row.split()[-1], out.split("solves (this run)")[1]
+            return _stage_rows(out)["bind"][0], out.split("solves (this run)")[1]
 
         first = profile()
-        assert first[0] == "2x"
+        assert first[0] == "2"
         assert profile() == first
+
+    def test_profile_stage_rows_partition_the_run(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Stage self times plus ``other`` sum to ``total``: a cold
+        design leaves little outside the stages, and a suite whose
+        ``collect`` runs inside ``scenario-trace`` counts it once."""
+        from repro.apps import registry
+
+        # Cold as a fresh process is: no trace simulated earlier.
+        monkeypatch.setattr(registry, "_DEFAULT_TRACES", {})
+        rounding = 0.1  # ms: every cell is rounded to 0.1 ms
+        design = ["design", "qsort", "--cache-dir", str(tmp_path / "d")]
+        assert main([*design, "--profile"]) == 0
+        rows = _stage_rows(capsys.readouterr().out)
+        total = rows["total"][1]
+        other = rows["other"][1]
+        assert abs(_stage_ms(rows) + other - total) <= rounding * len(rows)
+        assert other <= 0.10 * total
+
+        suite = ["scenarios", "run", "apps", "--cache-dir", str(tmp_path / "s")]
+        assert main([*suite, "--profile"]) == 0
+        rows = _stage_rows(capsys.readouterr().out)
+        assert {"collect", "scenario-trace"} <= set(rows)
+        assert _stage_ms(rows) <= rows["total"][1] + rounding * len(rows)
 
     def test_serve_parser_accepts_obs_flags(self):
         args = build_parser().parse_args(

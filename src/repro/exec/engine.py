@@ -228,20 +228,23 @@ class ExecutionEngine:
 
     # -- batches (one task per trace) ---------------------------------
 
-    def run_batch(
-        self, items: Sequence[Tuple[TrafficTrace, SynthesisTask]]
-    ) -> List[SynthesisResult]:
-        """Solve (or fetch) one synthesis point per (trace, task) pair,
-        in order.
+    def run_batch(self, items: Sequence[Tuple]) -> List[SynthesisResult]:
+        """Solve (or fetch) one synthesis point per ``(trace, task)`` or
+        ``(trace, task, trace_digest)`` item, in order.
 
         Where :meth:`run_sweep` solves many tasks against *one* shared
         trace, a batch solves one task per trace -- the scenario-suite
         pattern: each suite member contributes its own trace and its own
         analysis window. Each item is addressed by its own trace's
-        digest, so identical items share one solve.
+        digest, so identical items share one solve; an item with its
+        digest may hand a loader instead of the trace (see
+        :meth:`lookup_or_solve`), which a hit never calls.
         """
         with _tracing.span("engine.batch", items=len(items)):
-            return [self.lookup_or_solve(trace, task) for trace, task in items]
+            return [
+                self.lookup_or_solve(trace, task, *digest)
+                for trace, task, *digest in items
+            ]
 
     # -- latency replays ----------------------------------------------
 

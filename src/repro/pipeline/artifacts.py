@@ -155,6 +155,14 @@ class TraceShape(NamedTuple):
     num_records: int
     total_cycles: int
 
+    @property
+    def num_initiators(self) -> int:
+        return len(self.initiator_names)
+
+    @property
+    def num_targets(self) -> int:
+        return len(self.target_names)
+
     @classmethod
     def of(cls, trace: TrafficTrace) -> "TraceShape":
         return cls(
@@ -224,6 +232,17 @@ class TraceSource:
                 self._digest = trace_fingerprint(self._trace)
             return self._trace
 
+    def checked(self, digest: str) -> TrafficTrace:
+        """The trace, loaded on first use, whose digest must be
+        ``digest`` (the one a consumer is addressed by): raises
+        :class:`TraceDigestMismatch` when the loaded trace's differs."""
+        trace = self.trace()
+        if self.digest != digest:
+            raise TraceDigestMismatch(
+                f"loaded trace {self.digest[:12]} is not {digest[:12]}"
+            )
+        return trace
+
 
 class TraceDigestMismatch(Exception):
     """A deferred trace loaded with a digest other than the one its
@@ -263,13 +282,7 @@ class CollectedTraffic:
         """The trace, loaded on first use and checked against
         ``fingerprint``; raises :class:`TraceDigestMismatch` when the
         loaded trace's digest differs."""
-        trace = self.source.trace()
-        if self.source.digest != self.fingerprint:
-            raise TraceDigestMismatch(
-                f"loaded trace {self.source.digest[:12]} is not "
-                f"{self.fingerprint[:12]}"
-            )
-        return trace
+        return self.source.checked(self.fingerprint)
 
 
 @dataclass(frozen=True)

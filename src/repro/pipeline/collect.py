@@ -10,9 +10,16 @@ simulation's *inputs* instead:
 * the driver's content key (``app:<name>`` plus the platform spec),
 * the driver's cycle budget,
 * :data:`SIMULATOR_SALT`, bumped whenever the simulator, the platform
-  models or an application program changes the traffic they produce,
+  models, an application program or a traffic generator changes the
+  traffic they produce,
 * :data:`~repro.exec.fingerprint.CACHE_SCHEMA_VERSION`, which the stored
   digest depends on.
+
+Generated traces -- a scenario's profile trace, or a load-scaled or
+thinned application trace -- are keyed the same way by their builder's
+inputs (:func:`generated_key`: the scenario's source, parameters, load
+scale, critical targets and name, plus the same salt and schema), so a
+warm suite run generates and hashes none of them.
 
 One entry lives in the artifact store's disk layer under that key: a
 JSON payload with the trace's digest, shape and core names, plus the
@@ -28,12 +35,13 @@ sidecar, so such a point never loads, decodes or hashes its trace.
 
 A loaded trace is re-fingerprinted and must match the stored digest.
 Anything else -- an unreadable payload, a missing or truncated sidecar,
-a digest mismatch -- drops the entry and re-simulates (the source then
-reports the new trace's digest, and a point addressed by the stored one
-restarts under it): a cache may cost time, never change an answer. The
-read, decode and check run under one ``pipeline.collect.load`` span.
-Only content-addressable workloads (default registry builds) are
-cached, and they share the registry's per-process simulation memo
+a digest mismatch -- drops the entry and rebuilds the trace (the
+source then reports the new trace's digest, and a point addressed by
+the stored one restarts under it): a cache may cost time, never change
+an answer. The read, decode and check run under one
+``pipeline.collect.load`` span.
+Only content-addressable program workloads (default registry builds)
+are cached, and they share the registry's per-process simulation memo
 (:func:`~repro.apps.registry.default_full_crossbar_trace`); customized
 builds simulate every time. Without a disk layer nothing is encoded or
 hashed.
@@ -42,7 +50,7 @@ hashed.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -55,15 +63,23 @@ from repro.pipeline.store import ArtifactStore
 from repro.traffic.events import TraceRecord, TransactionKind
 from repro.traffic.trace import TrafficTrace
 
-__all__ = ["SIMULATOR_SALT", "TraceSource", "CollectStage", "collect_key"]
+__all__ = [
+    "SIMULATOR_SALT",
+    "TraceSource",
+    "CollectStage",
+    "collect_key",
+    "generated_key",
+]
 
 SIMULATOR_SALT = 1
 """Version of the traffic the simulator produces for a given input.
 
 Part of every collect key. Bump it -- together with the golden digests
 in ``tests/pipeline/test_collect_stage.py`` -- whenever a change to the
-simulator, the platform models or an application program moves a
-recorded trace, so no entry written before the change is ever read."""
+simulator, the platform models, an application program, a traffic
+generator (:mod:`repro.traffic.synthetic`, :mod:`repro.traffic.profiles`)
+or the thinning of application traces moves a recorded or generated
+trace, so no entry written before the change is ever read."""
 
 COLUMNS = (
     "initiator",
@@ -107,18 +123,36 @@ def collect_key(application) -> Optional[str]:
     return stage_fingerprint(_STAGE, None, spec)
 
 
-class CollectStage:
-    """Program-driven Phase-1 collection behind an input-keyed store.
+def generated_key(spec: Dict[str, Any]) -> str:
+    """The key of a generated trace built from ``spec``: the builder's
+    inputs plus the salt and schema every collect key carries."""
+    return stage_fingerprint(
+        _STAGE,
+        None,
+        {
+            "generated": spec,
+            "simulator": SIMULATOR_SALT,
+            "trace_schema": CACHE_SCHEMA_VERSION,
+        },
+    )
 
-    Lookup order per :meth:`source` call: the store's in-memory layer
-    (``memo_hit``), its disk layer (``disk_hit``), then simulation
-    (``computed``); :meth:`lookup` stops before the simulation --
-    tallied under the ``collect`` stage of the store's
-    :class:`~repro.pipeline.store.StageCounters`. A re-simulation after
-    a failed load tallies ``computed`` as well. ``computed`` means the
-    trace came from the simulator, not from this store; the registry's
-    per-process memo answers a default build simulated earlier in the
-    same process.
+
+class CollectStage:
+    """Phase-1 collection behind an input-keyed store.
+
+    Two kinds of trace live here: program-driven full-crossbar
+    collections (:meth:`source`, keyed by :func:`collect_key`) and
+    generated ones (:meth:`generated`, keyed by :func:`generated_key`:
+    scenario traces built from a profile or from a thinned application
+    trace). Both share one entry format and one lookup order per call:
+    the store's in-memory layer (``memo_hit``), its disk layer
+    (``disk_hit``), then a build (``computed``); :meth:`lookup` stops
+    before the build -- tallied under the ``collect`` stage of the
+    store's :class:`~repro.pipeline.store.StageCounters`. A rebuild
+    after a failed load tallies ``computed`` as well. ``computed`` means
+    the trace came from the simulator or a generator, not from this
+    store; the registry's per-process memo answers a default build
+    simulated earlier in the same process.
     """
 
     def __init__(self, store: Optional[ArtifactStore] = None) -> None:
@@ -132,19 +166,28 @@ class CollectStage:
         """The stored source of ``application``'s trace -- from memory,
         then disk -- or ``None``. Never simulates."""
         key = collect_key(application)
-        return self._stored(key, application) if key is not None else None
+        if key is None:
+            return None
+        return self._stored(key, _simulator(application, key))
 
     def source(self, application) -> TraceSource:
         """The full-crossbar trace of ``application`` as a source: the
         stored one, else a fresh simulation (persisted when keyed)."""
         key = collect_key(application)
-        if key is None:
-            return TraceSource.of(self._simulate(application, ""))
-        source = self._stored(key, application)
-        if source is None:
-            source = TraceSource.of(self._simulate(application, key))
-            self.store.put(key, source)
-        return source
+        return self._source(key, _simulator(application, key))
+
+    def generated(
+        self, spec: Dict[str, Any], build: Callable[[], TrafficTrace]
+    ) -> TraceSource:
+        """The trace ``build`` makes, as a source filed under ``spec``.
+
+        ``spec`` must cover everything the built records depend on
+        beyond the generators and the simulator themselves (which
+        :data:`SIMULATOR_SALT` covers): the stored entry answers every
+        later call with an equal spec, and ``build`` runs only when no
+        entry is stored or a stored one fails to load.
+        """
+        return self._source(generated_key(spec), build)
 
     def record(self, application, trace: TrafficTrace) -> TraceSource:
         """``trace`` as a source, filed as ``application``'s collection.
@@ -166,7 +209,22 @@ class CollectStage:
         self.store.put(key, source)
         return source
 
-    def _stored(self, key: str, application) -> Optional[TraceSource]:
+    def _source(
+        self, key: Optional[str], build: Callable[[], TrafficTrace]
+    ) -> TraceSource:
+        """The stored source under ``key``, else a fresh build
+        (persisted and kept when keyed)."""
+        if key is None:
+            return TraceSource.of(self._build("", build))
+        source = self._stored(key, build)
+        if source is None:
+            source = TraceSource.of(self._build(key, build))
+            self.store.put(key, source)
+        return source
+
+    def _stored(
+        self, key: str, build: Callable[[], TrafficTrace]
+    ) -> Optional[TraceSource]:
         cached = self.store.get(key)
         if cached is not None:
             self.counters.record_memo_hit(_STAGE)
@@ -176,7 +234,7 @@ class CollectStage:
             return None
         self.counters.record_disk_hit(_STAGE)
         source = TraceSource(
-            lambda: self._load(key, entry, application),
+            lambda: self._load(key, entry, build),
             digest=entry["digest"],
             shape=TraceShape(
                 entry["initiator_names"],
@@ -188,18 +246,14 @@ class CollectStage:
         self.store.put(key, source)
         return source
 
-    def _simulate(self, application, key: str) -> TrafficTrace:
-        """A fresh simulation, persisted under ``key`` when keyed; the
+    def _build(self, key: str, build: Callable[[], TrafficTrace]) -> TrafficTrace:
+        """A fresh trace, persisted under ``key`` when keyed; the
         persist step (hashing and encoding) is part of the stage."""
-        from repro.apps.registry import default_full_crossbar_trace
 
         def run() -> TrafficTrace:
-            if not key:
-                return application.simulate_full_crossbar().trace
-            # A keyed build is a default registry build: share the
-            # process-wide memo with every other consumer.
-            trace = default_full_crossbar_trace(application.registry_key)
-            self._persist(key, trace)
+            trace = build()
+            if key:
+                self._persist(key, trace)
             return trace
 
         self.counters.record_computed(_STAGE)
@@ -225,14 +279,31 @@ class CollectStage:
             },
         )
 
-    def _load(self, key: str, entry: Dict[str, Any], application) -> TrafficTrace:
+    def _load(
+        self, key: str, entry: Dict[str, Any], build: Callable[[], TrafficTrace]
+    ) -> TrafficTrace:
         with _tracing.span("pipeline.collect.load", records=entry["num_records"]):
             arrays = self.store.get_arrays(key)
             trace = _decode(arrays, entry) if arrays is not None else None
             if trace is not None and trace_fingerprint(trace) == entry["digest"]:
                 return trace
         self.store.drop_arrays(key)
-        return self._simulate(application, key)
+        return self._build(key, build)
+
+
+def _simulator(application, key: Optional[str]) -> Callable[[], TrafficTrace]:
+    """How ``application``'s full-crossbar trace is simulated: a keyed
+    build is a default registry build and shares the process-wide memo
+    with every other consumer; any other simulates every time."""
+    if key is None:
+        return lambda: application.simulate_full_crossbar().trace
+
+    def simulate() -> TrafficTrace:
+        from repro.apps.registry import default_full_crossbar_trace
+
+        return default_full_crossbar_trace(application.registry_key)
+
+    return simulate
 
 
 def _read_entry(payload: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:

@@ -149,8 +149,10 @@ def platform_spec(config: SoCConfig) -> Dict[str, Any]:
     }
 
 
-def replay_platform(trace: TrafficTrace) -> SoCConfig:
-    """A generic platform matching a recorded trace's shape.
+def replay_platform(trace) -> SoCConfig:
+    """A generic platform matching a recorded trace's shape (``trace``
+    is a trace or anything else with its core names, such as a
+    :class:`~repro.pipeline.artifacts.TraceShape`).
 
     Profile-generated traces carry no platform description of their
     own; replay gives them memory-kind targets with the default single
@@ -255,7 +257,14 @@ class TraceDrivenInitiator:
     Parameters
     ----------
     trace:
-        The recorded traffic to replay.
+        The recorded traffic to replay: a trace, or a
+        :class:`~repro.pipeline.artifacts.TraceSource` known by its
+        digest and shape. A source's records load only when the
+        programs are built (a replay-stage miss); the platform check,
+        :attr:`sim_cycles` and :meth:`workload_key` read its shape and
+        digest, and a load whose digest is not that one raises
+        :class:`~repro.pipeline.artifacts.TraceDigestMismatch` before
+        anything is simulated.
     config:
         Platform to replay on; defaults to the generic
         :func:`replay_platform` shape derived from the trace.
@@ -269,26 +278,44 @@ class TraceDrivenInitiator:
 
     def __init__(
         self,
-        trace: TrafficTrace,
+        trace,
         config: Optional[SoCConfig] = None,
         pace: bool = True,
         label: str = "",
     ) -> None:
+        if isinstance(trace, TrafficTrace):
+            self._trace: Optional[TrafficTrace] = trace
+            self._source = None
+            self._digest: Optional[str] = None
+            shape = trace
+        else:
+            self._trace = None
+            self._source = trace
+            self._digest = trace.digest
+            shape = trace.shape
         if config is None:
-            config = replay_platform(trace)
+            config = replay_platform(shape)
         if (
-            config.num_initiators != trace.num_initiators
-            or config.num_targets != trace.num_targets
+            config.num_initiators != shape.num_initiators
+            or config.num_targets != shape.num_targets
         ):
             raise ConfigurationError(
                 f"replay platform is {config.num_initiators}x"
                 f"{config.num_targets} but the trace was recorded on "
-                f"{trace.num_initiators}x{trace.num_targets}"
+                f"{shape.num_initiators}x{shape.num_targets}"
             )
-        self.trace = trace
+        self._num_initiators = shape.num_initiators
+        self._total_cycles = shape.total_cycles
         self._config = config
         self.pace = bool(pace)
         self._label = label
+
+    @property
+    def trace(self) -> TrafficTrace:
+        """The recorded trace, loaded (and checked) on first use."""
+        if self._trace is None:
+            self._trace = self._source.checked(self._digest)
+        return self._trace
 
     @property
     def platform(self) -> SoCConfig:
@@ -297,7 +324,7 @@ class TraceDrivenInitiator:
     @property
     def sim_cycles(self) -> int:
         """Four times the recorded period: room for congested fabrics."""
-        return max(1, self.trace.total_cycles) * 4
+        return max(1, self._total_cycles) * 4
 
     @property
     def label(self) -> str:
@@ -316,15 +343,13 @@ class TraceDrivenInitiator:
             )
             for records, start in zip(
                 self.records_per_initiator(),
-                self.start_cycles() or [0] * self.trace.num_initiators,
+                self.start_cycles() or [0] * self._num_initiators,
             )
         ]
 
     def records_per_initiator(self) -> List[List]:
         """Each initiator's recorded transactions, in trace order."""
-        per_initiator: List[List] = [
-            [] for _ in range(self.trace.num_initiators)
-        ]
+        per_initiator: List[List] = [[] for _ in range(self._num_initiators)]
         for record in self.trace.records:
             per_initiator[record.initiator].append(record)
         return per_initiator
@@ -332,7 +357,7 @@ class TraceDrivenInitiator:
     def start_cycles(self) -> Optional[List[int]]:
         if not self.pace:
             return None
-        starts = [0] * self.trace.num_initiators
+        starts = [0] * self._num_initiators
         first_seen: Dict[int, int] = {}
         for record in self.trace.records:  # records are sorted by issue
             if record.initiator not in first_seen:
@@ -342,18 +367,20 @@ class TraceDrivenInitiator:
         return starts
 
     def workload_key(self) -> Dict[str, Any]:
-        from repro.exec.fingerprint import trace_fingerprint
+        if self._digest is None:
+            from repro.exec.fingerprint import trace_fingerprint
 
+            self._digest = trace_fingerprint(self._trace)
         return {
             "kind": "trace-replay",
-            "trace": trace_fingerprint(self.trace),
+            "trace": self._digest,
             "pace": self.pace,
             "platform": platform_spec(self._config),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<TraceDrivenInitiator {len(self.trace)} records on "
+            f"<TraceDrivenInitiator {self._label!r} on "
             f"{self._config.num_initiators}x{self._config.num_targets}>"
         )
 

@@ -57,8 +57,25 @@ def summarize_latencies(latencies: Sequence[int]) -> LatencyStats:
         mean=float(data.mean()),
         maximum=int(data.max()),
         minimum=int(data.min()),
-        p95=float(np.percentile(data, 95)),
+        p95=_percentile(np.sort(data).tolist(), 0.95),
     )
+
+
+def _percentile(ordered: Sequence[int], quantile: float) -> float:
+    """``np.percentile`` of a sorted integer sample under its default
+    linear rule, float for float: the same virtual index and the same
+    two-sided interpolation as numpy's ``_lerp`` (``b - (b - a) * (1 -
+    t)`` from ``t >= 0.5`` on), without the ``numpy.ma`` import that
+    ``np.percentile`` costs a cold process (10-12 ms)."""
+    index = (len(ordered) - 1) * quantile
+    if index >= len(ordered) - 1:
+        return float(ordered[-1])
+    below = int(index)
+    low, high = ordered[below], ordered[below + 1]
+    weight = index - below
+    if weight >= 0.5:
+        return float(high - (high - low) * (1 - weight))
+    return float(low + (high - low) * weight)
 
 
 def per_target_latency(

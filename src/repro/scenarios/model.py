@@ -19,6 +19,7 @@ they can be committed, diffed and shipped between machines.
 
 from __future__ import annotations
 
+import importlib
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -26,17 +27,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.traffic.profiles import (
-    HotspotTrafficConfig,
-    PipelineTrafficConfig,
-    PoissonTrafficConfig,
-    generate_hotspot_trace,
-    generate_pipeline_trace,
-    generate_poisson_trace,
-    scaled_config,
-    thin_trace,
-)
-from repro.traffic.synthetic import SyntheticTrafficConfig, generate_synthetic_trace
 from repro.traffic.trace import TrafficTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,12 +46,31 @@ __all__ = [
 SUITE_FORMAT = "repro-scenario-suite-v1"
 
 PROFILES = {
-    "burst": (SyntheticTrafficConfig, generate_synthetic_trace),
-    "hotspot": (HotspotTrafficConfig, generate_hotspot_trace),
-    "poisson": (PoissonTrafficConfig, generate_poisson_trace),
-    "pipeline": (PipelineTrafficConfig, generate_pipeline_trace),
+    "burst": (
+        "repro.traffic.synthetic",
+        "SyntheticTrafficConfig",
+        "generate_synthetic_trace",
+    ),
+    "hotspot": (
+        "repro.traffic.profiles",
+        "HotspotTrafficConfig",
+        "generate_hotspot_trace",
+    ),
+    "poisson": (
+        "repro.traffic.profiles",
+        "PoissonTrafficConfig",
+        "generate_poisson_trace",
+    ),
+    "pipeline": (
+        "repro.traffic.profiles",
+        "PipelineTrafficConfig",
+        "generate_pipeline_trace",
+    ),
 }
-"""Synthetic traffic profiles addressable as ``profile:<name>``."""
+"""Synthetic traffic profiles addressable as ``profile:<name>``: the
+module, config class and generator of each, resolved by name only when
+a trace is built -- a suite whose traces are all stored never imports a
+generator."""
 
 
 def _freeze(value: Any) -> Any:
@@ -166,8 +175,13 @@ class Scenario:
         default one without a disk layer, which shares the per-process
         simulation memo); customized builds always simulate.
         """
+        from repro.traffic.profiles import scaled_config, thin_trace
+
         if self.source_kind == "profile":
-            config_cls, generate = PROFILES[self.source_name]
+            module, config_name, generator_name = PROFILES[self.source_name]
+            generators = importlib.import_module(module)
+            config_cls = getattr(generators, config_name)
+            generate = getattr(generators, generator_name)
             params = dict(self.params)
             if self.critical_targets:
                 params["critical_targets"] = self.critical_targets
@@ -205,8 +219,10 @@ class Scenario:
             trace, self.load_scale, seed=zlib.crc32(self.name.encode("utf-8"))
         )
 
-    def effective_window(self, trace: TrafficTrace) -> int:
-        """The analysis window for this scenario, clamped to the trace."""
+    def effective_window(self, trace) -> int:
+        """The analysis window for this scenario, clamped to the trace
+        (a trace, or its :class:`~repro.pipeline.artifacts.TraceShape`:
+        only ``total_cycles`` is read)."""
         if self.window_size is not None:
             window = self.window_size
         elif self.source_kind == "app":

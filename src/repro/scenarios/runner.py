@@ -3,7 +3,8 @@
 :class:`ScenarioSuiteRunner` takes a :class:`~repro.scenarios.model.ScenarioSuite`
 and produces a :class:`SuiteRunReport`:
 
-1. every scenario's trace is built deterministically,
+1. every scenario's trace is built deterministically, or read by its
+   digest and shape from the collect stage's store,
 2. every scenario is synthesized *individually* through the
    :class:`~repro.exec.engine.ExecutionEngine` -- solved points come
    back from the content-addressed cache on repeat runs,
@@ -65,6 +66,9 @@ from repro.exec.serialize import (
 from repro.pipeline.artifacts import (
     CollectedTraffic,
     ReplayArtifact,
+    TraceDigestMismatch,
+    TraceShape,
+    TraceSource,
     stage_fingerprint,
 )
 from repro.pipeline.collect import CollectStage
@@ -77,7 +81,6 @@ from repro.platform.drivers import (
 )
 from repro.platform.metrics import LatencyStats
 from repro.scenarios.model import Scenario, ScenarioSuite
-from repro.traffic.trace import TrafficTrace
 
 __all__ = [
     "REPORT_FORMAT",
@@ -334,6 +337,19 @@ class SuiteRunReport:
         }
 
 
+def _trace_spec(scenario: Scenario) -> Dict[str, Any]:
+    """Exactly the scenario fields that determine its trace: source,
+    params, load scale, QoS targets, and the name (it seeds app-trace
+    thinning)."""
+    return {
+        "source": scenario.source,
+        "params": dict(scenario.params),
+        "load_scale": scenario.load_scale,
+        "critical_targets": list(scenario.critical_targets),
+        "name": scenario.name,
+    }
+
+
 class ScenarioSuiteRunner:
     """Drives a suite end to end; see the module docstring.
 
@@ -362,11 +378,14 @@ class ScenarioSuiteRunner:
         and -- when the engine has a cache directory -- persists
         serializable stages there too.
     collector:
-        Where default ``app:`` scenarios get their full-crossbar trace.
-        By default a :class:`~repro.pipeline.CollectStage` on the
-        pipeline's store: with a disk layer a fresh process reads the
-        stored trace instead of simulating, and :meth:`explain_cache`
-        shows a ``collect`` row either way.
+        Where every scenario's trace is stored: a default full-load
+        ``app:`` scenario's as its application's collection, any other
+        as a generated entry under the scenario's spec. By default a
+        :class:`~repro.pipeline.CollectStage` on the pipeline's store:
+        with a disk layer a fresh process reads each stored trace's
+        digest and shape instead of simulating or generating it (the
+        records load only for a stage that must compute from them), and
+        :meth:`explain_cache` shows a ``collect`` row either way.
     """
 
     def __init__(
@@ -414,18 +433,41 @@ class ScenarioSuiteRunner:
         cached analyses.
         """
         before = self.pipeline.counters.snapshot()
+        # ~8 store entries per scenario and run (trace source, collect
+        # entry, 2x window, 2x conflicts, individual, replay) plus
+        # suite-level artifacts: size the LRU so one run can never
+        # evict its own working set, or the incremental guarantee would
+        # degrade silently on big suites.
+        self.pipeline.store.reserve(10 * len(suite.scenarios) + 32)
+        for _ in suite.scenarios:
+            try:
+                report = self._run(suite)
+                break
+            except TraceDigestMismatch:
+                # A stored trace loaded with a digest other than the one
+                # its stages were addressed by. Nothing was stored under
+                # the stale digest, and the scenario's source now carries
+                # the loaded one: run again under it. Each restart
+                # settles at least one source.
+                continue
+        else:
+            report = self._run(suite)
+        self.last_run_breakdown = StageCounters.delta(
+            before, self.pipeline.counters.snapshot()
+        )
+        return report
+
+    def _run(self, suite: ScenarioSuite) -> SuiteRunReport:
+        """One pass of :meth:`run`; raises
+        :class:`~repro.pipeline.artifacts.TraceDigestMismatch` when a
+        stored trace had to load and its digest moved."""
         scenarios = list(suite.scenarios)
-        # ~6 store entries per scenario and run (trace, 2x window, 2x
-        # conflicts, individual) plus suite-level artifacts: size the
-        # LRU so one run can never evict its own working set, or the
-        # incremental guarantee would degrade silently on big suites.
-        self.pipeline.store.reserve(8 * len(scenarios) + 32)
         collected = [self._scenario_traffic(s) for s in scenarios]
-        traces = [artifact.trace for artifact in collected]
-        self._check_platform(suite, scenarios, traces)
+        shapes = [artifact.source.shape for artifact in collected]
+        self._check_platform(suite, scenarios, shapes)
         windows = [
-            scenario.effective_window(trace)
-            for scenario, trace in zip(scenarios, traces)
+            scenario.effective_window(shape)
+            for scenario, shape in zip(scenarios, shapes)
         ]
 
         # Per-scenario analyses (phases 2-3) as cached pipeline stages.
@@ -450,7 +492,7 @@ class ScenarioSuiteRunner:
             )
 
         individuals, individual_fingerprints = self._individual_results(
-            scenarios, collected, traces, windows
+            scenarios, collected, windows
         )
 
         names = [scenario.name for scenario in scenarios]
@@ -468,8 +510,8 @@ class ScenarioSuiteRunner:
         outcomes = tuple(
             ScenarioOutcome(
                 scenario=scenario,
-                num_records=len(trace),
-                total_cycles=trace.total_cycles,
+                num_records=shape.num_records,
+                total_cycles=shape.total_cycles,
                 window_size=window,
                 individual=individual,
                 it_check=it_check,
@@ -477,10 +519,10 @@ class ScenarioSuiteRunner:
                 latency=replay.stats if replay is not None else None,
                 latency_skipped=skipped if replay is None else None,
             )
-            for scenario, trace, window, individual, it_check, ti_check, replay
+            for scenario, shape, window, individual, it_check, ti_check, replay
             in zip(
                 scenarios,
-                traces,
+                shapes,
                 windows,
                 individuals,
                 robust.it_report.scenario_checks,
@@ -504,9 +546,6 @@ class ScenarioSuiteRunner:
             [windowed.problem for windowed, _ in it_sides],
             [windowed.problem for windowed, _ in ti_sides],
         )
-        self.last_run_breakdown = StageCounters.delta(
-            before, self.pipeline.counters.snapshot()
-        )
         return SuiteRunReport(
             suite_name=suite.name,
             policy=self.policy,
@@ -522,38 +561,44 @@ class ScenarioSuiteRunner:
     # -- per-scenario stages ------------------------------------------
 
     def _scenario_trace_key(self, scenario: Scenario) -> str:
-        """Content key of a scenario's trace-build stage.
-
-        The key covers exactly the fields that determine the trace
-        (source, params, load scale, QoS targets, and the name -- it
-        seeds app-trace thinning); editing a scenario's weight or
-        description therefore rebuilds nothing.
-        """
-        spec = {
-            "source": scenario.source,
-            "params": dict(scenario.params),
-            "load_scale": scenario.load_scale,
-            "critical_targets": list(scenario.critical_targets),
-            "name": scenario.name,
-        }
-        return stage_fingerprint("scenario-trace", None, spec)
+        """Content key of a scenario's trace-build stage (see
+        :func:`_trace_spec`); editing a scenario's weight or description
+        therefore rebuilds nothing."""
+        return stage_fingerprint("scenario-trace", None, _trace_spec(scenario))
 
     def _scenario_traffic(self, scenario: Scenario) -> CollectedTraffic:
-        """Phase 1 per scenario, content-addressed by the scenario spec."""
-        return self.pipeline.memoized(
+        """Phase 1 per scenario, content-addressed by the scenario spec:
+        the trace's digest and shape, its records only on demand."""
+        source = self.pipeline.memoized(
             "scenario-trace",
             self._scenario_trace_key(scenario),
-            lambda: CollectedTraffic.from_trace(
-                scenario.build_trace(self.collector),
-                label=scenario.name,
-            ),
+            lambda: self._scenario_source(scenario),
+        )
+        return CollectedTraffic(source, source.digest, scenario.name)
+
+    def _scenario_source(self, scenario: Scenario) -> TraceSource:
+        """The collector's source of a scenario's trace.
+
+        A default full-load ``app:`` scenario reads its application's
+        collection; every other trace is a generated entry filed under
+        the scenario's spec, so a warm run neither builds nor hashes it.
+        """
+        if (
+            scenario.source_kind == "app"
+            and not scenario.params
+            and scenario.load_scale == 1.0
+        ):
+            from repro.apps import build_application
+
+            return self.collector.source(build_application(scenario.source_name))
+        return self.collector.generated(
+            _trace_spec(scenario), lambda: scenario.build_trace(self.collector)
         )
 
     def _individual_results(
         self,
         scenarios: Sequence[Scenario],
         collected: Sequence[CollectedTraffic],
-        traces: Sequence[TrafficTrace],
         windows: Sequence[int],
     ) -> Tuple[List[SynthesisResult], List[str]]:
         """Each scenario's own optimum, memoized across runs.
@@ -600,8 +645,26 @@ class ScenarioSuiteRunner:
             pending.append((index, fingerprint))
         if pending:
             solved = self.engine.run_batch(
-                [(traces[index], tasks[index]) for index, _ in pending]
+                [
+                    (
+                        collected[index].source.trace,
+                        tasks[index],
+                        collected[index].fingerprint,
+                    )
+                    for index, _ in pending
+                ]
             )
+            # The engine restarts a point whose trace loaded with another
+            # digest under that one; the scenario must restart too before
+            # anything is filed under its stale fingerprint.
+            for index, _ in pending:
+                artifact = collected[index]
+                if artifact.source.digest != artifact.fingerprint:
+                    raise TraceDigestMismatch(
+                        f"scenario {artifact.label!r}: loaded trace "
+                        f"{artifact.source.digest[:12]} is not "
+                        f"{artifact.fingerprint[:12]}"
+                    )
             for (index, fingerprint), result in zip(pending, solved):
                 self.pipeline.counters.record_computed("individual-solve")
                 self.pipeline.store.put(fingerprint, result)
@@ -609,7 +672,10 @@ class ScenarioSuiteRunner:
         return results, fingerprints  # type: ignore[return-value]
 
     def _replay_plan(
-        self, scenario: Scenario, trace: TrafficTrace, design: CrossbarDesign
+        self,
+        scenario: Scenario,
+        collected: CollectedTraffic,
+        design: CrossbarDesign,
     ) -> Tuple[WorkloadDriver, CrossbarDesign, int, str]:
         """The ``(driver, design, budget, label)`` plan that replays this
         scenario through :meth:`PipelineRunner.replay`.
@@ -620,7 +686,8 @@ class ScenarioSuiteRunner:
         (profile-backed, load-scaled, thinned) replays its recorded
         trace: the records already reflect scaling and thinning, and the
         trace-driven initiator re-issues them through the
-        arbiter/bus/target models at their recorded cycles.
+        arbiter/bus/target models at their recorded cycles, loading
+        them only when the replay stage misses.
         """
         from repro.apps import build_application
         from repro.exec.fingerprint import canonical_json
@@ -640,9 +707,9 @@ class ScenarioSuiteRunner:
                 scenario.source_name, **dict(scenario.params)
             ).config
         else:
-            platform = replay_platform(trace)
+            platform = replay_platform(collected.source.shape)
         driver = TraceDrivenInitiator(
-            trace, config=platform, label=scenario.name
+            collected.source, config=platform, label=scenario.name
         )
         return driver, design, driver.sim_cycles, scenario.name
 
@@ -669,10 +736,10 @@ class ScenarioSuiteRunner:
         pending = [
             index
             for index, artifact in enumerate(collected)
-            if len(artifact.trace) > 0
+            if artifact.source.shape.num_records > 0
         ]
         plans = [
-            self._replay_plan(scenarios[index], collected[index].trace, design)
+            self._replay_plan(scenarios[index], collected[index], design)
             for index in pending
         ]
         for index, artifact in zip(
@@ -702,8 +769,8 @@ class ScenarioSuiteRunner:
                     scenario.name,
                     "scenario-trace",
                     self._scenario_trace_key(scenario),
-                    f"{len(artifact.trace)} records, "
-                    f"{artifact.trace.total_cycles} cycles",
+                    f"{artifact.source.shape.num_records} records, "
+                    f"{artifact.source.shape.total_cycles} cycles",
                 )
             )
             for side_name, sides in (("it", it_sides), ("ti", ti_sides)):
@@ -760,16 +827,16 @@ class ScenarioSuiteRunner:
     def _check_platform(
         suite: ScenarioSuite,
         scenarios: Sequence[Scenario],
-        traces: Sequence[TrafficTrace],
+        shapes: Sequence[TraceShape],
     ) -> None:
-        shape = (traces[0].num_initiators, traces[0].num_targets)
-        for scenario, trace in zip(scenarios[1:], traces[1:]):
-            if (trace.num_initiators, trace.num_targets) != shape:
+        first = (shapes[0].num_initiators, shapes[0].num_targets)
+        for scenario, shape in zip(scenarios[1:], shapes[1:]):
+            if (shape.num_initiators, shape.num_targets) != first:
                 raise ConfigurationError(
                     f"suite {suite.name!r}: scenario {scenario.name!r} runs "
-                    f"on a {trace.num_initiators}x{trace.num_targets} "
+                    f"on a {shape.num_initiators}x{shape.num_targets} "
                     f"platform but the suite started with "
-                    f"{shape[0]}x{shape[1]}; a shared crossbar needs one "
+                    f"{first[0]}x{first[1]}; a shared crossbar needs one "
                     f"platform shape"
                 )
 

@@ -45,6 +45,10 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+# Preloaded for suite jobs: scenario traces resolve their generators by
+# name only when one must be built, and no request may compile a module.
+import repro.traffic.profiles  # noqa: F401
+import repro.traffic.synthetic  # noqa: F401
 from repro.apps import build_application
 from repro.core import SynthesisConfig
 from repro.core.instrumentation import SOLVE_COUNTER

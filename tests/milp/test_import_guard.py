@@ -163,6 +163,38 @@ def test_warm_design_imports_nothing_inside_main(tmp_path):
     assert [name for name in cold[2] if name.startswith("repro")] == []
 
 
+SUITE_PROBE = """
+import contextlib, io, json, sys
+import repro.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert repro.cli.main(["scenarios", "run", *sys.argv[1:]]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def run_suite(*argv):
+    """Every module loaded after ``repro scenarios run *argv``."""
+    completed = subprocess.run(
+        [sys.executable, "-c", SUITE_PROBE, *argv],
+        capture_output=True, text=True, env=_env(), timeout=300, check=True,
+    )
+    return set(json.loads(completed.stdout.splitlines()[-1]))
+
+
+def test_suite_runs_load_no_masked_arrays_and_warm_ones_no_generator(tmp_path):
+    """A replaying suite computes its p95 without ``np.percentile``
+    (which imports ``numpy.ma``), and a warm one reads every scenario
+    trace from its stored entry, so no profile generator is imported."""
+    argv = ["smoke", "--replay-latency", "--cache-dir", str(tmp_path)]
+    cold = run_suite(*argv)
+    assert "repro.traffic.profiles" in cold  # the cold run generated
+    warm = run_suite(*argv)
+    for loaded in (cold, warm):
+        assert "numpy.ma" not in loaded
+    assert "repro.traffic.profiles" not in warm
+
+
 def test_cli_import_loads_a_bounded_module_set():
     probe = (
         "import json, sys\n"

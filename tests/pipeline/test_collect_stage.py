@@ -268,11 +268,13 @@ class TestSuiteAppSources:
         argv = ["scenarios", "run", "apps", "--explain-cache",
                 "--cache-dir", str(tmp_path)]
         cold = design(argv, capsys)
-        # Two scenarios share mat2: one simulation, one memo hit.
-        assert breakdown_row(cold) == ["1", "1", "0"]
+        # Two scenarios share mat2: one simulation, and one thinned
+        # trace built from the memo hit and filed as its own entry.
+        assert breakdown_row(cold) == ["2", "1", "0"]
         SIMULATION_COUNTER.reset()
         warm = design(argv, capsys)
         assert SIMULATION_COUNTER.runs == 0
-        assert breakdown_row(warm) == ["0", "1", "1"]
+        # Both entries from disk: the thinned trace is not rebuilt.
+        assert breakdown_row(warm) == ["0", "0", "2"]
         report = "staged-pipeline cache breakdown"
         assert warm.split(report)[0] == cold.split(report)[0]

@@ -1,6 +1,9 @@
 """Unit tests for latency statistics and adapters."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.platform import LatencyStats, summarize_latencies
@@ -39,6 +42,24 @@ class TestSummarize:
 
     def test_str_is_compact(self):
         assert "mean=" in str(summarize_latencies([3]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 2_000), st.integers(-(2**40), 2**40)
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_p95_equals_numpy_percentile_exactly(self, sample):
+        """The sort-based p95 is ``np.percentile``'s linear rule, float
+        for float (reports print it, so it must not move a bit)."""
+        p95 = summarize_latencies(sample).p95
+        expected = float(np.percentile(np.asarray(sample), 95))
+        assert type(p95) is float
+        assert p95 == expected
 
 
 class TestPerTarget:

@@ -317,3 +317,130 @@ class TestCollectEntries:
         trace, recollected = self.reload(cache_dir)
         assert recollected == 1
         assert trace.records == fresh.records
+
+
+class TestScenarioTraceEntries:
+    """A damaged scenario-trace entry rebuilds its trace; a suite run
+    over it reports what the cold run reported and files nothing under
+    a stale digest."""
+
+    ARGV = ["scenarios", "run", "smoke", "--replay-latency", "--explain-cache"]
+
+    @pytest.fixture()
+    def cold(self, tmp_path, capsys):
+        """The cache of a cold smoke run, its report, and its files."""
+        cache = tmp_path / "cache"
+        report = self.run(cache, tmp_path / "cold.json", capsys)[0]
+        return cache, report, self.files(cache)
+
+    def run(self, cache, report, capsys):
+        """A smoke run's JSON report and its ``collect`` row
+        (computed, memo hits, disk hits)."""
+        argv = [*self.ARGV, "--cache-dir", str(cache), "--report", str(report)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        (row,) = [line for line in out.splitlines() if line.startswith("collect ")]
+        return report.read_bytes(), [int(cell) for cell in row.split()[1:]]
+
+    @staticmethod
+    def files(cache):
+        return sorted(path.name for path in cache.iterdir())
+
+    @staticmethod
+    def entries(cache):
+        """The stored scenario traces' payload files (all four smoke
+        scenarios are profile-generated)."""
+        return sorted(
+            path for path in cache.glob("stage-*.json")
+            if "columns" in json.loads(path.read_text())["payload"]
+        )
+
+    def drop_window_sidecars(self, cache):
+        """Make the next run's windows compute, so they load the trace."""
+        keep = {path.with_suffix(".npz") for path in self.entries(cache)}
+        for path in cache.glob("stage-*.npz"):
+            if path not in keep:
+                path.unlink()
+
+    def test_intact_entries_are_read_not_rebuilt(self, cold, tmp_path, capsys):
+        cache, report, files = cold
+        warm, collect = self.run(cache, tmp_path / "warm.json", capsys)
+        assert collect == [0, 0, 4]
+        assert warm == report
+        assert self.files(cache) == files
+
+    def test_corrupt_payload_rebuilds_the_trace(self, cold, tmp_path, capsys):
+        cache, report, files = cold
+        entry = self.entries(cache)[0]
+        entry.write_text(entry.read_text()[:40])
+        warm, collect = self.run(cache, tmp_path / "warm.json", capsys)
+        assert collect == [1, 0, 3]
+        assert warm == report
+        assert self.files(cache) == files
+
+    @pytest.mark.parametrize("damage", ["truncate", "delete"])
+    def test_bad_sidecar_rebuilds_the_trace(self, cold, damage, tmp_path, capsys):
+        cache, report, _ = cold
+        self.drop_window_sidecars(cache)
+        npz = self.entries(cache)[0].with_suffix(".npz")
+        if damage == "truncate":
+            npz.write_bytes(npz.read_bytes()[:64])
+        else:
+            npz.unlink()
+        warm, collect = self.run(cache, tmp_path / "warm.json", capsys)
+        assert collect == [1, 0, 4]  # read from disk, rebuilt on load
+        assert warm == report
+        assert npz.exists()  # healed
+
+    def test_tampered_digest_rebuilds_and_files_nothing_under_it(
+        self, cold, tmp_path, capsys
+    ):
+        cache, report, files = cold
+        entry = self.entries(cache)[0]
+        payload = json.loads(entry.read_text())
+        payload["payload"]["digest"] = "0" * 64
+        entry.write_text(json.dumps(payload))
+        warm, collect = self.run(cache, tmp_path / "warm.json", capsys)
+        assert collect == [1, 0, 4]
+        assert warm == report
+        # The entry was rewritten under its own digest, and no window,
+        # solve or replay was filed under the bogus one.
+        assert self.files(cache) == files
+        assert json.loads(entry.read_text()) != payload
+        healed, collect = self.run(cache, tmp_path / "healed.json", capsys)
+        assert collect == [0, 0, 4]
+        assert healed == report
+
+    def test_replay_miss_under_a_tampered_digest_stores_nothing(self, tmp_path):
+        from repro.exec.fingerprint import trace_fingerprint
+        from repro.pipeline import PipelineRunner
+        from repro.pipeline.artifacts import TraceDigestMismatch
+        from repro.platform import TraceDrivenInitiator
+        from repro.scenarios import ScenarioSuiteRunner, build_suite
+
+        scenario = build_suite("smoke").scenarios[0]
+        engine = ExecutionEngine(cache=str(tmp_path))
+        fresh = ScenarioSuiteRunner(engine=engine)._scenario_source(scenario)
+        (entry,) = self.entries(tmp_path)
+        payload = json.loads(entry.read_text())
+        payload["payload"]["digest"] = "0" * 64
+        entry.write_text(json.dumps(payload))
+
+        runner = ScenarioSuiteRunner(engine=ExecutionEngine(cache=str(tmp_path)))
+        source = runner._scenario_source(scenario)
+        assert source.digest == "0" * 64
+        design = PipelineRunner().design(fresh.trace(), CONFIG, 800).design
+        stale = TraceDrivenInitiator(source)
+        key = runner.pipeline.replay_fingerprint(stale, design)
+        with pytest.raises(TraceDigestMismatch):
+            runner.pipeline.replay(stale, design)
+        assert runner.pipeline.store.get(key) is None
+        assert runner.pipeline.store.get_payload(key) is None
+        assert runner.pipeline.counters.computed.get("collect") == 1  # rebuilt
+
+        # The source now carries the rebuilt trace's own digest: a
+        # driver built from it replays, and stores, under that one.
+        assert source.digest == trace_fingerprint(fresh.trace())
+        replayed = runner.pipeline.replay(TraceDrivenInitiator(source), design)
+        assert replayed.fingerprint != key
+        assert runner.pipeline.store.get_payload(replayed.fingerprint) is not None

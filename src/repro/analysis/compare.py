@@ -7,7 +7,7 @@ behind the paper's Table 1 (shared/full/partial) and Fig. 4
 
 Each design's validation simulation runs through
 :meth:`~repro.apps.descriptor.Application.simulate`, one design after
-another in this process.
+another in this process, timed as a ``replay`` stage.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Dict, Optional, Sequence
 from repro.apps.descriptor import Application
 from repro.core.spec import CrossbarDesign
 from repro.obs import tracing as _tracing
+from repro.pipeline.runner import timed_stage
 from repro.platform.metrics import LatencyStats
 
 __all__ = ["DesignEvaluation", "compare_designs"]
@@ -64,8 +65,12 @@ def compare_designs(
     evaluations = {}
     with _tracing.span("analysis.compare", designs=len(designs)):
         for design in designs:
-            result = application.simulate(
-                design.it.as_list(), design.ti.as_list(), budget
+            result = timed_stage(
+                "replay",
+                "",
+                lambda: application.simulate(
+                    design.it.as_list(), design.ti.as_list(), budget
+                ),
             )
             evaluations[design.label] = DesignEvaluation(
                 label=design.label,

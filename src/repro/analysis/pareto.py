@@ -18,6 +18,7 @@ from repro.apps.descriptor import Application
 from repro.core.spec import SynthesisConfig
 from repro.core.synthesis import CrossbarSynthesizer
 from repro.errors import ConfigurationError
+from repro.pipeline.runner import PipelineRunner
 from repro.traffic.trace import TrafficTrace
 
 __all__ = ["DesignPoint", "explore_design_space", "pareto_front"]
@@ -64,6 +65,9 @@ def explore_design_space(
         raise ConfigurationError("need at least one window size and threshold")
     base = config or SynthesisConfig()
     budget = application.sim_cycles * cycle_headroom
+    # One runner for the grid: every threshold reuses its window's
+    # analysis artifacts.
+    pipeline = PipelineRunner()
     points = []
     for window in window_sizes:
         effective = min(window, trace.total_cycles)
@@ -71,7 +75,8 @@ def explore_design_space(
             synthesizer = CrossbarSynthesizer(
                 replace(
                     base, window_size=effective, overlap_threshold=threshold
-                )
+                ),
+                pipeline=pipeline,
             )
             report = synthesizer.design_from_trace(trace, effective)
             validation = application.simulate(

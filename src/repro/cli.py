@@ -53,6 +53,7 @@ from repro.exec import ExecutionEngine
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.pipeline.collect import CollectStage
+from repro.pipeline.runner import timed_stage
 
 __all__ = ["main", "build_parser"]
 
@@ -448,9 +449,13 @@ def _cmd_design(args) -> int:
     profile = _Profile(args.profile)
     print(f"designing crossbars for {app.name} ({app.num_cores} cores) ...")
     if args.validate:
-        # The reference latencies need the full-crossbar run itself.
-        full_run = app.simulate_full_crossbar()
-        source = engine.collector.record(app, full_run.trace)
+        # The reference latencies need the full-crossbar run itself,
+        # which is this run's collection.
+        def collect():
+            run = app.simulate_full_crossbar()
+            return run, engine.collector.record(app, run.trace)
+
+        full_run, source = timed_stage("collect", "", collect)
     else:
         # Input-keyed: a warm cache answers without simulating, and a
         # whole-result hit, or a point whose windows are stored (a
@@ -470,10 +475,14 @@ def _cmd_design(args) -> int:
         )
     )
     if args.validate:
-        validation = app.simulate(
-            result.design.it.as_list(),
-            result.design.ti.as_list(),
-            app.sim_cycles * 4,
+        validation = timed_stage(
+            "replay",
+            "",
+            lambda: app.simulate(
+                result.design.it.as_list(),
+                result.design.ti.as_list(),
+                app.sim_cycles * 4,
+            ),
         )
         full_stats = full_run.latency_stats()
         designed_stats = validation.latency_stats()
@@ -502,15 +511,22 @@ def _cmd_compare(args) -> int:
         full_crossbar_design,
         shared_bus_design,
     )
+    from repro.exec.fingerprint import trace_fingerprint
 
     app = build_application(args.app)
     engine = _engine_from_args(args)
     profile = _Profile(args.profile)
-    trace = app.simulate_full_crossbar().trace
+
+    def collect():
+        trace = app.simulate_full_crossbar().trace
+        return trace, trace_fingerprint(trace)
+
+    trace, digest = timed_stage("collect", "", collect)
     windowed = engine.synthesize(
         trace,
         SynthesisConfig(),
         window_size=app.default_window,
+        trace_digest=digest,
     ).design
     designs = [
         shared_bus_design(trace),

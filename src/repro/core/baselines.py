@@ -22,6 +22,7 @@ from repro.core.preprocess import build_conflicts
 from repro.core.problem import CrossbarDesignProblem
 from repro.core.search import search_minimum_buses
 from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
+from repro.pipeline.runner import timed_stage
 from repro.traffic.trace import TrafficTrace
 
 __all__ = [
@@ -35,13 +36,26 @@ __all__ = [
 def _design_both_sides(
     trace: TrafficTrace, window_size: int, config: SynthesisConfig, label: str
 ) -> CrossbarDesign:
-    sides = []
-    for side_trace in (trace, trace.mirrored()):
-        problem = CrossbarDesignProblem.from_trace(side_trace, window_size)
-        conflicts = build_conflicts(problem, config)
+    """The flow's phases outside the pipeline (nothing is cached), each
+    timed as the pipeline stage it is."""
+
+    def bind(problem, conflicts):
         search = search_minimum_buses(problem, conflicts, config)
-        binding = optimize_binding(problem, conflicts, search.num_buses, config)
-        sides.append(binding)
+        return optimize_binding(problem, conflicts, search.num_buses, config)
+
+    sides = []
+    for mirrored in (False, True):
+        problem = timed_stage(
+            "window",
+            "",
+            lambda: CrossbarDesignProblem.from_trace(
+                trace.mirrored() if mirrored else trace, window_size
+            ),
+        )
+        conflicts = timed_stage(
+            "conflicts", "", lambda: build_conflicts(problem, config)
+        )
+        sides.append(timed_stage("bind", "", lambda: bind(problem, conflicts)))
     return CrossbarDesign(it=sides[0], ti=sides[1], label=label)
 
 

@@ -16,7 +16,8 @@ paper's "designed in a similar fashion".
 Since the staged-pipeline refactor the synthesizer is a thin driver
 over :class:`repro.pipeline.PipelineRunner`: each phase is a pipeline
 stage with a content-addressed artifact, so repeated designs over the
-same trace (sweeps, suite replays) share the collection/windowing/
+same trace on one runner (a synthesizer's own, or one handed to several
+synthesizers, as a design-space sweep does) share the windowing and
 conflict artifacts instead of recomputing them. Outputs are unchanged
 -- a :class:`SynthesisReport` is assembled from the stage artifacts
 exactly as the monolithic flow produced it.
@@ -117,9 +118,10 @@ class CrossbarSynthesizer:
         # core solver modules, so importing it at module scope here
         # would be circular.
         if pipeline is None:
-            from repro.pipeline.runner import shared_runner
+            from repro.pipeline.runner import PipelineRunner
+            from repro.pipeline.store import ArtifactStore
 
-            pipeline = shared_runner()
+            pipeline = PipelineRunner(store=ArtifactStore(max_memory_entries=64))
         self.pipeline = pipeline
 
     def design(

@@ -13,6 +13,10 @@ entry families share the directory:
   :mod:`repro.pipeline.store`), so intermediate artifacts persist at
   stage granularity, not only end to end.
 
+One instance serves a directory and counts each family apart:
+:attr:`ResultCache.stats` (the ``cache:`` line, ``/v1/stats``) and
+:attr:`ResultCache.stage_stats`.
+
 Writes are atomic (temp file + ``os.replace``) so concurrent sweeps
 sharing a cache directory never observe torn entries; corrupt or
 stale-format entries are treated as misses and rewritten. Hits touch
@@ -60,7 +64,7 @@ _CACHE_EVENTS = _metrics.counter(
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting of one cache instance.
+    """Hit/miss accounting of one entry family of a cache instance.
 
     Instances are mutated only by their owning :class:`ResultCache`,
     which serializes every update under its lock; readers see a
@@ -112,6 +116,7 @@ class ResultCache:
                 f"cache path {self.cache_dir} exists and is not a directory"
             )
         self.stats = CacheStats()
+        self.stage_stats = CacheStats()
         # Serializes statistics updates; file operations themselves are
         # atomic (os.replace) or vanish-tolerant and need no lock, so
         # threaded servers never contend on I/O through this.
@@ -120,24 +125,25 @@ class ResultCache:
 
     def _record(
         self,
+        stats: CacheStats,
         hits: int = 0,
         misses: int = 0,
         stores: int = 0,
         invalid: int = 0,
         write_errors: int = 0,
     ) -> None:
-        """Apply one statistics update atomically.
+        """Apply one update to ``stats`` atomically.
 
         The single funnel for cache accounting, which makes it the one
         place to mirror events into the process-global registry (the
-        ``/metrics`` view, aggregated across cache instances).
+        ``/metrics`` view, aggregated across families and instances).
         """
         with self._stats_lock:
-            self.stats.hits += hits
-            self.stats.misses += misses
-            self.stats.stores += stores
-            self.stats.invalid += invalid
-            self.stats.write_errors += write_errors
+            stats.hits += hits
+            stats.misses += misses
+            stats.stores += stores
+            stats.invalid += invalid
+            stats.write_errors += write_errors
         for event, count in (  # registry mirror, outside our lock
             ("hit", hits),
             ("miss", misses),
@@ -149,7 +155,7 @@ class ResultCache:
                 _CACHE_EVENTS.inc(count, event=event)
 
     def stats_snapshot(self) -> Dict[str, int]:
-        """One atomic cut of this instance's statistics.
+        """One atomic cut of this instance's whole-result statistics.
 
         Reading ``cache.stats`` field by field can interleave with a
         concurrent ``_record`` and return, e.g., a hit count newer than
@@ -202,16 +208,16 @@ class ResultCache:
         try:
             result = result_from_dict(self._load(key))
         except FileNotFoundError:
-            self._record(misses=1)
+            self._record(self.stats, misses=1)
             return None
         # ValueError covers UnicodeDecodeError (binary garbage in the
         # file) and any json.JSONDecodeError not already subsumed by it:
         # a corrupted or truncated entry is a miss to re-solve and
         # overwrite, never an error.
         except (OSError, ValueError, ReproError):
-            self._record(misses=1, invalid=1)
+            self._record(self.stats, misses=1, invalid=1)
             return None
-        self._record(hits=1)
+        self._record(self.stats, hits=1)
         self._touch(key)
         return result
 
@@ -226,18 +232,18 @@ class ResultCache:
         try:
             payload = self._load(key)
         except FileNotFoundError:
-            self._record(misses=1)
+            self._record(self.stage_stats, misses=1)
             return None
         except (OSError, ValueError):
-            self._record(misses=1, invalid=1)
+            self._record(self.stage_stats, misses=1, invalid=1)
             return None
-        self._record(hits=1)
+        self._record(self.stage_stats, hits=1)
         self._touch(key)
         return payload
 
     def put(self, key: str, result: SynthesisResult) -> None:
         """Store ``result`` under ``key`` atomically."""
-        self.put_json(key, result_to_dict(result))
+        self._write(key, result_to_dict(result), self.stats)
 
     def put_json(self, key: str, payload: Dict[str, Any]) -> None:
         """Store a generic JSON entry under ``key`` atomically.
@@ -251,6 +257,9 @@ class ResultCache:
         Serialization errors (unencodable payloads) still raise: they
         are caller bugs, not degraded storage.
         """
+        self._write(key, payload, self.stage_stats)
+
+    def _write(self, key: str, payload: Dict[str, Any], stats: CacheStats) -> None:
         path = self._path(key)
         encoded = json.dumps(payload, sort_keys=True, indent=None)
         for attempt in range(2):
@@ -272,9 +281,9 @@ class ResultCache:
                     raise
             except OSError:
                 continue
-            self._record(stores=1)
+            self._record(stats, stores=1)
             return
-        self._record(write_errors=1)
+        self._record(stats, write_errors=1)
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

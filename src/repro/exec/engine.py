@@ -15,16 +15,17 @@ trace's digest is checked then. Solved points are never recomputed,
 across runs and across processes, and identical points share one solve.
 
 Points are solved through the staged pipeline (:mod:`repro.pipeline`)
-on the engine's own :class:`~repro.pipeline.runner.PipelineRunner`.
-Like :func:`~repro.pipeline.runner.shared_runner` it memoizes the
-window/conflict analysis stages only and retains no trace; with a cache
-directory its store also persists the windowed tensors there, so a
-threshold edit in a fresh process reads its windows from disk and
-never loads its trace. The engine's
-:class:`~repro.pipeline.collect.CollectStage` and that runner share one
-stage-side :class:`ResultCache` instance, apart from
-:attr:`ExecutionEngine.cache`, so the latter counts whole-result
-lookups only.
+on the engine's own :class:`~repro.pipeline.runner.PipelineRunner`, or
+on the runner a caller hands in (a suite solves its scenarios on its
+own, whose memory already holds their windows). With a cache directory
+the engine's runner persists the windowed tensors there, so a threshold
+edit in a fresh process reads its windows from disk and never loads its
+trace. The directory has one :class:`ResultCache`,
+:attr:`ExecutionEngine.cache`: the engine's runner, its
+:class:`~repro.pipeline.collect.CollectStage` and the runners built
+around the engine persist through it, and it keeps whole-result
+statistics (:attr:`~repro.exec.cache.ResultCache.stats`) apart from
+stage ones.
 
 Latency replays are not cached here: :meth:`ExecutionEngine.run_replay_batch`
 hands each plan to :meth:`~repro.pipeline.runner.PipelineRunner.replay`,
@@ -99,26 +100,21 @@ class ExecutionEngine:
     ----------
     pipeline:
         The runner points are solved on unless a caller hands in its
-        own: analysis stages memoized, bindings not, no trace retained.
-        Its store's memory layer also holds whole results; with a cache
-        directory its disk layer is the stage-side :class:`ResultCache`
-        instance.
+        own. Its store's memory layer also holds whole results; its
+        disk layer is :attr:`cache`.
     collector:
         The input-keyed :class:`~repro.pipeline.collect.CollectStage`,
-        persisting through that same stage-side instance.
+        persisting through :attr:`cache` too.
     """
 
     def __init__(self, cache: Union[ResultCache, str, Path, None] = None) -> None:
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         self.cache = cache
-        stages = ResultCache(cache.cache_dir) if cache is not None else None
         self.pipeline = PipelineRunner(
-            store=ArtifactStore(disk=stages, max_memory_entries=64),
-            memoize_bindings=False,
-            retain_traces=False,
+            store=ArtifactStore(disk=cache, max_memory_entries=64)
         )
-        self.collector = CollectStage(ArtifactStore(disk=stages))
+        self.collector = CollectStage(ArtifactStore(disk=cache))
 
     # -- synthesis ----------------------------------------------------
 
@@ -228,9 +224,14 @@ class ExecutionEngine:
 
     # -- batches (one task per trace) ---------------------------------
 
-    def run_batch(self, items: Sequence[Tuple]) -> List[SynthesisResult]:
+    def run_batch(
+        self,
+        items: Sequence[Tuple],
+        pipeline: Optional[PipelineRunner] = None,
+    ) -> List[SynthesisResult]:
         """Solve (or fetch) one synthesis point per ``(trace, task)`` or
-        ``(trace, task, trace_digest)`` item, in order.
+        ``(trace, task, trace_digest)`` item, in order, solving misses
+        on ``pipeline`` (by default the engine's runner).
 
         Where :meth:`run_sweep` solves many tasks against *one* shared
         trace, a batch solves one task per trace -- the scenario-suite
@@ -242,7 +243,7 @@ class ExecutionEngine:
         """
         with _tracing.span("engine.batch", items=len(items)):
             return [
-                self.lookup_or_solve(trace, task, *digest)
+                self.lookup_or_solve(trace, task, *digest, pipeline=pipeline)
                 for trace, task, *digest in items
             ]
 

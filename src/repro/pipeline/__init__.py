@@ -54,8 +54,6 @@ __getattr__, __dir__ = lazy_exports(
             "PipelineRunner",
             "SideArtifacts",
             "describe_stages",
-            "reset_shared_runner",
-            "shared_runner",
         ),
         "repro.pipeline.store": ("ArtifactStore", "StageCounters"),
         "repro.pipeline.collect": ("SIMULATOR_SALT", "CollectStage", "TraceSource"),
@@ -73,8 +71,6 @@ __all__ = [
     "PipelineRunner",
     "PipelineDesign",
     "SideArtifacts",
-    "shared_runner",
-    "reset_shared_runner",
     "describe_stages",
     "ArtifactStore",
     "StageCounters",

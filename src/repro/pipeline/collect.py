@@ -58,7 +58,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.exec.fingerprint import CACHE_SCHEMA_VERSION, trace_fingerprint
 from repro.obs import tracing as _tracing
 from repro.pipeline.artifacts import TraceShape, TraceSource, stage_fingerprint
-from repro.pipeline.runner import _timed_stage
+from repro.pipeline.runner import timed_stage
 from repro.pipeline.store import ArtifactStore
 from repro.traffic.events import TraceRecord, TransactionKind
 from repro.traffic.trace import TrafficTrace
@@ -257,7 +257,7 @@ class CollectStage:
             return trace
 
         self.counters.record_computed(_STAGE)
-        return _timed_stage(_STAGE, key, run)
+        return timed_stage(_STAGE, key, run)
 
     def _persist(self, key: str, trace: TrafficTrace) -> None:
         if self.store.disk is None:

@@ -32,21 +32,18 @@ across runs so editing a suite reuses the unchanged scenarios' stages.
 :meth:`PipelineRunner.design_fingerprint` is also the address under
 which the engine caches a whole solved point.
 
-A process-global runner (:func:`shared_runner`) and the engine's own
-runner memoize the window/conflict *analysis* stages only: a bind stage
-is not looked up under its own fingerprint there (the engine caches
-whole points instead), and collection artifacts are not retained so
-those stores never pin callers' traces in memory. Callers that want
-binding or trace reuse -- the suite runner, daemon jobs, or anyone
-constructing a :class:`PipelineRunner` explicitly -- opt in per runner.
+There is one kind of runner: runners differ only in the store they are
+given. A runner never retains a raw trace (:meth:`PipelineRunner.collect`
+wraps it without storing it; downstream stages key off its content
+fingerprint), and only the record-less ``bind-merged`` stage memoizes
+a binding under its own stage fingerprint.
 
-Every runner, those two included, keeps a **bind reuse record** per
-window artifact (:class:`~repro.pipeline.artifacts.BindReuseRecord`,
+Every runner keeps a **bind reuse record** per window artifact (:class:`~repro.pipeline.artifacts.BindReuseRecord`,
 keyed by :func:`~repro.pipeline.artifacts.reuse_record_fingerprint`:
 the window fingerprint and the binding slice, not the conflict slice),
-in memory and, with a disk layer, as a stage entry. :meth:`PipelineRunner.bind`
-reads it after its stage lookups miss and writes each computed answer
-to it. An entry with the same conflict pairs is returned outright (a
+in memory and, with a disk layer, as a stage entry. It is
+:meth:`PipelineRunner.bind`'s only lookup, and each computed answer is
+written to it. An entry with the same conflict pairs is returned outright (a
 memo or disk hit, never ``computed``). Otherwise, for an ``optimal``
 entry under a subset of the pairs with the same bus count, the Eq. 11
 DFS runs with ``lower_bound`` set to its objective and stops at the
@@ -101,9 +98,8 @@ __all__ = [
     "SideArtifacts",
     "PipelineDesign",
     "PipelineRunner",
-    "shared_runner",
-    "reset_shared_runner",
     "describe_stages",
+    "timed_stage",
 ]
 
 _STAGE_SECONDS = _metrics.histogram(
@@ -125,18 +121,19 @@ _BIND_REUSE = _metrics.counter(
 _NESTING = threading.local()
 
 
-def _timed_stage(stage: str, fingerprint: str, compute):
+def timed_stage(stage: str, fingerprint: str, compute):
     """Run one stage compute under a ``pipeline.<stage>`` span and feed
     its self time into ``repro_stage_seconds``.
 
     Only *executed* stages pass through here -- cache hits stay on
     their untimed fast path, so the histogram measures real stage cost,
-    not lookup cost. Stages nest (an ``app:`` scenario's ``collect``
-    runs inside its ``scenario-trace``, a lazy trace load inside a
-    ``window``), so each thread keeps a stack of the seconds its open
-    stages spent in nested ones; a stage records its wall time minus
-    those, and the histogram's sums partition the run instead of
-    counting nested time twice.
+    not lookup cost. Stages nest (an application trace's ``collect``
+    runs inside the ``collect`` of a load-scaled or thinned scenario
+    trace built from it, a lazy trace load inside a ``window``), so
+    each thread keeps a stack of the seconds its open stages spent in
+    nested ones; a stage records its wall time minus those, and the
+    histogram's sums partition the run instead of counting nested time
+    twice.
     """
     nested = getattr(_NESTING, "stack", None)
     if nested is None:
@@ -185,49 +182,15 @@ class PipelineRunner:
     ----------
     store:
         The artifact store; a fresh in-memory store by default.
-    memoize_bindings:
-        Whether search/binding artifacts participate in store lookups.
-        Window/conflict analysis stages always do.
-    retain_traces:
-        Whether collection artifacts (which pin the whole trace) are
-        kept in the store. Downstream artifacts key off the trace's
-        content fingerprint either way, so window/conflict sharing
-        survives without retention -- the process-global runner turns
-        this off so designing many large traces sequentially cannot
-        accumulate them for the life of the process.
     """
 
-    def __init__(
-        self,
-        store: Optional[ArtifactStore] = None,
-        memoize_bindings: bool = True,
-        retain_traces: bool = True,
-    ) -> None:
+    def __init__(self, store: Optional[ArtifactStore] = None) -> None:
         self.store = store if store is not None else ArtifactStore()
-        self.memoize_bindings = memoize_bindings
-        self.retain_traces = retain_traces
 
     @property
     def counters(self):
         """The store's per-stage execution/caching tallies."""
         return self.store.counters
-
-    def memoized(self, stage: str, fingerprint: str, compute):
-        """The store lookup discipline every in-memory stage follows:
-        serve the artifact if the store holds it, else run ``compute``
-        and store the result -- tallying the taken path under ``stage``.
-
-        Public so callers can define their own stages (the suite runner
-        keys trace building by scenario content through this).
-        """
-        cached = self.store.get(fingerprint)
-        if cached is not None:
-            self.counters.record_memo_hit(stage)
-            return cached
-        self.counters.record_computed(stage)
-        artifact = _timed_stage(stage, fingerprint, compute)
-        self.store.put(fingerprint, artifact)
-        return artifact
 
     # -- phase 1: traffic collection ----------------------------------
 
@@ -238,19 +201,13 @@ class PipelineRunner:
 
         The fingerprint is the trace's record-level content hash, so
         equal traces -- however produced -- share every downstream
-        artifact. A :class:`CollectedTraffic` passes through as is: a
+        artifact. The wrapper is not stored, so no store pins a caller's
+        trace alive. A :class:`CollectedTraffic` passes through as is: a
         deferred one keeps its trace unloaded (see :meth:`window`).
         """
         if isinstance(trace, CollectedTraffic):
             return trace
-        artifact = CollectedTraffic.from_trace(trace, label=label)
-        if not self.retain_traces:
-            # Wrap without storing: the fingerprint (already computed)
-            # keys every downstream stage, so sharing is unaffected,
-            # and the store never pins the caller's trace alive.
-            return artifact
-        fingerprint = stage_fingerprint("collect", artifact.fingerprint, None)
-        return self.memoized("collect", fingerprint, lambda: artifact)
+        return CollectedTraffic.from_trace(trace, label=label)
 
     # -- phase 2: window segmentation / overlap extraction ------------
 
@@ -305,7 +262,7 @@ class PipelineRunner:
                 fingerprint=fingerprint,
             )
 
-        artifact = _timed_stage("window", fingerprint, _compute)
+        artifact = timed_stage("window", fingerprint, _compute)
         self.store.put(fingerprint, artifact)
         self.store.put_arrays(fingerprint, _window_arrays(artifact))
         return artifact
@@ -335,7 +292,12 @@ class PipelineRunner:
         fingerprint = stage_fingerprint(
             "conflicts", windowed.fingerprint, spec
         )
-        return self.memoized(
+        cached = self.store.get(fingerprint)
+        if cached is not None:
+            self.counters.record_memo_hit("conflicts")
+            return cached
+        self.counters.record_computed("conflicts")
+        artifact = timed_stage(
             "conflicts",
             fingerprint,
             lambda: ConflictArtifact(
@@ -343,6 +305,8 @@ class PipelineRunner:
                 fingerprint=fingerprint,
             ),
         )
+        self.store.put(fingerprint, artifact)
+        return artifact
 
     # -- phase 4: configuration search + optimal binding --------------
 
@@ -354,8 +318,8 @@ class PipelineRunner:
     ) -> BindingArtifact:
         """Search the minimum configuration and optimize the binding.
 
-        After the stage lookups miss, the window artifact's bind reuse
-        record (see the module docstring) answers an unchanged conflict
+        The window artifact's bind reuse record (see the module
+        docstring) is the only lookup: it answers an unchanged conflict
         set outright and stops a grown one's Eq. 11 search at a stored
         optimum when that is exact.
         """
@@ -406,23 +370,10 @@ class PipelineRunner:
         config: SynthesisConfig,
         record_key: Optional[str] = None,
     ) -> BindingArtifact:
-        if self.memoize_bindings:
-            cached = self.store.get(fingerprint)
+        if record_key is None:
+            cached = self._lookup(stage, fingerprint, BindingArtifact.from_payload)
             if cached is not None:
-                self.counters.record_memo_hit(stage)
                 return cached
-            payload = self.store.get_payload(fingerprint)
-            if payload is not None:
-                try:
-                    artifact = BindingArtifact.from_payload(
-                        payload, fingerprint
-                    )
-                except (KeyError, TypeError, ValueError):
-                    pass  # malformed persisted stage entry: recompute
-                else:
-                    self.counters.record_disk_hit(stage)
-                    self.store.put(fingerprint, artifact)
-                    return artifact
         record, from_disk = self._reuse_record(record_key)
         pairs = frozenset(conflicts.reasons)
         same = record.same_conflicts(pairs)
@@ -438,9 +389,7 @@ class PipelineRunner:
             else:
                 self.counters.record_memo_hit(stage)
             _BIND_REUSE.inc(tier="same_conflicts")
-            artifact = replace(same.artifact, fingerprint=fingerprint)
-            self._keep(fingerprint, artifact)
-            return artifact
+            return replace(same.artifact, fingerprint=fingerprint)
         self.counters.record_computed(stage)
         proof = 0
 
@@ -466,19 +415,34 @@ class PipelineRunner:
                 search=search, binding=binding, fingerprint=fingerprint
             )
 
-        artifact = _timed_stage(stage, fingerprint, _compute)
-        self._keep(fingerprint, artifact)
-        if record_key is not None:
+        artifact = timed_stage(stage, fingerprint, _compute)
+        if record_key is None:
+            self.store.put(fingerprint, artifact)
+            self.store.put_payload(fingerprint, artifact.to_payload())
+        else:
             record = record.with_entry(BindReuseEntry(pairs, artifact, proof))
             self.store.put(record_key, record)
             self.store.put_payload(record_key, record.to_payload())
         return artifact
 
-    def _keep(self, fingerprint: str, artifact: BindingArtifact) -> None:
-        """Store a bind artifact in both layers when bindings memoize."""
-        if self.memoize_bindings:
-            self.store.put(fingerprint, artifact)
-            self.store.put_payload(fingerprint, artifact.to_payload())
+    def _lookup(self, stage: str, fingerprint: str, decode) -> Optional[Any]:
+        """The artifact at ``fingerprint`` from memory, else ``decode``d
+        from its persisted stage entry, else ``None``; a hit is tallied
+        under ``stage``."""
+        cached = self.store.get(fingerprint)
+        if cached is not None:
+            self.counters.record_memo_hit(stage)
+            return cached
+        payload = self.store.get_payload(fingerprint)
+        if payload is None:
+            return None
+        try:
+            artifact = decode(payload, fingerprint)
+        except (KeyError, TypeError, ValueError):
+            return None  # malformed persisted stage entry: recompute
+        self.counters.record_disk_hit(stage)
+        self.store.put(fingerprint, artifact)
+        return artifact
 
     def _reuse_record(
         self, key: Optional[str]
@@ -636,22 +600,11 @@ class PipelineRunner:
         budget = int(max_cycles or driver.sim_cycles)
         fingerprint = self.replay_fingerprint(driver, design, budget)
         if fingerprint is not None:
-            cached = self.store.get(fingerprint)
+            cached = self._lookup("replay", fingerprint, ReplayArtifact.from_payload)
             if cached is not None:
-                self.counters.record_memo_hit("replay")
                 return cached
-            payload = self.store.get_payload(fingerprint)
-            if payload is not None:
-                try:
-                    artifact = ReplayArtifact.from_payload(payload, fingerprint)
-                except (KeyError, TypeError, ValueError):
-                    pass  # malformed persisted stage entry: re-simulate
-                else:
-                    self.counters.record_disk_hit("replay")
-                    self.store.put(fingerprint, artifact)
-                    return artifact
         self.counters.record_computed("replay")
-        artifact = _timed_stage(
+        artifact = timed_stage(
             "replay",
             fingerprint or "",
             lambda: _run_replay(
@@ -771,34 +724,6 @@ def _window_from_arrays(
     return WindowedAnalysis(
         problem=problem, mirrored=mirrored, fingerprint=fingerprint
     )
-
-
-_SHARED_RUNNER: Optional[PipelineRunner] = None
-
-
-def shared_runner() -> PipelineRunner:
-    """The process-global analysis-stage runner (see module docstring).
-
-    Bindings are not memoized under their stage fingerprints here (a
-    bind reuse record still answers an unchanged conflict set of a
-    window it has solved), and traces are not retained, so the global
-    store holds only derived window/conflict artifacts and reuse
-    records under its LRU bound.
-    """
-    global _SHARED_RUNNER
-    if _SHARED_RUNNER is None:
-        _SHARED_RUNNER = PipelineRunner(
-            store=ArtifactStore(max_memory_entries=64),
-            memoize_bindings=False,
-            retain_traces=False,
-        )
-    return _SHARED_RUNNER
-
-
-def reset_shared_runner() -> None:
-    """Drop the process-global runner (tests use this for isolation)."""
-    global _SHARED_RUNNER
-    _SHARED_RUNNER = None
 
 
 def describe_stages(design: PipelineDesign) -> List[Tuple[str, str, str]]:

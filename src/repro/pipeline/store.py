@@ -119,12 +119,6 @@ class StageCounters:
     def record_disk_hit(self, stage: str) -> None:
         self._bump(self.disk_hits, "disk_hit", stage)
 
-    def reset(self) -> None:
-        with self._lock:
-            self.computed.clear()
-            self.memo_hits.clear()
-            self.disk_hits.clear()
-
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         """A consistent copy of the tallies (for deltas around one run,
         and for progress polling from another thread)."""
@@ -134,14 +128,6 @@ class StageCounters:
                 "memo_hits": dict(self.memo_hits),
                 "disk_hits": dict(self.disk_hits),
             }
-
-    def stages(self) -> List[str]:
-        """Every stage name seen so far, sorted."""
-        with self._lock:
-            names = (
-                set(self.computed) | set(self.memo_hits) | set(self.disk_hits)
-            )
-        return sorted(names)
 
     def breakdown(self) -> str:
         """Human-readable per-stage hit/miss table."""
@@ -188,10 +174,9 @@ class ArtifactStore:
     Parameters
     ----------
     disk:
-        Optional persistent layer for JSON-serializable stages. Stage
-        entries get their own :class:`ResultCache` *instance* so their
-        hit/miss accounting never pollutes the whole-result statistics
-        callers observe on the engine's cache.
+        Optional persistent layer for JSON-serializable stages: the
+        directory's :class:`ResultCache`, which counts stage entries in
+        its ``stage_stats``, apart from whole-result lookups.
     max_memory_entries:
         LRU bound of the in-memory layer.
     """
@@ -210,7 +195,7 @@ class ArtifactStore:
         self.counters = StageCounters()
         # The LRU's mutate-and-reorder operations are not atomic on
         # their own; the lock makes one store shareable across server
-        # job threads (and keeps the process-global shared runner safe).
+        # job threads.
         self._memory_lock = threading.RLock()
 
     # -- in-memory layer ----------------------------------------------
@@ -245,14 +230,6 @@ class ArtifactStore:
     def __contains__(self, fingerprint: str) -> bool:
         with self._memory_lock:
             return fingerprint in self._memory
-
-    def __len__(self) -> int:
-        with self._memory_lock:
-            return len(self._memory)
-
-    def clear_memory(self) -> None:
-        with self._memory_lock:
-            self._memory.clear()
 
     # -- disk layer ---------------------------------------------------
 

@@ -7,7 +7,9 @@ and produces a :class:`SuiteRunReport`:
    digest and shape from the collect stage's store,
 2. every scenario is synthesized *individually* through the
    :class:`~repro.exec.engine.ExecutionEngine` -- solved points come
-   back from the content-addressed cache on repeat runs,
+   back from the content-addressed cache on repeat runs, and a miss is
+   solved on the suite's own pipeline runner, whose memory already
+   holds the scenario's windows and conflicts from step 3's analysis,
 3. one *robust* crossbar is synthesized across all scenarios
    (:class:`~repro.core.multi.RobustSynthesizer`) under the selected
    merge policy,
@@ -35,7 +37,10 @@ and re-solves only the scenarios whose content changed -- everything
 else is served from the store -- and then re-runs merge/replay on the
 cached per-scenario analyses. The per-stage hit/miss breakdown of the
 last run is available from :meth:`ScenarioSuiteRunner.explain_cache`
-(surfaced by ``repro scenarios run --explain-cache``).
+(surfaced by ``repro scenarios run --explain-cache``). Its stage
+entries persist through the engine's one
+:class:`~repro.exec.cache.ResultCache`, which counts them apart from
+the whole-result lookups.
 """
 
 from __future__ import annotations
@@ -357,8 +362,8 @@ class ScenarioSuiteRunner:
     ----------
     engine:
         Execution engine for the per-scenario individual solves
-        (whole-result caching) and the replay batch, which it runs
-        through ``pipeline``'s replay stage.
+        (whole-result caching; a miss solves on ``pipeline``) and the
+        replay batch, which it runs through ``pipeline``'s replay stage.
     replay_latency:
         Also replay the robust design through the platform simulator
         for *every* scenario, reporting average packet latency next to
@@ -405,14 +410,9 @@ class ScenarioSuiteRunner:
         self.min_weight = min_weight
         self.replay_latency = replay_latency
         if pipeline is None:
-            # Stage entries persist through the engine's stage-side
-            # ResultCache instance: they share the directory (one prune
-            # covers both) without polluting the whole-result hit/miss
-            # statistics callers observe on engine.cache.
-            pipeline = PipelineRunner(
-                store=ArtifactStore(disk=self.engine.pipeline.store.disk),
-                memoize_bindings=True,
-            )
+            # Stage entries persist through the engine's cache, which
+            # counts them apart from its whole-result statistics.
+            pipeline = PipelineRunner(store=ArtifactStore(disk=self.engine.cache))
         self.pipeline = pipeline
         self.collector = (
             collector if collector is not None else CollectStage(pipeline.store)
@@ -433,11 +433,11 @@ class ScenarioSuiteRunner:
         cached analyses.
         """
         before = self.pipeline.counters.snapshot()
-        # ~8 store entries per scenario and run (trace source, collect
-        # entry, 2x window, 2x conflicts, individual, replay) plus
-        # suite-level artifacts: size the LRU so one run can never
-        # evict its own working set, or the incremental guarantee would
-        # degrade silently on big suites.
+        # ~9 store entries per scenario and run (collect entry, 2x
+        # window, 2x conflicts, 2x bind reuse record, individual,
+        # replay) plus suite-level artifacts: size the LRU so one run
+        # can never evict its own working set, or the incremental
+        # guarantee would degrade silently on big suites.
         self.pipeline.store.reserve(10 * len(suite.scenarios) + 32)
         for _ in suite.scenarios:
             try:
@@ -462,7 +462,14 @@ class ScenarioSuiteRunner:
         :class:`~repro.pipeline.artifacts.TraceDigestMismatch` when a
         stored trace had to load and its digest moved."""
         scenarios = list(suite.scenarios)
-        collected = [self._scenario_traffic(s) for s in scenarios]
+        # Phase 1 per scenario, content-addressed by the scenario spec:
+        # the trace's digest and shape, its records only on demand.
+        collected = []
+        for scenario in scenarios:
+            source = self._scenario_source(scenario)
+            collected.append(
+                CollectedTraffic(source, source.digest, scenario.name)
+            )
         shapes = [artifact.source.shape for artifact in collected]
         self._check_platform(suite, scenarios, shapes)
         windows = [
@@ -560,22 +567,6 @@ class ScenarioSuiteRunner:
 
     # -- per-scenario stages ------------------------------------------
 
-    def _scenario_trace_key(self, scenario: Scenario) -> str:
-        """Content key of a scenario's trace-build stage (see
-        :func:`_trace_spec`); editing a scenario's weight or description
-        therefore rebuilds nothing."""
-        return stage_fingerprint("scenario-trace", None, _trace_spec(scenario))
-
-    def _scenario_traffic(self, scenario: Scenario) -> CollectedTraffic:
-        """Phase 1 per scenario, content-addressed by the scenario spec:
-        the trace's digest and shape, its records only on demand."""
-        source = self.pipeline.memoized(
-            "scenario-trace",
-            self._scenario_trace_key(scenario),
-            lambda: self._scenario_source(scenario),
-        )
-        return CollectedTraffic(source, source.digest, scenario.name)
-
     def _scenario_source(self, scenario: Scenario) -> TraceSource:
         """The collector's source of a scenario's trace.
 
@@ -604,11 +595,13 @@ class ScenarioSuiteRunner:
         """Each scenario's own optimum, memoized across runs.
 
         Unmemoized scenarios go to the engine in one (engine-cached)
-        batch; a rerun of an edited suite therefore hands the
-        engine only the changed scenarios. ``computed`` here counts
-        "delegated to the engine" -- the engine may still serve the
-        point from its own whole-result cache. Returns the results and
-        their stage fingerprints, both in suite order.
+        batch, solved on this runner's pipeline, whose memory already
+        holds their windows and conflicts; a rerun of an edited suite
+        therefore hands the engine only the changed scenarios.
+        ``computed`` here counts "delegated to the engine" -- the engine
+        may still serve the point from its own whole-result cache.
+        Returns the results and their stage fingerprints, both in suite
+        order.
         """
         tasks = [
             SynthesisTask(
@@ -652,7 +645,8 @@ class ScenarioSuiteRunner:
                         collected[index].fingerprint,
                     )
                     for index, _ in pending
-                ]
+                ],
+                pipeline=self.pipeline,
             )
             # The engine restarts a point whose trace loaded with another
             # digest under that one; the scenario must restart too before
@@ -767,8 +761,8 @@ class ScenarioSuiteRunner:
             rows.append(
                 (
                     scenario.name,
-                    "scenario-trace",
-                    self._scenario_trace_key(scenario),
+                    "collect",
+                    artifact.fingerprint,
                     f"{artifact.source.shape.num_records} records, "
                     f"{artifact.source.shape.total_cycles} cycles",
                 )

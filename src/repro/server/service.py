@@ -7,10 +7,10 @@ everything here is directly testable without sockets.
 
 One service owns:
 
-* one :class:`~repro.exec.engine.ExecutionEngine` holding the shared
-  whole-result :class:`~repro.exec.cache.ResultCache`, the stage-side
-  instance beside it and the collector; every job runs on it, so
-  concurrent jobs share every solved point;
+* one :class:`~repro.exec.engine.ExecutionEngine` holding the
+  directory's one :class:`~repro.exec.cache.ResultCache` (whose
+  whole-result statistics ``/v1/stats`` reports) and the collector;
+  every job runs on it, so concurrent jobs share every solved point;
 * one :class:`~repro.server.coalesce.RequestCoalescer` keyed by request
   content fingerprints -- identical in-flight requests share a single
   solve, repeated finished requests are served from the registry;
@@ -328,13 +328,8 @@ class SynthesisService:
 
     def _job_runner(self) -> PipelineRunner:
         """A job-scoped stage runner persisting through the engine's
-        stage-side :class:`ResultCache` instance (built once at
-        start-up, apart from the whole-result one, so stage reads never
-        show up in the whole-result statistics)."""
-        return PipelineRunner(
-            store=ArtifactStore(disk=self.engine.pipeline.store.disk),
-            memoize_bindings=True,
-        )
+        cache, which counts stage entries apart from whole results."""
+        return PipelineRunner(store=ArtifactStore(disk=self.engine.cache))
 
     def _design(
         self,

@@ -75,7 +75,7 @@ def outcome(runner, windowed, conflicts, config):
 
 
 def fresh(windowed, conflicts, config):
-    return outcome(PipelineRunner(memoize_bindings=False), windowed, conflicts, config)
+    return outcome(PipelineRunner(), windowed, conflicts, config)
 
 
 @st.composite
@@ -130,8 +130,8 @@ def optimize_nodes(windowed, conflicts, config):
 
 
 @settings(max_examples=400, deadline=None)
-@given(edits(), st.sampled_from([None, 1, 2, 3]), st.data(), st.booleans())
-def test_conflict_edit_matches_a_fresh_solve(edit, maxtb, data, memoize):
+@given(edits(), st.sampled_from([None, 1, 2, 3]), st.data())
+def test_conflict_edit_matches_a_fresh_solve(edit, maxtb, data):
     problem, decoy, base, superset = edit
     num_targets = problem.num_targets
     before, after = (
@@ -157,7 +157,7 @@ def test_conflict_edit_matches_a_fresh_solve(edit, maxtb, data, memoize):
     }
     # C then C' (the superset tier), and C' then C (which must not use it).
     for sequence in ((before, after), (after, before)):
-        runner = PipelineRunner(memoize_bindings=memoize)
+        runner = PipelineRunner()
         # The decoy's answers sit in its own record: a key that left the
         # window out would hand them to the real problem.
         for conflicts in sequence:
@@ -197,7 +197,7 @@ class TestTiers:
     def test_same_conflicts_is_a_hit_not_a_computed_bind(self):
         windowed = window(small_problem(), "w")
         config = SynthesisConfig()
-        runner = PipelineRunner(memoize_bindings=False)
+        runner = PipelineRunner()
         first = runner.bind(windowed, conflict_artifact(6, [(0, 1)]), config)
         before = family("repro_bind_reuse_total")
         # Same pairs under another conflict fingerprint (another threshold).
@@ -213,7 +213,7 @@ class TestTiers:
     def test_superset_stops_at_the_stored_optimum(self):
         windowed = window(small_problem(), "w")
         config = SynthesisConfig()
-        runner = PipelineRunner(memoize_bindings=False)
+        runner = PipelineRunner()
         stored = runner.bind(windowed, conflict_artifact(6, []), config)
         grown_set = conflict_artifact(6, [(0, 1)])
         expected = fresh(windowed, grown_set, config)
@@ -255,7 +255,7 @@ class TestTiers:
         config = SynthesisConfig(max_targets_per_bus=2, node_limit=14)
         base = conflict_artifact(6, [(2, 3)])
         superset = conflict_artifact(6, [(0, 1), (0, 2), (1, 5), (2, 3)])
-        runner = PipelineRunner(memoize_bindings=False)
+        runner = PipelineRunner()
         stored = runner.bind(windowed, base, config).binding
         expected = fresh(windowed, superset, config)
         assert stored.optimal and not expected[1].optimal
@@ -288,7 +288,7 @@ class TestTiers:
         windowed = window(problem, "w")
         config = SynthesisConfig(max_targets_per_bus=3)
         superset = conflict_artifact(5, [(1, 3), (2, 3), (2, 4), (3, 4)])
-        runner = PipelineRunner(memoize_bindings=False)
+        runner = PipelineRunner()
         stored = runner.bind(windowed, conflict_artifact(5, [(3, 4)]), config)
         expected = fresh(windowed, superset, config)
         assert (stored.binding.num_buses, expected[1].num_buses) == (2, 3)
@@ -316,7 +316,7 @@ class TestTiers:
         monkeypatch.setattr(repro.pipeline.runner, "audit_binding", counting_audit)
         windowed = window(small_problem(), "w")
         config = SynthesisConfig()
-        runner = PipelineRunner(memoize_bindings=False)
+        runner = PipelineRunner()
         runner.bind(windowed, conflict_artifact(6, []), config)
         calls.clear()
         same = runner.bind(windowed, conflict_artifact(6, []), config)
@@ -328,9 +328,7 @@ class TestTiers:
 
 class TestStoredRecords:
     def disk_runner(self, directory):
-        return PipelineRunner(
-            store=ArtifactStore(disk=ResultCache(directory)), memoize_bindings=False
-        )
+        return PipelineRunner(store=ArtifactStore(disk=ResultCache(directory)))
 
     def record_path(self, directory, config):
         return directory / f"stage-{reuse_record_fingerprint('w', config)}.json"

@@ -147,15 +147,19 @@ class TestGenericEntries:
         cache = ResultCache(tmp_path)
         cache.put_json(KEY_A, {"format": "x", "payload": {"n": 3}})
         assert cache.get_json(KEY_A) == {"format": "x", "payload": {"n": 3}}
-        assert cache.stats.hits == 1
-        assert cache.stats.stores == 1
+        assert cache.stage_stats.hits == 1
+        assert cache.stage_stats.stores == 1
+        # Stage entries never show up in the whole-result statistics.
+        assert cache.stats_snapshot() == dict.fromkeys(
+            ("hits", "misses", "stores", "invalid", "write_errors"), 0
+        )
 
     def test_json_miss_and_corrupt_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert cache.get_json(KEY_A) is None
         (tmp_path / f"{KEY_B}.json").write_bytes(b"\xff\xfe garbage")
         assert cache.get_json(KEY_B) is None
-        assert cache.stats.invalid == 1
+        assert cache.stage_stats.invalid == 1
 
     def test_json_rejects_malformed_keys(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -285,5 +289,5 @@ class TestConcurrency:
             thread.start()
         for thread in threads:
             thread.join()
-        assert cache.stats.hits == 4 * per_thread
-        assert cache.stats.stores == 1
+        assert cache.stage_stats.hits == 4 * per_thread
+        assert cache.stage_stats.stores == 1

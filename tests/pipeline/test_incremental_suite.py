@@ -9,6 +9,10 @@ suite.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,14 +74,16 @@ class TestIncrementalResynthesis:
         memo = runner.last_run_breakdown["memo_hits"]
         others = len(suite) - 1
         # Per-scenario stages: exactly one scenario re-executed ...
-        assert computed.get("scenario-trace") == 1
+        assert computed.get("collect") == 1
         assert computed.get("window") == 2  # its IT + TI sides
         assert computed.get("conflicts") == 2
         assert computed.get("individual-solve") == 1
-        # ... every other scenario was served from the store ...
-        assert memo.get("scenario-trace") == others
-        assert memo.get("window") == 2 * others
-        assert memo.get("conflicts") == 2 * others
+        # ... every other scenario was served from the store, and the
+        # edited one's individual solve, on the suite's runner, reused
+        # the windows and conflicts its analysis had just built ...
+        assert memo.get("collect") == others
+        assert memo.get("window") == 2 * others + 2
+        assert memo.get("conflicts") == 2 * others + 2
         assert memo.get("individual-solve") == others
         # ... and the suite-level merge re-solved both crossbar sides.
         assert computed.get("bind-merged") == 2
@@ -105,7 +111,7 @@ class TestIncrementalResynthesis:
         SOLVE_COUNTER.reset()
         report = runner.run(reweighted)
         computed = runner.last_run_breakdown["computed"]
-        assert "scenario-trace" not in computed
+        assert "collect" not in computed
         assert "window" not in computed
         assert "individual-solve" not in computed
         assert SOLVE_COUNTER.total == 0  # union policy ignores weights
@@ -132,3 +138,26 @@ class TestIncrementalResynthesis:
         assert SOLVE_COUNTER.total == 0
         assert warm.last_run_breakdown["disk_hits"].get("bind-merged") == 2
         assert warm_report.to_dict() == cold_report.to_dict()
+
+
+def test_cold_suite_solves_on_its_own_windows(tmp_path):
+    """The individual solves run on the suite's runner, which already
+    holds every scenario's windows and conflicts: a cold fresh-process
+    run memo-hits each one once and decodes no window sidecar."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-m", "repro", "scenarios", "run", "smoke",
+         "--cache-dir", str(tmp_path), "--explain-cache"],
+        check=True, capture_output=True, text=True, env=env,
+    ).stdout
+    rows = {
+        cells[0]: [int(cell) for cell in cells[1:]]
+        for cells in (line.split() for line in out.splitlines())
+        if len(cells) == 4 and cells[1].isdigit()
+    }
+    for stage in ("window", "conflicts"):
+        computed, memo_hits, disk_hits = rows[stage]
+        assert computed > 0
+        assert (memo_hits, disk_hits) == (computed, 0), stage

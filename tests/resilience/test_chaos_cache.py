@@ -83,7 +83,7 @@ class TestCorruptedEntries:
         path = tmp_path / "abc123.json"
         path.write_bytes(path.read_bytes()[:7])  # torn mid-write
         assert cache.get_json("abc123") is None
-        assert cache.stats.invalid == 1
+        assert cache.stage_stats.invalid == 1
 
 
 class TestTransientWrites:
@@ -96,8 +96,8 @@ class TestTransientWrites:
         cache = ResultCache(tmp_path)
         cache.put_json("k1", {"value": 1})
         assert cache.get_json("k1") == {"value": 1}
-        assert cache.stats.stores == 1
-        assert cache.stats.write_errors == 0
+        assert cache.stage_stats.stores == 1
+        assert cache.stage_stats.write_errors == 0
 
     def test_persistent_failure_is_swallowed_and_counted(self, tmp_path):
         install_plan(
@@ -105,8 +105,8 @@ class TestTransientWrites:
         )
         cache = ResultCache(tmp_path)
         cache.put_json("k1", {"value": 1})  # must not raise
-        assert cache.stats.write_errors == 1
-        assert cache.stats.stores == 0
+        assert cache.stage_stats.write_errors == 1
+        assert cache.stage_stats.stores == 0
         assert "k1" not in cache
 
     def test_write_failure_never_fails_the_solve(
@@ -320,7 +320,7 @@ class TestCollectEntries:
 
 
 class TestScenarioTraceEntries:
-    """A damaged scenario-trace entry rebuilds its trace; a suite run
+    """A damaged scenario trace entry rebuilds its trace; a suite run
     over it reports what the cold run reported and files nothing under
     a stale digest."""
 
@@ -401,7 +401,9 @@ class TestScenarioTraceEntries:
         payload["payload"]["digest"] = "0" * 64
         entry.write_text(json.dumps(payload))
         warm, collect = self.run(cache, tmp_path / "warm.json", capsys)
-        assert collect == [1, 0, 4]
+        # Four disk hits, one rebuild, then the restarted pass reads all
+        # four sources from the collector's memory.
+        assert collect == [1, 4, 4]
         assert warm == report
         # The entry was rewritten under its own digest, and no window,
         # solve or replay was filed under the bogus one.

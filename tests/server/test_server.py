@@ -385,6 +385,20 @@ class TestServiceCoalescing:
         service.close()
         assert constructed == []
 
+    def test_stats_cache_counts_whole_results_only(self, tmp_path):
+        """``/v1/stats`` reads the directory's one cache, which counts
+        the job's stage entries (its collect entry, bind reuse records)
+        apart: a cold design job shows one whole-result miss and one
+        store."""
+        service = SynthesisService(cache_dir=str(tmp_path), workers=1)
+        job, _ = service.submit({"kind": "design", "app": "qsort"})
+        assert job.wait(120) and job.state == "done"
+        cache = service.stats()["cache"]
+        stage_stats = service.engine.cache.stage_stats
+        service.close()
+        assert (cache["hits"], cache["misses"], cache["stores"]) == (0, 1, 1)
+        assert stage_stats.stores > 0
+
     def test_cold_submit_never_simulates_on_the_submitting_thread(
         self, tmp_path, monkeypatch
     ):

@@ -266,8 +266,9 @@ class TestDesignCacheAddress:
         assert json.loads(out.splitlines()[-1]) == {"computed": 0, "disk_hit": 2}
 
     def test_design_builds_one_stage_side_cache(self, tmp_path, capsys, monkeypatch):
-        """The whole-result cache plus one stage-side instance shared by
-        the engine's runner and its collector."""
+        """One cache per directory, shared by the engine, its runner and
+        its collector; its ``cache:`` line still counts whole results
+        only."""
         from repro.exec import ResultCache
 
         constructed = []
@@ -279,8 +280,12 @@ class TestDesignCacheAddress:
 
         monkeypatch.setattr(ResultCache, "__init__", counting_init)
         assert main(["design", "qsort", "--cache-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert len(constructed) == 2
+        out = capsys.readouterr().out
+        assert len(constructed) == 1
+        assert (
+            "cache: 0/1 hits, 1 stores, 0 invalid entries, 0 write errors"
+            in out
+        )
 
     def test_nominal_window_shares_the_address(self, tmp_path, capsys, monkeypatch):
         """``--window <default>`` differs from the default run only in
@@ -382,7 +387,7 @@ class TestPipelineCommands:
         assert main(["pipeline", "inspect", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "per-scenario stage DAG for suite 'smoke'" in out
-        for stage in ("scenario-trace", "window[it]", "conflicts[ti]",
+        for stage in ("collect", "window[it]", "conflicts[ti]",
                       "individual-solve", "replay", "bind-merged[it]"):
             assert stage in out
         assert "burst-sync" in out  # per-scenario rows, not just stages
@@ -415,13 +420,13 @@ class TestCacheCommands:
 
         assert main(["cache", "stats", cache_dir]) == 0
         out = capsys.readouterr().out
-        # two persisted binding stages, two bind reuse records and two
-        # windowed-tensor npz sidecars (one each per crossbar side), plus
-        # the collect stage's payload and npz sidecar
-        assert "8 entries" in out
+        # two bind reuse records and two windowed-tensor npz sidecars
+        # (one each per crossbar side), plus the collect stage's payload
+        # and npz sidecar; a per-point bind persists no entry of its own
+        assert "6 entries" in out
 
         assert main(["cache", "prune", cache_dir, "--max-bytes", "0"]) == 0
-        assert "pruned 8 entries" in capsys.readouterr().out
+        assert "pruned 6 entries" in capsys.readouterr().out
 
         assert main(["cache", "stats", cache_dir]) == 0
         assert "0 entries" in capsys.readouterr().out
@@ -518,25 +523,29 @@ class TestObservabilityFlags:
         self, capsys, tmp_path, monkeypatch
     ):
         """Stage self times plus ``other`` sum to ``total``: a cold
-        design leaves little outside the stages, and a suite whose
-        ``collect`` runs inside ``scenario-trace`` counts it once."""
+        design, a validated design and a comparison leave little outside
+        the stages, and a suite whose application ``collect`` runs
+        inside a scenario trace's ``collect`` counts it once."""
         from repro.apps import registry
 
         # Cold as a fresh process is: no trace simulated earlier.
         monkeypatch.setattr(registry, "_DEFAULT_TRACES", {})
         rounding = 0.1  # ms: every cell is rounded to 0.1 ms
         design = ["design", "qsort", "--cache-dir", str(tmp_path / "d")]
-        assert main([*design, "--profile"]) == 0
-        rows = _stage_rows(capsys.readouterr().out)
-        total = rows["total"][1]
-        other = rows["other"][1]
-        assert abs(_stage_ms(rows) + other - total) <= rounding * len(rows)
-        assert other <= 0.10 * total
+        validate = ["design", "qsort", "--validate", "--cache-dir",
+                    str(tmp_path / "v")]
+        for argv in (design, validate, ["compare", "qsort"]):
+            assert main([*argv, "--profile"]) == 0
+            rows = _stage_rows(capsys.readouterr().out)
+            total = rows["total"][1]
+            other = rows["other"][1]
+            assert abs(_stage_ms(rows) + other - total) <= rounding * len(rows)
+            assert other <= 0.10 * total, argv
 
         suite = ["scenarios", "run", "apps", "--cache-dir", str(tmp_path / "s")]
         assert main([*suite, "--profile"]) == 0
         rows = _stage_rows(capsys.readouterr().out)
-        assert {"collect", "scenario-trace"} <= set(rows)
+        assert "collect" in rows
         assert _stage_ms(rows) <= rows["total"][1] + rounding * len(rows)
 
     def test_serve_parser_accepts_obs_flags(self):

@@ -511,15 +511,16 @@ def _cmd_compare(args) -> int:
         full_crossbar_design,
         shared_bus_design,
     )
-    from repro.exec.fingerprint import trace_fingerprint
 
     app = build_application(args.app)
     engine = _engine_from_args(args)
     profile = _Profile(args.profile)
 
     def collect():
-        trace = app.simulate_full_crossbar().trace
-        return trace, trace_fingerprint(trace)
+        # Input-keyed, as in ``design``: a warm cache loads the stored
+        # trace instead of simulating it.
+        source = engine.collector.source(app)
+        return source.trace(), source.digest
 
     trace, digest = timed_stage("collect", "", collect)
     windowed = engine.synthesize(

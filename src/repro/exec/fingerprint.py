@@ -30,8 +30,10 @@ __all__ = [
     "trace_fingerprint",
 ]
 
-CACHE_SCHEMA_VERSION = 1
-"""Bump to invalidate every cached result when the encoding changes."""
+CACHE_SCHEMA_VERSION = 2
+"""Bump to invalidate every cached result when the encoding changes.
+
+2: the trace digest hashes the columnar matrix and its stream table."""
 
 
 def canonical_json(payload: Any) -> str:
@@ -47,15 +49,16 @@ def sha256_hex(text: str) -> str:
 def trace_fingerprint(trace: TrafficTrace) -> str:
     """Content hash of a traffic trace.
 
-    Covers the platform shape, the simulation length and every record
-    field that influences synthesis (timestamps, endpoints, burst,
-    criticality). Records are hashed in the trace's canonical (sorted)
-    order, so equal traces produce equal fingerprints regardless of the
-    record order they were built from.
+    Covers the platform shape, the simulation length, the stream table
+    and every column of every transaction, hashed as the trace's
+    canonically sorted matrix in little-endian ``int64`` -- so equal
+    traces produce equal fingerprints regardless of the record order
+    they were built from, and the collect stage's ``int32`` sidecar
+    decodes to the digest it was stored under.
 
     The digest is memoized on the trace object: traces are immutable,
     and sweep drivers fingerprint the same trace once per ``run_sweep``
-    call, so repeated hashing of a large record list is pure waste.
+    call, so repeated hashing is pure waste.
     """
     memoized = trace.__dict__.get("_fingerprint")
     if memoized is not None:
@@ -71,23 +74,8 @@ def trace_fingerprint(trace: TrafficTrace) -> str:
         }
     )
     digest.update(header.encode("utf-8"))
-    for record in trace.records:
-        row = (
-            record.initiator,
-            record.target,
-            record.kind.value,
-            record.burst,
-            record.issue,
-            record.it_grant,
-            record.it_release,
-            record.service_start,
-            record.service_end,
-            record.ti_grant,
-            record.ti_release,
-            record.complete,
-            int(record.critical),
-        )
-        digest.update(canonical_json(row).encode("utf-8"))
+    digest.update(canonical_json(list(trace.streams)).encode("utf-8"))
+    digest.update(trace.columns.astype("<i8", copy=False).tobytes())
     result = digest.hexdigest()
     trace.__dict__["_fingerprint"] = result
     return result

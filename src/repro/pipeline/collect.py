@@ -49,8 +49,7 @@ hashed.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -60,8 +59,7 @@ from repro.obs import tracing as _tracing
 from repro.pipeline.artifacts import TraceShape, TraceSource, stage_fingerprint
 from repro.pipeline.runner import timed_stage
 from repro.pipeline.store import ArtifactStore
-from repro.traffic.events import TraceRecord, TransactionKind
-from repro.traffic.trace import TrafficTrace
+from repro.traffic.trace import COLUMNS, TrafficTrace
 
 __all__ = [
     "SIMULATOR_SALT",
@@ -81,27 +79,6 @@ generator (:mod:`repro.traffic.synthetic`, :mod:`repro.traffic.profiles`)
 or the thinning of application traces moves a recorded or generated
 trace, so no entry written before the change is ever read."""
 
-COLUMNS = (
-    "initiator",
-    "target",
-    "kind",
-    "burst",
-    "issue",
-    "it_grant",
-    "it_release",
-    "service_start",
-    "service_end",
-    "ti_grant",
-    "ti_release",
-    "complete",
-    "critical",
-    "stream",
-)
-"""Column order of the stored record matrix. ``kind`` indexes
-:data:`_KINDS`, ``stream`` indexes the ``streams`` string table."""
-
-_KINDS = tuple(TransactionKind)
-_KIND_INDEX = {kind: index for index, kind in enumerate(_KINDS)}
 _COUNT_FIELDS = ("num_initiators", "num_targets", "total_cycles", "num_records")
 _STAGE = "collect"
 
@@ -328,28 +305,14 @@ def _read_entry(payload: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
 
 
 def _encode(trace: TrafficTrace) -> Dict[str, np.ndarray]:
-    """The trace's records as a columnar matrix plus a stream table.
-
-    Filled one column at a time straight from the records: building
-    per-record tuples first would briefly hold every field as a Python
-    int, which shows up in the process's peak memory."""
-    records = trace.records
-    streams: Dict[str, int] = {}
-    derived = {
-        "kind": lambda rec: _KIND_INDEX[rec.kind],
-        "stream": lambda rec: streams.setdefault(rec.stream, len(streams)),
-    }
-    matrix = np.empty((len(records), len(COLUMNS)), dtype=np.int64)
-    for index, column in enumerate(COLUMNS):
-        value = derived.get(column, attrgetter(column))
-        matrix[:, index] = np.fromiter(
-            map(value, records), dtype=np.int64, count=len(records)
-        )
+    """The trace's matrix (as ``int32`` when every value fits) plus its
+    stream table."""
+    matrix = trace.columns
     if not matrix.size or matrix.max() <= np.iinfo(np.int32).max:
         matrix = matrix.astype(np.int32)
     return {
         "records": matrix,
-        "streams": np.asarray(list(streams), dtype=np.str_),
+        "streams": np.asarray(trace.streams, dtype=np.str_),
     }
 
 
@@ -359,19 +322,11 @@ def _decode(
     """Rebuild the trace, or ``None`` when the arrays are malformed."""
     try:
         matrix = np.asarray(arrays["records"])
-        streams: List[str] = [str(name) for name in arrays["streams"]]
         if matrix.shape != (entry["num_records"], len(COLUMNS)):
             return None
-        if matrix.size and matrix.min() < 0:
-            return None
-        records = [
-            TraceRecord(
-                *row[:2], _KINDS[row[2]], *row[3:12], bool(row[12]), streams[row[13]]
-            )
-            for row in matrix.tolist()
-        ]
-        return TrafficTrace(
-            records,
+        return TrafficTrace.from_columns(
+            matrix,
+            arrays["streams"].tolist(),
             num_initiators=entry["num_initiators"],
             num_targets=entry["num_targets"],
             total_cycles=entry["total_cycles"],

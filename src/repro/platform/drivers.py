@@ -331,40 +331,41 @@ class TraceDrivenInitiator:
         return self._label
 
     def build_programs(self) -> List[Iterable[Operation]]:
-        # One pass over the records instead of one full scan per
-        # initiator; programs are materialized lists so a driver can be
-        # reused across several candidate fabrics. The initial idle gap
-        # is handled by process scheduling (:meth:`start_cycles`), not a
-        # leading Compute, so idle initiators never enter the event
-        # queue before their first recorded transaction is due.
+        # The reference model's programs, built from record objects;
+        # the kernel replays the trace's columns instead. Programs are
+        # materialized lists so a driver can be reused across several
+        # candidate fabrics. The initial idle gap is handled by process
+        # scheduling (:meth:`start_cycles`), not a leading Compute, so
+        # idle initiators never enter the event queue before their
+        # first recorded transaction is due.
+        records = self.trace.records
         return [
             list(
-                trace_replay_program(records, pace=self.pace, start=start)
+                trace_replay_program(
+                    [records[row] for row in rows], pace=self.pace, start=start
+                )
             )
-            for records, start in zip(
+            for rows, start in zip(
                 self.records_per_initiator(),
                 self.start_cycles() or [0] * self._num_initiators,
             )
         ]
 
-    def records_per_initiator(self) -> List[List]:
-        """Each initiator's recorded transactions, in trace order."""
-        per_initiator: List[List] = [[] for _ in range(self._num_initiators)]
-        for record in self.trace.records:
-            per_initiator[record.initiator].append(record)
-        return per_initiator
+    def records_per_initiator(self) -> List[List[int]]:
+        """Each initiator's recorded transactions, as row indices into
+        the trace's matrix, in trace (issue) order."""
+        return self.trace.initiator_rows()
 
     def start_cycles(self) -> Optional[List[int]]:
+        """Each initiator's first recorded issue cycle (0 when it
+        issues nothing); ``None`` without pacing."""
         if not self.pace:
             return None
-        starts = [0] * self._num_initiators
-        first_seen: Dict[int, int] = {}
-        for record in self.trace.records:  # records are sorted by issue
-            if record.initiator not in first_seen:
-                first_seen[record.initiator] = record.issue
-        for initiator, issue in first_seen.items():
-            starts[initiator] = issue
-        return starts
+        issues = self.trace.column("issue")
+        return [
+            int(issues[rows[0]]) if rows else 0
+            for rows in self.records_per_initiator()
+        ]
 
     def workload_key(self) -> Dict[str, Any]:
         if self._digest is None:

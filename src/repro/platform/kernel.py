@@ -43,9 +43,10 @@ all equal a :class:`~repro.platform.soc.SoC` run of the same programs
 as the oracle). The DES stays in the package as that reference model.
 
 Latency replay reads only latency columns, so the kernel returns those
-and builds :class:`~repro.traffic.events.TraceRecord` objects only when
-a caller asks for :attr:`SimulationResult.trace
-<repro.platform.soc.SimulationResult.trace>`.
+and builds the columnar trace only when a caller asks for
+:attr:`SimulationResult.trace <repro.platform.soc.SimulationResult.trace>`:
+one matrix from its completed rows and per-access identities, with no
+:class:`~repro.traffic.events.TraceRecord` objects.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ from repro.platform.soc import (
     _LockManager,
     validate_platform_shape,
 )
-from repro.traffic.events import TraceRecord, TransactionKind
-from repro.traffic.trace import TrafficTrace
+from repro.traffic.events import TransactionKind
+from repro.traffic.trace import COLUMNS, KINDS, TrafficTrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.drivers import TraceDrivenInitiator, WorkloadDriver
@@ -130,7 +131,8 @@ _END = object()  # a program's end, as ``next`` reports it
 
 
 class _Access(NamedTuple):
-    """The identity of a program-driven access, as its record carries it."""
+    """The identity of a program-driven access, as its trace row carries
+    it."""
 
     initiator: int
     target: int
@@ -195,9 +197,12 @@ def _holds(
     return timing.arbitration_cycles + request, timing.arbitration_cycles + response
 
 
-def _describe_access(config: SoCConfig, it_resource: List[int], key: tuple) -> tuple:
+def _describe_access(
+    config: SoCConfig, it_resource: List[int], key: tuple, accesses: List[_Access]
+) -> tuple:
     """A program-driven access's column values, checked as ``SoC._access``
-    checks it."""
+    checks it; its identity joins ``accesses``, and the row ends with
+    its index there."""
     initiator, target, is_read, burst, critical, stream = key
     target_config = config.targets[target]
     if burst < 1:
@@ -206,13 +211,14 @@ def _describe_access(config: SoCConfig, it_resource: List[int], key: tuple) -> t
         raise TraceError("initiator and target indices must be non-negative")
     kind = _READ if is_read else _WRITE
     hold_it, hold_ti = _holds(config, initiator, target, kind, burst)
+    accesses.append(_Access(initiator, target, kind, burst, stream))
     return (
         target,
         it_resource[target],
         hold_it,
         hold_ti,
         critical or target_config.critical,
-        _Access(initiator, target, kind, burst, stream),
+        len(accesses) - 1,
     )
 
 
@@ -263,11 +269,12 @@ def _simulate(
     service = [target.service_cycles for target in targets]
 
     # Per-access columns: the resources an access uses, its two bus
-    # holds, its criticality and the identity its record carries
-    # (``records``). A trace fills them before the run, with the pacing
+    # holds, its criticality and where its identity lives (``origin``:
+    # the replayed trace's row, or the program access's index in
+    # ``accesses``). A trace fills them before the run, with the pacing
     # gap its replay program waits before each access; a program
     # appends each access as it issues.
-    records: list = []
+    origin: List[int] = []
     rec_target: List[int] = []
     rec_it: List[int] = []
     rec_hold_it: List[int] = []
@@ -278,34 +285,42 @@ def _simulate(
     current = [0] * n
     if trace is not None:
         pace = trace.pace
+        source = trace.trace
+        issue_at = source.column("issue").tolist()
+        complete_at = source.column("complete").tolist()
+        target_of = source.column("target").tolist()
+        kind_of = source.column("kind").tolist()
+        burst_of = source.column("burst").tolist()
+        critical_of = (source.column("critical") == 1).tolist()
         hold_memo: Dict[tuple, tuple] = {}
-        for initiator, own in enumerate(trace.records_per_initiator()):
-            own.sort(key=lambda record: record.issue)
+        # Each initiator's rows in trace order, which is issue order.
+        for initiator, rows in enumerate(trace.records_per_initiator()):
             # The boundary step advances before it reads.
-            current[initiator] = len(records) - 1
+            current[initiator] = len(origin) - 1
             clock = starts[initiator]
-            for record in own:
+            for row in rows:
                 gap = 0
-                if pace and record.issue > clock:
-                    gap = record.issue - clock
-                    clock = record.issue
-                if record.complete > clock:
-                    clock = record.complete
-                kind, burst, target = record.kind, record.burst, record.target
-                key = (initiator, target, kind is _READ, burst)
+                issued = issue_at[row]
+                if pace and issued > clock:
+                    gap = issued - clock
+                    clock = issued
+                if complete_at[row] > clock:
+                    clock = complete_at[row]
+                target = target_of[row]
+                key = (initiator, target, kind_of[row], burst_of[row])
                 holds = hold_memo.get(key)
                 if holds is None:
                     holds = hold_memo[key] = _holds(
-                        config, initiator, target, kind, burst
+                        config, initiator, target, KINDS[key[2]], key[3]
                     )
-                records.append(record)
+                origin.append(row)
                 rec_target.append(target)
                 rec_it.append(it_resource[target])
                 rec_hold_it.append(holds[0])
                 rec_hold_ti.append(holds[1])
                 rec_gap.append(gap)
-                rec_critical.append(record.critical or targets[target].critical)
-            end[initiator] = len(records)
+                rec_critical.append(critical_of[row] or targets[target].critical)
+            end[initiator] = len(origin)
     else:
         sources = [iter(program) for program in programs]
         jitter = [random.Random((config.seed << 16) ^ index) for index in range(n)]
@@ -315,6 +330,7 @@ def _simulate(
         sync: List[tuple] = [()] * n  # the lock or barrier waited on, its stream
         generation = [0] * n
         access_memo: Dict[tuple, tuple] = {}
+        accesses: List[_Access] = []
 
     phase = [_BOUNDARY] * n
     issue = [0] * n
@@ -482,15 +498,15 @@ def _simulate(
                     row = access_memo.get(key)
                     if row is None:
                         row = access_memo[key] = _describe_access(
-                            config, it_resource, key
+                            config, it_resource, key, accesses
                         )
-                    current[p] = len(records)
+                    current[p] = len(origin)
                     rec_target.append(row[0])
                     rec_it.append(row[1])
                     rec_hold_it.append(row[2])
                     rec_hold_ti.append(row[3])
                     rec_critical.append(row[4])
-                    records.append(row[5])
+                    origin.append(row[5])
                     state = _ISSUE
                 elif state == _ISSUE:
                     issue[p] = now
@@ -587,34 +603,43 @@ def _simulate(
         )
 
     def build_trace() -> TrafficTrace:
+        import numpy as np
+
         target_names = [target.name for target in targets]
-        default_streams: Dict[tuple, str] = {}
-        replayed = []
-        for index, *stamps, complete in completed:
-            record = records[index]
-            stream = record.stream
-            if not stream:
-                pair = (record.initiator, record.target)
-                stream = default_streams.get(pair)
-                if stream is None:
-                    stream = default_streams[pair] = (
-                        f"{names[record.initiator]}->{target_names[record.target]}"
-                    )
-            replayed.append(
-                TraceRecord(
-                    record.initiator,
-                    record.target,
-                    record.kind,
-                    record.burst,
-                    *stamps,
-                    complete,  # ti_release: the response ends the access
-                    complete,
-                    critical=rec_critical[index],
-                    stream=stream,
+        done = np.array(completed, dtype=np.int64).reshape(-1, 8)
+        origins = np.array(origin, dtype=np.int64)[done[:, 0]]
+        if trace is not None:
+            # A replayed access is its source row.
+            source = trace.trace
+            identity = source.columns[origins]
+            streams = list(source.streams)
+            stream_ids = source.column("stream")[origins]
+        else:
+            table = [
+                (
+                    access.initiator,
+                    access.target,
+                    KINDS.index(access.kind),
+                    access.burst,
                 )
-            )
-        return TrafficTrace(
-            replayed,
+                for access in accesses
+            ]
+            identity = np.array(table, dtype=np.int64).reshape(-1, 4)[origins]
+            streams = [access.stream for access in accesses]
+            stream_ids = origins
+        stream_ids = _default_streams(
+            identity, stream_ids, streams, names, target_names
+        )
+        matrix = np.empty((done.shape[0], len(COLUMNS)), dtype=np.int64)
+        matrix[:, :4] = identity[:, :4]
+        matrix[:, 4:10] = done[:, 1:7]  # issue .. ti_grant
+        matrix[:, 10] = done[:, 7]  # ti_release: the response ends the access
+        matrix[:, 11] = done[:, 7]
+        matrix[:, 12] = critical
+        matrix[:, 13] = stream_ids
+        return TrafficTrace.from_columns(
+            matrix,
+            streams,
             num_initiators=n,
             num_targets=len(targets),
             total_cycles=total_cycles,
@@ -636,3 +661,31 @@ def _simulate(
         events=seq,
         build_trace=build_trace,
     )
+
+
+def _default_streams(identity, stream_ids, streams, initiator_names, target_names):
+    """``stream_ids`` with every unnamed stream named after its pair, as
+    ``initiator->target``; new names join ``streams``."""
+    blank = [index for index, name in enumerate(streams) if not name]
+    if not blank:
+        return stream_ids
+    import numpy as np
+
+    is_blank = np.zeros(len(streams), dtype=bool)
+    is_blank[blank] = True
+    unnamed = np.flatnonzero(is_blank[stream_ids])
+    if not unnamed.size:
+        return stream_ids
+    named: Dict[tuple, int] = {}
+    pairs = zip(identity[unnamed, 0].tolist(), identity[unnamed, 1].tolist())
+    fresh = []
+    for pair in pairs:
+        stream = named.get(pair)
+        if stream is None:
+            stream = named[pair] = len(streams)
+            initiator, target = pair
+            streams.append(f"{initiator_names[initiator]}->{target_names[target]}")
+        fresh.append(stream)
+    stream_ids = stream_ids.copy()
+    stream_ids[unnamed] = fresh
+    return stream_ids

@@ -81,12 +81,14 @@ def _percentile(ordered: Sequence[int], quantile: float) -> float:
 def per_target_latency(
     trace: TrafficTrace, critical_only: bool = False
 ) -> dict[int, LatencyStats]:
-    """Latency statistics per destination target."""
-    buckets: dict[int, list[int]] = {}
-    for record in trace.records:
-        if critical_only and not record.critical:
-            continue
-        buckets.setdefault(record.target, []).append(record.latency)
+    """Latency statistics per destination target, keyed in order of the
+    targets' first transactions."""
+    targets = trace.column("target")
+    latencies = trace.column("complete") - trace.column("issue")
+    if critical_only:
+        critical = trace.column("critical") == 1
+        targets, latencies = targets[critical], latencies[critical]
     return {
-        target: summarize_latencies(sample) for target, sample in buckets.items()
+        target: summarize_latencies(latencies[targets == target])
+        for target in dict.fromkeys(targets.tolist())
     }

@@ -13,8 +13,8 @@ from pathlib import Path
 from typing import Union
 
 from repro.errors import TraceError
-from repro.traffic.events import TraceRecord, TransactionKind
-from repro.traffic.trace import TrafficTrace
+from repro.traffic.events import TransactionKind
+from repro.traffic.trace import KINDS, TrafficTrace
 
 __all__ = ["save_trace_jsonl", "load_trace_jsonl"]
 
@@ -74,7 +74,7 @@ def load_trace_jsonl(path: Union[str, Path]) -> TrafficTrace:
             raise TraceError(
                 f"{path}: unsupported trace format {header.get('format')!r}"
             )
-        records = []
+        rows = []
         for line_number, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
@@ -83,25 +83,27 @@ def load_trace_jsonl(path: Union[str, Path]) -> TrafficTrace:
             except json.JSONDecodeError as exc:
                 raise TraceError(f"{path}:{line_number}: malformed record") from exc
             try:
-                records.append(
-                    TraceRecord(
-                        kind=TransactionKind(row.pop("kind")),
-                        critical=row.pop("critical", False),
-                        stream=row.pop("stream", ""),
-                        **{name: row[name] for name in _RECORD_FIELDS},
+                kind = KINDS.index(TransactionKind(row["kind"]))
+                rows.append(
+                    (
+                        *(row[name] for name in _RECORD_FIELDS[:2]),
+                        kind,
+                        *(row[name] for name in _RECORD_FIELDS[2:]),
+                        int(row.get("critical", False)),
+                        row.get("stream", ""),
                     )
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise TraceError(
                     f"{path}:{line_number}: invalid record fields: {exc}"
                 ) from exc
     expected = header.get("num_records")
-    if expected is not None and expected != len(records):
+    if expected is not None and expected != len(rows):
         raise TraceError(
-            f"{path}: header promises {expected} records, found {len(records)}"
+            f"{path}: header promises {expected} records, found {len(rows)}"
         )
-    return TrafficTrace(
-        records,
+    return TrafficTrace.from_rows(
+        rows,
         num_initiators=header["num_initiators"],
         num_targets=header["num_targets"],
         total_cycles=header["total_cycles"],

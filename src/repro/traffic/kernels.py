@@ -251,7 +251,7 @@ class TraceAnalytics:
     """Per-trace analytics memo shared across window geometries.
 
     One instance is attached to each :class:`TrafficTrace` (see
-    :meth:`of`); it extracts the record columns once, compiles each
+    :meth:`of`); it reads the trace's columns, compiles each
     flavor (total / critical-only) lazily into a
     :class:`CompiledActivity`, and memoizes ``comm`` and ``wo`` results
     per window geometry in small LRU maps. A threshold sweep therefore
@@ -260,22 +260,12 @@ class TraceAnalytics:
     """
 
     def __init__(self, trace: "TrafficTrace") -> None:
-        records = trace.records
-        count = len(records)
         self.num_targets = trace.num_targets
         self.total_cycles = trace.total_cycles
-        self._targets = np.fromiter(
-            (record.target for record in records), np.int64, count
-        )
-        self._starts = np.fromiter(
-            (record.it_grant for record in records), np.int64, count
-        )
-        self._ends = np.fromiter(
-            (record.it_release for record in records), np.int64, count
-        )
-        self._critical = np.fromiter(
-            (record.critical for record in records), bool, count
-        )
+        self._targets = trace.column("target")
+        self._starts = trace.column("it_grant")
+        self._ends = trace.column("it_release")
+        self._critical = trace.column("critical") == 1
         self._compiled: Dict[bool, CompiledActivity] = {}
         self._comm_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         self._wo_memo: "OrderedDict[tuple, np.ndarray]" = OrderedDict()

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.traffic.events import TraceRecord
 from repro.traffic.synthetic import write_packet
 from repro.traffic.trace import TrafficTrace
 
@@ -62,12 +61,12 @@ def _check_critical(critical_targets: Tuple[int, ...], num_targets: int) -> None
 
 
 def _finish_trace(
-    records: List[TraceRecord],
+    records: List[tuple],
     num_initiators: int,
     num_targets: int,
     total_cycles: int,
 ) -> TrafficTrace:
-    return TrafficTrace(
+    return TrafficTrace.from_rows(
         records,
         num_initiators=num_initiators,
         num_targets=num_targets,
@@ -128,7 +127,7 @@ def generate_hotspot_trace(
     critical = set(config.critical_targets)
     hotspots = list(config.hotspot_targets)
     packet_cost = 2 + config.packet_words
-    records: List[TraceRecord] = []
+    records: List[tuple] = []
     for initiator in range(config.num_initiators):
         lane = random.Random(rng.randrange(1 << 30))
         cursor = lane.randint(0, config.mean_gap)
@@ -196,7 +195,7 @@ def generate_poisson_trace(
         rng = random.Random(config.seed)
     critical = set(config.critical_targets)
     packet_cost = 2 + config.packet_words
-    records: List[TraceRecord] = []
+    records: List[tuple] = []
     for initiator in range(config.num_initiators):
         lane = random.Random(rng.randrange(1 << 30))
         private = initiator % config.num_targets
@@ -288,7 +287,7 @@ def generate_pipeline_trace(
         rng = random.Random(config.seed)
     critical = set(config.critical_targets)
     packet_cost = 2 + config.packet_words
-    records: List[TraceRecord] = []
+    records: List[tuple] = []
     for stage in range(config.num_initiators):
         lane = random.Random(rng.randrange(1 << 30))
         target = (stage + 1) % config.num_targets
@@ -377,12 +376,4 @@ def thin_trace(
     if keep_fraction == 1.0:
         return trace
     rng = random.Random(seed)
-    kept = [rec for rec in trace.records if rng.random() < keep_fraction]
-    return TrafficTrace(
-        kept,
-        num_initiators=trace.num_initiators,
-        num_targets=trace.num_targets,
-        total_cycles=trace.total_cycles,
-        target_names=trace.target_names,
-        initiator_names=trace.initiator_names,
-    )
+    return trace.select([rng.random() < keep_fraction for _ in range(len(trace))])

@@ -9,7 +9,7 @@ that the windowed methodology is designed to detect; distinct groups drift
 independently.
 
 The generator produces a full :class:`~repro.traffic.trace.TrafficTrace`
-(per-packet records with complete timing breakdowns), so synthetic traces
+(one column row per packet with its complete timing breakdown), so synthetic traces
 flow through exactly the same windowing, synthesis and trace-replay
 validation paths as platform-simulated traces.
 """
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.traffic.events import TraceRecord, TransactionKind
-from repro.traffic.trace import TrafficTrace
+from repro.traffic.events import TransactionKind
+from repro.traffic.trace import KINDS, TrafficTrace
 
 __all__ = [
     "SyntheticTrafficConfig",
@@ -144,7 +144,7 @@ def generate_synthetic_trace(
     if rng is None:
         rng = random.Random(config.seed)
     critical = set(config.critical_targets)
-    records: List[TraceRecord] = []
+    records: List[tuple] = []
 
     for group in config.resolved_groups():
         group_rng = random.Random(rng.randrange(1 << 30))
@@ -164,7 +164,7 @@ def generate_synthetic_trace(
                 group_rng, config.gap_cycles, config.gap_jitter
             )
 
-    return TrafficTrace(
+    return TrafficTrace.from_rows(
         records,
         num_initiators=config.num_initiators,
         num_targets=config.num_targets,
@@ -174,14 +174,19 @@ def generate_synthetic_trace(
     )
 
 
+_WRITE = KINDS.index(TransactionKind.WRITE)
+
+
 def write_packet(
     cursor: int,
     initiator: int,
     target: int,
     words: int,
     critical: bool = False,
-) -> TraceRecord:
-    """One ``words``-word write packet issued at ``cursor``.
+) -> tuple:
+    """One ``words``-word write packet issued at ``cursor``, as a column
+    row for :meth:`~repro.traffic.trace.TrafficTrace.from_rows`: the
+    :data:`~repro.traffic.trace.COLUMNS` values, the stream by name.
 
     The timing breakdown matches the burst generator's model (header
     cycle + one cycle per word on the IT bus, single-cycle write
@@ -191,21 +196,21 @@ def write_packet(
     """
     it_release = cursor + 1 + words
     ti_release = it_release + 1  # single-cycle write acknowledge
-    return TraceRecord(
-        initiator=initiator,
-        target=target,
-        kind=TransactionKind.WRITE,
-        burst=words,
-        issue=cursor,
-        it_grant=cursor,
-        it_release=it_release,
-        service_start=it_release,
-        service_end=it_release,
-        ti_grant=it_release,
-        ti_release=ti_release,
-        complete=ti_release,
-        critical=critical,
-        stream=f"i{initiator}->t{target}",
+    return (
+        initiator,
+        target,
+        _WRITE,
+        words,
+        cursor,  # issue
+        cursor,  # it_grant
+        it_release,
+        it_release,  # service_start
+        it_release,  # service_end
+        it_release,  # ti_grant
+        ti_release,
+        ti_release,  # complete
+        critical,
+        f"i{initiator}->t{target}",
     )
 
 
@@ -216,10 +221,10 @@ def _burst_packets(
     target: int,
     config: SyntheticTrafficConfig,
     critical: bool,
-) -> List[TraceRecord]:
+) -> List[tuple]:
     """Expand one burst window into back-to-back write packets."""
     packet_cost = 1 + config.packet_words
-    records: List[TraceRecord] = []
+    records: List[tuple] = []
     cursor = start
     while cursor + packet_cost <= end:
         records.append(

@@ -13,6 +13,7 @@ would answer for the new simulator.
 import pytest
 
 from repro.apps import build_application
+from repro.apps.descriptor import Application
 from repro.cli import main
 from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import trace_fingerprint
@@ -23,14 +24,15 @@ from repro.platform import SIMULATION_COUNTER
 from repro.server import SynthesisService
 
 GOLDEN_TRACE_DIGESTS = {
-    "qsort": "dec531925ce7845861ff11efa858528f4ec0826cfedbe83cc2db1c1bd7fdd04f",
-    "mat1": "8ddc42a364fd79ad378098f247f6d0ffc5ced491e701fe032502f1ef64133782",
-    "mat2": "613320de2218c5a896236b8ff7d4de8ffc5698fd9615414045d8d86ed75b59dd",
-    "fft": "7401a1a1928424108c3ce8a28ed88c2df299386fc268f0f288c74ad74d4d1bb8",
-    "des": "030261ee0e04b8ea6d05e5f23891f565d9991445a97a987b80f8c663f86b6596",
+    "qsort": "3d719c956b59d63d361dbadd6da8fa5685bb21cc4ffd95e48854326511abacc8",
+    "mat1": "fc3dd8f4635d9c6897c99a2ae39221944ceac3557bf3f681c846066513f2e98b",
+    "mat2": "39955faa2bad5b08ea0769f451c66daa1186883d439d8c1bb3718ef731d27583",
+    "fft": "6321a2286ac711aef1d08c383f92679649dd5df64cd939c62684e1e40ffcdb63",
+    "des": "79019ca0efdc190e2554ab0188eac7d36b676d5b40b790de0a8b724dd7371398",
 }
 """``trace_fingerprint`` of each default app's full-crossbar trace at
-``SIMULATOR_SALT == 1``."""
+``SIMULATOR_SALT == 1`` and ``CACHE_SCHEMA_VERSION == 2`` (the columnar
+digest: header, stream table, canonical matrix as little-endian int64)."""
 
 
 def collector_at(path):
@@ -224,6 +226,23 @@ class TestZeroSimulationDesign:
             capsys,
         )
         assert edited == cold
+
+    def test_warm_compare_reads_the_stored_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        argv = ["compare", "qsort", "--cache-dir", str(tmp_path)]
+        cold = design(argv, capsys)
+        collections = []
+        simulate = Application.simulate_full_crossbar
+
+        def counting(app, *args, **kwargs):
+            collections.append(app.name)
+            return simulate(app, *args, **kwargs)
+
+        monkeypatch.setattr(Application, "simulate_full_crossbar", counting)
+        warm = design(argv, capsys)
+        assert collections == []
+        assert warm == cold  # byte for byte
 
     def test_pipeline_inspect_reports_collect_disk_hit(
         self, tmp_path, capsys

@@ -5,9 +5,11 @@ designs and tabulates packet latency and crossbar size -- the measurement
 behind the paper's Table 1 (shared/full/partial) and Fig. 4
 (average-traffic vs windowed designs, normalized to the full crossbar).
 
-Each design's validation simulation runs through
-:meth:`~repro.apps.descriptor.Application.simulate`, one design after
-another in this process, timed as a ``replay`` stage.
+Each design's validation simulation is a replay stage
+(:meth:`PipelineRunner.replay <repro.pipeline.runner.PipelineRunner.replay>`)
+on the runner the caller passes as ``pipeline`` (a fresh one by
+default): designs with equal bindings share one simulation, and on a
+cache-backed runner a warm comparison simulates nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, Optional, Sequence
 from repro.apps.descriptor import Application
 from repro.core.spec import CrossbarDesign
 from repro.obs import tracing as _tracing
-from repro.pipeline.runner import timed_stage
+from repro.pipeline.runner import PipelineRunner
 from repro.platform.metrics import LatencyStats
 
 __all__ = ["DesignEvaluation", "compare_designs"]
@@ -54,6 +56,7 @@ def compare_designs(
     designs: Sequence[CrossbarDesign],
     max_cycles: Optional[int] = None,
     cycle_headroom: int = 6,
+    pipeline: Optional[PipelineRunner] = None,
 ) -> Dict[str, DesignEvaluation]:
     """Simulate ``application`` on every design; key results by label.
 
@@ -62,21 +65,17 @@ def compare_designs(
     average-traffic design) still run their workload to completion.
     """
     budget = max_cycles or application.sim_cycles * cycle_headroom
+    runner = pipeline if pipeline is not None else PipelineRunner()
+    driver = application.driver()
     evaluations = {}
     with _tracing.span("analysis.compare", designs=len(designs)):
         for design in designs:
-            result = timed_stage(
-                "replay",
-                "",
-                lambda: application.simulate(
-                    design.it.as_list(), design.ti.as_list(), budget
-                ),
-            )
+            replay = runner.replay(driver, design, budget)
             evaluations[design.label] = DesignEvaluation(
                 label=design.label,
                 bus_count=design.bus_count,
-                stats=result.latency_stats(),
-                critical_stats=result.latency_stats(critical_only=True),
-                finished=result.finished,
+                stats=replay.stats,
+                critical_stats=replay.critical_stats,
+                finished=replay.finished,
             )
     return evaluations

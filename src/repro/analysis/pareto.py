@@ -4,7 +4,8 @@ Section 7.2 of the paper: "depending on the design objective, crossbar
 size-performance trade-offs can be explored in our approach by tuning
 the analysis parameters (such as the window size, overlap threshold,
 etc.)". :func:`explore_design_space` sweeps a (window x threshold) grid,
-validates every designed crossbar by re-simulation, and
+validates every designed crossbar by a replay (one simulation per
+distinct design), and
 :func:`pareto_front` filters the non-dominated points -- the menu a
 designer actually chooses from.
 """
@@ -66,8 +67,9 @@ def explore_design_space(
     base = config or SynthesisConfig()
     budget = application.sim_cycles * cycle_headroom
     # One runner for the grid: every threshold reuses its window's
-    # analysis artifacts.
+    # analysis artifacts, and equal designs share one replay.
     pipeline = PipelineRunner()
+    driver = application.driver()
     points = []
     for window in window_sizes:
         effective = min(window, trace.total_cycles)
@@ -79,12 +81,7 @@ def explore_design_space(
                 pipeline=pipeline,
             )
             report = synthesizer.design_from_trace(trace, effective)
-            validation = application.simulate(
-                report.design.it.as_list(),
-                report.design.ti.as_list(),
-                budget,
-            )
-            stats = validation.latency_stats()
+            stats = pipeline.replay(driver, report.design, budget).stats
             points.append(
                 DesignPoint(
                     window_size=effective,

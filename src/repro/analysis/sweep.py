@@ -15,9 +15,11 @@ Every sweep point is an independent synthesis run, so all three drivers
 are thin: they enumerate :class:`~repro.exec.engine.SynthesisTask`
 points and hand them to the :class:`~repro.exec.engine.ExecutionEngine`,
 which solves each through the staged pipeline (:mod:`repro.pipeline`).
+:func:`acceptable_window_search` validates each design, and measures
+its full-crossbar reference, as replay stages on the engine's runner.
 Pass ``engine=ExecutionEngine(cache="...")`` to skip already-solved
-points. Results are deterministic -- identical point lists whether a
-point was solved or read from the cache.
+points and already-simulated replays. Results are deterministic --
+identical point lists whether a point was solved or read from the cache.
 
 The pipeline is what makes sweeps cheap beyond caching: every point of
 a sweep shares the trace's *collection* artifact, a threshold sweep's
@@ -35,6 +37,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.apps.descriptor import Application
+from repro.core.baselines import full_crossbar_design
 from repro.core.spec import SynthesisConfig
 from repro.errors import ConfigurationError
 from repro.exec.engine import ExecutionEngine, SynthesisTask
@@ -168,8 +171,10 @@ def acceptable_window_search(
         raise ConfigurationError("need at least one candidate window")
     base = config or SynthesisConfig()
     run = _resolve_engine(engine)
-    full = application.simulate_full_crossbar()
-    full_stats = full.latency_stats()
+    driver = application.driver()
+    full_stats = run.pipeline.replay(
+        driver, full_crossbar_design(trace), application.sim_cycles
+    ).stats
     full_mean = full_stats.mean or 1.0
     full_peak = full_stats.maximum or 1
     budget = application.sim_cycles * 6
@@ -180,10 +185,7 @@ def acceptable_window_search(
     best = 0
     for window, task in zip(ordered, tasks):
         result = run.run_sweep(trace, [task])[0]
-        validation = application.simulate(
-            result.design.it.as_list(), result.design.ti.as_list(), budget
-        )
-        stats = validation.latency_stats()
+        stats = run.pipeline.replay(driver, result.design, budget).stats
         mean_ok = stats.mean / full_mean <= max_latency_ratio
         peak_ok = stats.maximum / full_peak <= max_peak_ratio
         if mean_ok and peak_ok:

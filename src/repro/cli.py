@@ -475,17 +475,10 @@ def _cmd_design(args) -> int:
         )
     )
     if args.validate:
-        validation = timed_stage(
-            "replay",
-            "",
-            lambda: app.simulate(
-                result.design.it.as_list(),
-                result.design.ti.as_list(),
-                app.sim_cycles * 4,
-            ),
-        )
         full_stats = full_run.latency_stats()
-        designed_stats = validation.latency_stats()
+        designed_stats = engine.pipeline.replay(
+            app.driver(), result.design, app.sim_cycles * 4
+        ).stats
         print(
             format_table(
                 ["design", "buses", "avg lat (cy)", "max lat (cy)"],
@@ -531,11 +524,11 @@ def _cmd_compare(args) -> int:
     ).design
     designs = [
         shared_bus_design(trace),
-        average_traffic_design(trace),
+        average_traffic_design(trace, pipeline=engine.pipeline),
         windowed,
         full_crossbar_design(trace),
     ]
-    evaluations = compare_designs(app, designs)
+    evaluations = compare_designs(app, designs, pipeline=engine.pipeline)
     full_stats = evaluations["full"].stats
     rows = [
         [

@@ -12,17 +12,22 @@
   resources".
 * :func:`shared_bus_design` / :func:`full_crossbar_design` -- the fixed
   reference points of Table 1.
+
+The two designed baselines are :meth:`PipelineRunner.design
+<repro.pipeline.runner.PipelineRunner.design>` under their own
+configurations, relabelled. :func:`average_traffic_design` runs on the
+runner passed as ``pipeline`` (a fresh one by default), so a warm
+cache-backed runner solves nothing; :func:`peak_bandwidth_design` runs
+on a fresh runner.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Optional
 
-from repro.core.binding import optimize_binding
-from repro.core.preprocess import build_conflicts
-from repro.core.problem import CrossbarDesignProblem
-from repro.core.search import search_minimum_buses
 from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
-from repro.pipeline.runner import timed_stage
+from repro.pipeline.runner import PipelineRunner
 from repro.traffic.trace import TrafficTrace
 
 __all__ = [
@@ -33,33 +38,20 @@ __all__ = [
 ]
 
 
-def _design_both_sides(
-    trace: TrafficTrace, window_size: int, config: SynthesisConfig, label: str
+def _pipeline_design(
+    trace: TrafficTrace,
+    config: SynthesisConfig,
+    label: str,
+    pipeline: Optional[PipelineRunner],
 ) -> CrossbarDesign:
-    """The flow's phases outside the pipeline (nothing is cached), each
-    timed as the pipeline stage it is."""
-
-    def bind(problem, conflicts):
-        search = search_minimum_buses(problem, conflicts, config)
-        return optimize_binding(problem, conflicts, search.num_buses, config)
-
-    sides = []
-    for mirrored in (False, True):
-        problem = timed_stage(
-            "window",
-            "",
-            lambda: CrossbarDesignProblem.from_trace(
-                trace.mirrored() if mirrored else trace, window_size
-            ),
-        )
-        conflicts = timed_stage(
-            "conflicts", "", lambda: build_conflicts(problem, config)
-        )
-        sides.append(timed_stage("bind", "", lambda: bind(problem, conflicts)))
-    return CrossbarDesign(it=sides[0], ti=sides[1], label=label)
+    runner = pipeline if pipeline is not None else PipelineRunner()
+    outcome = runner.design(trace, config, config.window_size)
+    return replace(outcome.design, label=label)
 
 
-def average_traffic_design(trace: TrafficTrace) -> CrossbarDesign:
+def average_traffic_design(
+    trace: TrafficTrace, pipeline: Optional[PipelineRunner] = None
+) -> CrossbarDesign:
     """Design from whole-run average bandwidth (prior-work baseline).
 
     One window covering the entire simulation period, no overlap
@@ -74,9 +66,7 @@ def average_traffic_design(trace: TrafficTrace) -> CrossbarDesign:
         max_targets_per_bus=None,
         use_criticality=False,
     )
-    return _design_both_sides(
-        trace, trace.total_cycles, config, label="average-traffic"
-    )
+    return _pipeline_design(trace, config, "average-traffic", pipeline)
 
 
 def peak_bandwidth_design(
@@ -94,7 +84,7 @@ def peak_bandwidth_design(
         max_targets_per_bus=None,
         use_criticality=False,
     )
-    return _design_both_sides(trace, window_size, config, label="peak-bandwidth")
+    return _pipeline_design(trace, config, "peak-bandwidth", None)
 
 
 def shared_bus_design(trace: TrafficTrace) -> CrossbarDesign:

@@ -14,7 +14,8 @@ since its last :meth:`SolveCounter.reset`.
 
 The assignment DFS also reports the nodes each solve explored, once per
 solve, into ``repro_dfs_nodes_total{mode=...}`` (``feasibility`` /
-``optimize``) through :func:`record_dfs_nodes`.
+``optimize``) through :func:`record_dfs_nodes`, and
+:func:`record_bind_reuse` counts binds answered from a stored answer.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "SOLVE_COUNTER",
     "record_solve",
     "record_dfs_nodes",
+    "record_bind_reuse",
 ]
 
 _SOLVES_TOTAL = _metrics.counter(
@@ -41,6 +43,14 @@ _DFS_NODES_TOTAL = _metrics.counter(
     "Assignment DFS nodes by mode (feasibility / optimize), added once "
     "per solve.",
     ("mode",),
+)
+
+_BIND_REUSE_TOTAL = _metrics.counter(
+    "repro_bind_reuse_total",
+    "Bind stages answered through a bind reuse record, by tier "
+    "(same_conflicts: a stored answer for identical conflict pairs; "
+    "lower_bound: an Eq. 11 search stopped at a stored optimum).",
+    ("tier",),
 )
 
 
@@ -101,3 +111,8 @@ def record_solve(kind: str) -> None:
 def record_dfs_nodes(optimize: bool, nodes: int) -> None:
     """Add one assignment solve's ``nodes`` to ``repro_dfs_nodes_total``."""
     _DFS_NODES_TOTAL.inc(nodes, mode="optimize" if optimize else "feasibility")
+
+
+def record_bind_reuse(tier: str) -> None:
+    """Count one bind answered through a stored answer of ``tier``."""
+    _BIND_REUSE_TOTAL.inc(tier=tier)

@@ -3,9 +3,9 @@
 The paper designs one crossbar per application; a shipping SoC fabric
 must serve *every* use-case of the chip. This module merges the
 per-scenario analyses into a single design problem so the unchanged
-search/binding machinery (:func:`~repro.core.search.search_minimum_buses`
-and :func:`~repro.core.binding.optimize_binding`) produces one crossbar
-meeting all scenarios at once.
+phase-4 solve (:func:`~repro.core.binding.bind_minimum_buses`, the
+pipeline's bind stage compute) produces one crossbar meeting all
+scenarios at once.
 
 Merge policies
 --------------
@@ -32,15 +32,15 @@ Merge policies
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.binding import binding_overlap_objective, optimize_binding
+from repro.core.binding import bind_minimum_buses, binding_overlap_objective
 from repro.core.preprocess import ConflictAnalysis, build_conflicts
 from repro.core.problem import CrossbarDesignProblem
-from repro.core.search import SearchOutcome, search_minimum_buses
+from repro.core.search import SearchOutcome
 from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
 from repro.core.validate import audit_binding
 from repro.errors import ConfigurationError
@@ -384,6 +384,7 @@ class RobustSynthesizer:
                 "need matching non-empty IT and TI artifact lists"
             )
         names = self._check_names(names, len(it_sides))
+        merge_spec = self._merge_spec(weights)
         reports = []
         for sides in (it_sides, ti_sides):
             windows = [windowed for windowed, _conflicts in sides]
@@ -391,36 +392,24 @@ class RobustSynthesizer:
             upstream = [w.fingerprint for w in windows] + [
                 c.fingerprint for c in conflict_artifacts
             ]
-            merge_spec = self._merge_spec(weights)
-            solved_fingerprints: List[str] = []
 
-            def solver(
-                problem,
-                conflicts,
-                _upstream=upstream,
-                _spec=merge_spec,
-                _solved=solved_fingerprints,
-            ):
+            def solver(problem, conflicts, _upstream=upstream):
                 artifact = pipeline.bind_merged(
-                    problem, conflicts, self.config, _upstream, _spec
+                    problem, conflicts, self.config, _upstream, merge_spec
                 )
-                _solved.append(artifact.fingerprint)
-                return artifact.search, artifact.binding
+                return artifact.search, artifact.binding, artifact.fingerprint
 
-            report = self._design_side(
-                [w.problem for w in windows],
-                names,
-                weights,
-                per_scenario_conflicts=[
-                    c.conflicts for c in conflict_artifacts
-                ],
-                solver=solver,
-            )
-            if solved_fingerprints:
-                report = replace(
-                    report, stage_fingerprint=solved_fingerprints[-1]
+            reports.append(
+                self._design_side(
+                    [w.problem for w in windows],
+                    names,
+                    weights,
+                    per_scenario_conflicts=[
+                        c.conflicts for c in conflict_artifacts
+                    ],
+                    solver=solver,
                 )
-            reports.append(report)
+            )
         return self._assemble(reports[0], reports[1], names)
 
     def _merge_spec(self, weights: Optional[Sequence[float]]) -> dict:
@@ -491,24 +480,11 @@ class RobustSynthesizer:
                 weights=weights,
                 min_weight=self.min_weight,
             )
-        if solver is not None:
-            # The incremental path: the solve is a content-addressed
-            # pipeline stage (audited at compute time, reused otherwise).
-            search, binding = solver(merged_problem, merged_conflicts)
-        else:
-            search = search_minimum_buses(
-                merged_problem, merged_conflicts, self.config
-            )
-            binding = optimize_binding(
-                merged_problem, merged_conflicts, search.num_buses, self.config
-            )
-            audit_binding(
-                merged_problem,
-                merged_conflicts,
-                binding.binding,
-                self.config.max_targets_per_bus,
-                raise_on_violation=True,
-            )
+        # The incremental path's solver is a content-addressed pipeline
+        # stage running the same solve (reused when its inputs are).
+        search, binding, fingerprint = (solver or self._solve)(
+            merged_problem, merged_conflicts
+        )
         checks = tuple(
             self._check_scenario(name, problem, conflicts, binding)
             for name, problem, conflicts in zip(
@@ -521,7 +497,17 @@ class RobustSynthesizer:
             search=search,
             binding=binding,
             scenario_checks=checks,
+            stage_fingerprint=fingerprint,
         )
+
+    def _solve(
+        self, problem: CrossbarDesignProblem, conflicts: ConflictAnalysis
+    ) -> Tuple[SearchOutcome, BusBinding, str]:
+        """The one-shot solve: phase 4 outside any pipeline stage."""
+        search, binding, _proof = bind_minimum_buses(
+            problem, conflicts, self.config
+        )
+        return search, binding, ""
 
     def _check_scenario(
         self,

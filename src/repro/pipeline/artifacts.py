@@ -410,23 +410,20 @@ class BindReuseRecord:
 
     def lower_bound(
         self, pairs: FrozenSet, num_buses: int
-    ) -> Optional[BindReuseEntry]:
-        """The optimal entry, among those with conflicts ``<= pairs`` and
-        ``num_buses`` buses, with the highest objective (the tightest
-        lower bound), ties to the smallest proof bound."""
-        usable = [
-            entry
-            for entry in self.entries
-            if entry.artifact.binding.optimal
-            and entry.artifact.search.num_buses == num_buses
-            and entry.pairs <= pairs
-        ]
+    ) -> Optional[Tuple[int, int]]:
+        """The ``(objective, proof bound)`` of the optimal entry, among
+        those with conflicts ``<= pairs`` and ``num_buses`` buses, with
+        the highest objective (the tightest lower bound), ties to the
+        smallest proof bound."""
         return max(
-            usable,
-            key=lambda entry: (
-                entry.artifact.binding.max_bus_overlap,
-                -entry.proof,
+            (
+                (entry.artifact.binding.max_bus_overlap, entry.proof)
+                for entry in self.entries
+                if entry.artifact.binding.optimal
+                and entry.artifact.search.num_buses == num_buses
+                and entry.pairs <= pairs
             ),
+            key=lambda usable: (usable[0], -usable[1]),
             default=None,
         )
 

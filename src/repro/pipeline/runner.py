@@ -64,11 +64,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.assignment import AssignmentResult
-from repro.core.binding import bus_binding, solve_binding
+from repro.core.binding import bind_minimum_buses
+from repro.core.instrumentation import record_bind_reuse
 from repro.core.preprocess import ConflictAnalysis, build_conflicts
 from repro.core.problem import CrossbarDesignProblem
-from repro.core.search import search_minimum_buses
 from repro.core.spec import CrossbarDesign, SynthesisConfig
 from repro.core.validate import audit_binding
 from repro.pipeline.artifacts import (
@@ -107,14 +106,6 @@ _STAGE_SECONDS = _metrics.histogram(
     "Self wall-clock seconds per executed (non-cached) pipeline stage: "
     "its own time minus that of the stages nested in it.",
     ("stage",),
-)
-
-_BIND_REUSE = _metrics.counter(
-    "repro_bind_reuse_total",
-    "Bind stages answered through a bind reuse record, by tier "
-    "(same_conflicts: a stored answer for identical conflict pairs; "
-    "lower_bound: an Eq. 11 search stopped at a stored optimum).",
-    ("tier",),
 )
 
 
@@ -388,34 +379,22 @@ class PipelineRunner:
                 self.counters.record_disk_hit(stage)
             else:
                 self.counters.record_memo_hit(stage)
-            _BIND_REUSE.inc(tier="same_conflicts")
+            record_bind_reuse("same_conflicts")
             return replace(same.artifact, fingerprint=fingerprint)
         self.counters.record_computed(stage)
-        proof = 0
-
-        def _compute() -> BindingArtifact:
-            nonlocal proof
-            search = search_minimum_buses(problem, conflicts, config)
-            result, proof = _optimize(
+        search, binding, proof = timed_stage(
+            stage,
+            fingerprint,
+            lambda: bind_minimum_buses(
                 problem,
                 conflicts,
-                search.num_buses,
                 config,
-                record.lower_bound(pairs, search.num_buses),
-            )
-            binding = bus_binding(result, search.num_buses)
-            audit_binding(
-                problem,
-                conflicts,
-                binding.binding,
-                config.max_targets_per_bus,
-                raise_on_violation=True,
-            )
-            return BindingArtifact(
-                search=search, binding=binding, fingerprint=fingerprint
-            )
-
-        artifact = timed_stage(stage, fingerprint, _compute)
+                lambda num_buses: record.lower_bound(pairs, num_buses),
+            ),
+        )
+        artifact = BindingArtifact(
+            search=search, binding=binding, fingerprint=fingerprint
+        )
         if record_key is None:
             self.store.put(fingerprint, artifact)
             self.store.put_payload(fingerprint, artifact.to_payload())
@@ -615,39 +594,6 @@ class PipelineRunner:
             self.store.put(fingerprint, artifact)
             self.store.put_payload(fingerprint, artifact.to_payload())
         return artifact
-
-
-def _optimize(
-    problem: CrossbarDesignProblem,
-    conflicts: ConflictAnalysis,
-    num_buses: int,
-    config: SynthesisConfig,
-    stored: Optional[BindReuseEntry],
-) -> Tuple[AssignmentResult, int]:
-    """The Eq. 11 solve of a computed bind, and an upper bound on its
-    proof-phase nodes.
-
-    ``stored`` is an optimal answer under a subset of the conflicts with
-    the same bus count, so its objective ``V`` bounds the optimum from
-    below and the search may stop at its first leaf ``<= V``: the leaf a
-    full search returns. The full search would also have finished, and
-    so reported ``optimal``, when ``found_at`` plus the stored proof
-    bound fits ``node_limit`` (its nodes after that leaf are a subset of
-    the stored solve's). A stop that never fires leaves the full search
-    itself; a stop without that certificate solves again in full.
-    """
-    if stored is not None:
-        bound = stored.artifact.binding.max_bus_overlap
-        result = solve_binding(
-            problem, conflicts, num_buses, config, lower_bound=bound
-        )
-        if result.objective is None or result.objective > bound:
-            return result, result.nodes - result.found_at
-        if result.found_at + stored.proof <= config.node_limit:
-            _BIND_REUSE.inc(tier="lower_bound")
-            return result, stored.proof
-    result = solve_binding(problem, conflicts, num_buses, config)
-    return result, result.nodes - result.found_at
 
 
 def _run_replay(

@@ -2,10 +2,14 @@
 
 import pytest
 
+from dataclasses import replace
+
 from repro.analysis import DesignPoint, explore_design_space, pareto_front
+from repro.apps import build_application
 from repro.apps.synthetic import build_synthetic
-from repro.core import SynthesisConfig
+from repro.core import CrossbarSynthesizer, SynthesisConfig
 from repro.errors import ConfigurationError
+from repro.obs import metrics
 
 
 def point(buses, mean, window=1000, threshold=0.3, maximum=50):
@@ -96,3 +100,50 @@ class TestExploreDesignSpace:
         app, trace = setup
         with pytest.raises(ConfigurationError):
             explore_design_space(app, trace, [], [0.3])
+
+
+class TestGridReplays:
+    WINDOWS = (200, 500, 1_000, 2_000)
+    THRESHOLDS = (0.1, 0.2, 0.3, 0.4)
+
+    def reference_points(self, app, trace):
+        """Design each point on its own and simulate it directly."""
+        points = []
+        for window in self.WINDOWS:
+            for threshold in self.THRESHOLDS:
+                config = replace(
+                    SynthesisConfig(),
+                    window_size=window,
+                    overlap_threshold=threshold,
+                )
+                design = CrossbarSynthesizer(config).design_from_trace(
+                    trace, window
+                ).design
+                stats = app.simulate(
+                    design.it.as_list(), design.ti.as_list(), app.sim_cycles * 4
+                ).latency_stats()
+                points.append(
+                    DesignPoint(
+                        window_size=window,
+                        overlap_threshold=threshold,
+                        bus_count=design.bus_count,
+                        mean_latency=stats.mean,
+                        max_latency=stats.maximum,
+                    )
+                )
+        return points
+
+    def test_one_replay_per_distinct_design(self):
+        """The grid's 16 points come from 7 distinct designs on qsort:
+        equal designs share one replay stage, and every point matches a
+        direct simulation of its design."""
+        app = build_application("qsort")
+        trace = app.simulate_full_crossbar().trace
+        before = metrics.REGISTRY.snapshot()
+        points = explore_design_space(app, trace, self.WINDOWS, self.THRESHOLDS)
+        grown = metrics.growth(
+            before, metrics.REGISTRY.snapshot(), "repro_stage_events_total"
+        )
+        assert grown[("replay", "computed")] == 7
+        assert grown[("replay", "memo_hit")] == 9
+        assert points == self.reference_points(app, trace)

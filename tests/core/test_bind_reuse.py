@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.binding
 import repro.pipeline.runner
 from repro.analysis import overlap_threshold_sweep
 from repro.apps.synthetic import synthetic_trace
@@ -313,7 +314,10 @@ class TestTiers:
             calls.append(tuple(binding))
             return audit(problem, conflicts, binding, *args, **kwargs)
 
+        # The runner audits a stored answer; a computed bind is audited
+        # inside the phase-4 function it calls.
         monkeypatch.setattr(repro.pipeline.runner, "audit_binding", counting_audit)
+        monkeypatch.setattr(repro.core.binding, "audit_binding", counting_audit)
         windowed = window(small_problem(), "w")
         config = SynthesisConfig()
         runner = PipelineRunner()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    MERGE_POLICIES,
     RobustSynthesizer,
     SynthesisConfig,
     build_conflicts,
@@ -13,6 +14,7 @@ from repro.core import (
 )
 from repro.core.preprocess import ConflictAnalysis
 from repro.errors import ConfigurationError
+from repro.pipeline import PipelineRunner
 from repro.traffic.criticality import CriticalityReport
 from repro.traffic.synthetic import SyntheticTrafficConfig, generate_synthetic_trace
 
@@ -185,6 +187,58 @@ class TestRobustSynthesizer:
     def test_mismatched_lengths_rejected(self, traces):
         with pytest.raises(ConfigurationError):
             RobustSynthesizer().design(traces, [600])
+
+
+class TestRobustPathsAgree:
+    """The one-shot robust flow and the incremental one over pipeline
+    artifacts run the same phase-4 solve, so they design the same
+    crossbar and report the same per-scenario verdicts."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return [
+            generate_synthetic_trace(
+                SyntheticTrafficConfig(
+                    num_initiators=4, num_targets=5, total_cycles=6_000,
+                    burst_cycles=250, gap_cycles=700, seed=seed,
+                )
+            )
+            for seed in (11, 12)
+        ]
+
+    @staticmethod
+    def side_view(report):
+        return (
+            report.search,
+            report.binding,
+            report.scenario_checks,
+            report.conflicts.reasons,
+        )
+
+    @pytest.mark.parametrize("policy", MERGE_POLICIES)
+    def test_design_equals_design_from_artifacts(self, traces, policy):
+        config = SynthesisConfig(max_targets_per_bus=3)
+        windows, names, weights = [500, 800], ["a", "b"], [3.0, 1.0]
+        synthesizer = RobustSynthesizer(config, policy=policy, min_weight=0.6)
+        direct = synthesizer.design(traces, windows, names, weights)
+
+        runner = PipelineRunner()
+        sides = {False: [], True: []}
+        for trace, window in zip(traces, windows):
+            collected = runner.collect(trace)
+            for mirrored, side in sides.items():
+                windowed = runner.window(collected, config, window, mirrored)
+                side.append((windowed, runner.conflicts(windowed, config)))
+        staged = synthesizer.design_from_artifacts(
+            runner, sides[False], sides[True], names, weights
+        )
+        assert staged.design == direct.design
+        for ours, theirs in (
+            (staged.it_report, direct.it_report),
+            (staged.ti_report, direct.ti_report),
+        ):
+            assert self.side_view(ours) == self.side_view(theirs)
+            assert ours.stage_fingerprint and not theirs.stage_fingerprint
 
 
 class TestUnionConflictsMatchConcatenatedProblem:

@@ -3,15 +3,22 @@
 import pytest
 
 from repro.apps import build_application
+from repro.apps.registry import default_full_crossbar_trace
 from repro.core import (
+    CrossbarDesign,
+    CrossbarDesignProblem,
     CrossbarSynthesizer,
     SynthesisConfig,
     audit_binding,
     average_traffic_design,
+    build_conflicts,
     full_crossbar_design,
+    optimize_binding,
     peak_bandwidth_design,
+    search_minimum_buses,
     shared_bus_design,
 )
+from repro.pipeline import PipelineRunner
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +115,52 @@ class TestBaselineDesigns:
         assert full.bus_count == 21
         # Table 1's size ratio: full / shared = 10.5
         assert shared.size_ratio_vs(full) == pytest.approx(10.5)
+
+
+def reference_baseline(trace, window_size, overlap_threshold, label):
+    """A designed baseline by the flow's phases called one by one,
+    outside the pipeline: window, conflicts, search, Eq. 11, per side."""
+    config = SynthesisConfig(
+        window_size=window_size,
+        overlap_threshold=overlap_threshold,
+        max_targets_per_bus=None,
+        use_criticality=False,
+    )
+    sides = []
+    for side_trace in (trace, trace.mirrored()):
+        problem = CrossbarDesignProblem.from_trace(side_trace, window_size)
+        conflicts = build_conflicts(problem, config)
+        search = search_minimum_buses(problem, conflicts, config)
+        sides.append(
+            optimize_binding(problem, conflicts, search.num_buses, config)
+        )
+    return CrossbarDesign(it=sides[0], ti=sides[1], label=label)
+
+
+class TestBaselineOracle:
+    """The designed baselines run through the pipeline and equal the
+    phases run by hand, field for field."""
+
+    @pytest.mark.parametrize("name", ["qsort", "mat1", "mat2", "fft", "des"])
+    def test_average_traffic_matches_reference(self, name):
+        trace = default_full_crossbar_trace(name)
+        expected = reference_baseline(
+            trace, trace.total_cycles, 0.5, "average-traffic"
+        )
+        assert average_traffic_design(trace) == expected
+        # A shared runner answers the same design again without solving.
+        runner = PipelineRunner()
+        assert average_traffic_design(trace, pipeline=runner) == expected
+        assert average_traffic_design(trace, pipeline=runner) == expected
+        assert runner.counters.memo_hits == {"window": 2, "conflicts": 2,
+                                             "bind": 2}
+
+    @pytest.mark.parametrize("name", ["qsort", "mat2"])
+    def test_peak_bandwidth_matches_reference(self, name):
+        trace = default_full_crossbar_trace(name)
+        window = build_application(name).default_window
+        expected = reference_baseline(trace, window, 0.0, "peak-bandwidth")
+        assert peak_bandwidth_design(trace, window_size=window) == expected
 
 
 class TestWindowExtremes:

@@ -104,6 +104,26 @@ class TestCommands:
         for label in ("shared", "average-traffic", "windowed", "full"):
             assert label in out
 
+    def test_warm_compare_simulates_and_solves_nothing(self, tmp_path, capsys):
+        """The baselines and every replay run on the engine's runner: a
+        second cached comparison reads its replays and bindings back,
+        and prints the same table a cache-less run does."""
+        argv = ["compare", "qsort", "--cache-dir", str(tmp_path), "--profile"]
+
+        def run(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        cold, warm = run(argv), run(argv)
+        uncached = run(["compare", "qsort"])
+        table = warm.split("\n\npipeline stages")[0]
+        assert table == cold.split("\n\npipeline stages")[0]
+        assert table + "\n" == uncached
+        assert "replay" in _stage_rows(cold)
+        assert "replay" not in _stage_rows(warm)
+        assert "solves (this run)" in cold
+        assert "solves (this run)" not in warm
+
 
 class TestScenarios:
     def test_list(self, capsys):

@@ -31,6 +31,7 @@ from repro.core import SynthesisConfig
 from repro.exec import ExecutionEngine
 from repro.obs import metrics
 from repro.pipeline import collect
+from repro.pipeline.store import stage_tables
 
 from _bench_utils import PAPER_APPS, emit
 
@@ -83,15 +84,16 @@ def test_edit_lazy_trace(benchmark, results_dir, tmp_path, monkeypatch):
     def edit_all(work):
         nodes = optimize_nodes()
         for name in PAPER_APPS:
+            cut = metrics.REGISTRY.snapshot()
             begin = time.perf_counter()
             engine = ExecutionEngine(cache=work)
             result = design(engine, name, EDIT)
             seconds[name].append(time.perf_counter() - begin)
             assert result == expected[name], f"{name}: edit differs"
-            counters = engine.pipeline.counters
-            assert counters.disk_hits.get("window") == 2
-            binds = counters.computed.get("bind", 0)
-            assert binds + counters.disk_hits.get("bind", 0) == 2
+            stages = stage_tables(cut)
+            assert stages["disk_hits"].get("window") == 2
+            binds = stages["computed"].get("bind", 0)
+            assert binds + stages["disk_hits"].get("bind", 0) == 2
         edit_nodes.append(optimize_nodes() - nodes)
 
     benchmark.pedantic(edit_all, setup=fresh_copy, rounds=5, iterations=1)

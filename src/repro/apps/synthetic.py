@@ -74,12 +74,8 @@ def build_synthetic(
         seed=seed,
     )
     builders = tuple(
-        (
-            lambda index=index: trace_replay_program(
-                trace.records_from_initiator(index)
-            )
-        )
-        for index in range(trace.num_initiators)
+        (lambda rows=rows: trace_replay_program(trace, rows))
+        for rows in trace.initiator_rows()
     )
     return Application(
         name="synthetic",

@@ -747,7 +747,7 @@ def _cmd_pipeline_inspect_suite(args) -> int:
         )
     )
     print()
-    print(runner.pipeline.counters.breakdown())
+    print(runner.explain_cache())
     return 0
 
 
@@ -762,6 +762,7 @@ def _cmd_pipeline_inspect(args) -> int:
         describe_stages,
     )
     from repro.pipeline.artifacts import TraceDigestMismatch
+    from repro.pipeline.store import format_stage_tables, stage_tables
     from repro.scenarios import SUITES
 
     if args.app not in APPLICATIONS and (
@@ -777,8 +778,10 @@ def _cmd_pipeline_inspect(args) -> int:
         f"running the staged flow for {app.name} "
         f"(window {window}, threshold {config.overlap_threshold:.0%}) ..."
     )
-    # Collection shares the runner's store, so the breakdown below
-    # shows whether this run simulated (computed) or read (disk-hit).
+    # The breakdown below is this run's share of the registry's stage
+    # tallies: collection shows whether it simulated (computed) or read
+    # (disk-hit).
+    before = _metrics.REGISTRY.snapshot()
     source = CollectStage(runner.store).source(app)
 
     def design():
@@ -803,7 +806,7 @@ def _cmd_pipeline_inspect(args) -> int:
         )
     )
     print()
-    print(runner.counters.breakdown())
+    print(format_stage_tables(stage_tables(before)))
     return 0
 
 

@@ -376,8 +376,8 @@ class RobustSynthesizer:
         ``bind-merged`` stage, content-addressed by the per-scenario
         analysis fingerprints: re-running an unchanged suite performs
         zero solves, and editing one scenario re-solves only the merge.
-        The cache hit/miss breakdown lands in the pipeline's stage
-        counters (``pipeline.counters``).
+        Each stage's cache hit/miss is tallied in the registry's
+        ``repro_stage_events_total`` (:func:`repro.pipeline.store.record_stage`).
         """
         if not it_sides or len(it_sides) != len(ti_sides):
             raise ConfigurationError(

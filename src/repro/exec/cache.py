@@ -13,9 +13,13 @@ entry families share the directory:
   :mod:`repro.pipeline.store`), so intermediate artifacts persist at
   stage granularity, not only end to end.
 
-One instance serves a directory and counts each family apart:
+Every event is tallied once, in the registry's
+``repro_cache_events_total{event,family}`` (``family`` is ``result`` or
+``stage``). An instance keeps no counts of its own:
 :attr:`ResultCache.stats` (the ``cache:`` line, ``/v1/stats``) and
-:attr:`ResultCache.stage_stats`.
+:attr:`ResultCache.stage_stats` are each family's growth since the
+instance was built, read from one registry cut. One instance serves a
+directory, so in a process with one cache they are its counts.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent sweeps
 sharing a cache directory never observe torn entries; corrupt or
@@ -28,9 +32,9 @@ processes: the maintenance walks (:meth:`ResultCache.usage`,
 :meth:`ResultCache.prune`, :meth:`ResultCache.clear`) tolerate entries
 vanishing mid-iteration (an in-flight ``put_json`` landing, a
 concurrent prune winning the unlink -- ``FileNotFoundError`` on
-stat/unlink skips the entry), and the in-process hit/miss statistics
-are updated under a lock so the ``repro serve`` daemon's threaded
-handlers never lose counts.
+stat/unlink skips the entry), and the registry counters are
+thread-safe, so the ``repro serve`` daemon's threaded handlers never
+lose counts.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,19 +60,26 @@ __all__ = ["CacheStats", "CacheUsage", "ResultCache"]
 
 _CACHE_EVENTS = _metrics.counter(
     "repro_cache_events_total",
-    "Result-cache events across every cache instance in the process.",
-    ("event",),
+    "Result-cache events across every cache instance in the process, "
+    "by entry family (result: whole results, stage: stage entries).",
+    ("event", "family"),
 )
 
+_FIELDS = {
+    "hit": "hits",
+    "miss": "misses",
+    "store": "stores",
+    "invalid": "invalid",
+    "write_error": "write_errors",
+}
+"""Cache event -> the :class:`CacheStats` field it is counted in."""
 
-@dataclass
+
+@dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss accounting of one entry family of a cache instance.
-
-    Instances are mutated only by their owning :class:`ResultCache`,
-    which serializes every update under its lock; readers see a
-    consistent (if momentarily stale) view without locking.
-    """
+    """Hit/miss accounting of one entry family: the value
+    :attr:`ResultCache.stats` and :attr:`ResultCache.stage_stats`
+    return, taken from one registry cut."""
 
     hits: int = 0
     misses: int = 0
@@ -100,6 +110,13 @@ class CacheUsage:
         return f"{self.entries} entries, {self.total_bytes} bytes"
 
 
+def _record(family: str, *events: str) -> None:
+    """Tally ``events`` of entry ``family``: the one place cache
+    accounting happens."""
+    for event in events:
+        _CACHE_EVENTS.inc(event=event, family=family)
+
+
 class ResultCache:
     """Persistent map from design fingerprints to :class:`SynthesisResult`.
 
@@ -115,61 +132,29 @@ class ResultCache:
             raise ReproError(
                 f"cache path {self.cache_dir} exists and is not a directory"
             )
-        self.stats = CacheStats()
-        self.stage_stats = CacheStats()
-        # Serializes statistics updates; file operations themselves are
-        # atomic (os.replace) or vanish-tolerant and need no lock, so
-        # threaded servers never contend on I/O through this.
-        self._stats_lock = threading.Lock()
+        self._cut = _metrics.REGISTRY.snapshot()
         self.sweep_orphans()
 
-    def _record(
-        self,
-        stats: CacheStats,
-        hits: int = 0,
-        misses: int = 0,
-        stores: int = 0,
-        invalid: int = 0,
-        write_errors: int = 0,
-    ) -> None:
-        """Apply one update to ``stats`` atomically.
+    @property
+    def stats(self) -> CacheStats:
+        """Whole-result events since this instance was built."""
+        return self._grown("result")
 
-        The single funnel for cache accounting, which makes it the one
-        place to mirror events into the process-global registry (the
-        ``/metrics`` view, aggregated across families and instances).
-        """
-        with self._stats_lock:
-            stats.hits += hits
-            stats.misses += misses
-            stats.stores += stores
-            stats.invalid += invalid
-            stats.write_errors += write_errors
-        for event, count in (  # registry mirror, outside our lock
-            ("hit", hits),
-            ("miss", misses),
-            ("store", stores),
-            ("invalid", invalid),
-            ("write_error", write_errors),
-        ):
-            if count:
-                _CACHE_EVENTS.inc(count, event=event)
+    @property
+    def stage_stats(self) -> CacheStats:
+        """Stage-entry events since this instance was built."""
+        return self._grown("stage")
 
-    def stats_snapshot(self) -> Dict[str, int]:
-        """One atomic cut of this instance's whole-result statistics.
-
-        Reading ``cache.stats`` field by field can interleave with a
-        concurrent ``_record`` and return, e.g., a hit count newer than
-        the miss count beside it; payloads that report several fields
-        together (the server's ``/v1/stats``) read through this.
-        """
-        with self._stats_lock:
-            return {
-                "hits": self.stats.hits,
-                "misses": self.stats.misses,
-                "stores": self.stats.stores,
-                "invalid": self.stats.invalid,
-                "write_errors": self.stats.write_errors,
+    def _grown(self, family: str) -> CacheStats:
+        grown = _metrics.growth(
+            self._cut, _metrics.REGISTRY.snapshot(), _CACHE_EVENTS.name
+        )
+        return CacheStats(
+            **{
+                field: int(grown.get((event, family), 0))
+                for event, field in _FIELDS.items()
             }
+        )
 
     def _path(self, key: str) -> Path:
         if not key or any(ch in key for ch in "/\\."):
@@ -208,16 +193,16 @@ class ResultCache:
         try:
             result = result_from_dict(self._load(key))
         except FileNotFoundError:
-            self._record(self.stats, misses=1)
+            _record("result", "miss")
             return None
         # ValueError covers UnicodeDecodeError (binary garbage in the
         # file) and any json.JSONDecodeError not already subsumed by it:
         # a corrupted or truncated entry is a miss to re-solve and
         # overwrite, never an error.
         except (OSError, ValueError, ReproError):
-            self._record(self.stats, misses=1, invalid=1)
+            _record("result", "miss", "invalid")
             return None
-        self._record(self.stats, hits=1)
+        _record("result", "hit")
         self._touch(key)
         return result
 
@@ -232,18 +217,18 @@ class ResultCache:
         try:
             payload = self._load(key)
         except FileNotFoundError:
-            self._record(self.stage_stats, misses=1)
+            _record("stage", "miss")
             return None
         except (OSError, ValueError):
-            self._record(self.stage_stats, misses=1, invalid=1)
+            _record("stage", "miss", "invalid")
             return None
-        self._record(self.stage_stats, hits=1)
+        _record("stage", "hit")
         self._touch(key)
         return payload
 
     def put(self, key: str, result: SynthesisResult) -> None:
         """Store ``result`` under ``key`` atomically."""
-        self._write(key, result_to_dict(result), self.stats)
+        self._write(key, result_to_dict(result), "result")
 
     def put_json(self, key: str, payload: Dict[str, Any]) -> None:
         """Store a generic JSON entry under ``key`` atomically.
@@ -251,15 +236,15 @@ class ResultCache:
         Writes are best-effort: a transient :class:`OSError` (disk
         squeeze, permission hiccup, the ``io.transient`` fault point)
         is retried once, and a write that still fails is *swallowed* --
-        counted in :attr:`stats` as a ``write_error`` -- because a
+        counted in :attr:`stage_stats` as a ``write_error`` -- because a
         cache that cannot persist must degrade to recomputation, never
         take the solve that produced the value down with it.
         Serialization errors (unencodable payloads) still raise: they
         are caller bugs, not degraded storage.
         """
-        self._write(key, payload, self.stage_stats)
+        self._write(key, payload, "stage")
 
-    def _write(self, key: str, payload: Dict[str, Any], stats: CacheStats) -> None:
+    def _write(self, key: str, payload: Dict[str, Any], family: str) -> None:
         path = self._path(key)
         encoded = json.dumps(payload, sort_keys=True, indent=None)
         for attempt in range(2):
@@ -281,9 +266,9 @@ class ResultCache:
                     raise
             except OSError:
                 continue
-            self._record(stats, stores=1)
+            _record(family, "store")
             return
-        self._record(stats, write_errors=1)
+        _record(family, "write_error")
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

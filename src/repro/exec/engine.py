@@ -17,15 +17,17 @@ across runs and across processes, and identical points share one solve.
 Points are solved through the staged pipeline (:mod:`repro.pipeline`)
 on the engine's own :class:`~repro.pipeline.runner.PipelineRunner`, or
 on the runner a caller hands in (a suite solves its scenarios on its
-own, whose memory already holds their windows). With a cache directory
+own, whose memory already holds their windows). The ``repro serve``
+daemon runs every job on the engine's runner, so its jobs share one
+in-memory store. With a cache directory
 the engine's runner persists the windowed tensors there, so a threshold
 edit in a fresh process reads its windows from disk and never loads its
 trace. The directory has one :class:`ResultCache`,
 :attr:`ExecutionEngine.cache`: the engine's runner, its
 :class:`~repro.pipeline.collect.CollectStage` and the runners built
-around the engine persist through it, and it keeps whole-result
-statistics (:attr:`~repro.exec.cache.ResultCache.stats`) apart from
-stage ones.
+around the engine persist through it, and its whole-result statistics
+(:attr:`~repro.exec.cache.ResultCache.stats`, the registry's
+``family="result"`` cache events) are apart from stage ones.
 
 Latency replays are not cached here: :meth:`ExecutionEngine.run_replay_batch`
 hands each plan to :meth:`~repro.pipeline.runner.PipelineRunner.replay`,

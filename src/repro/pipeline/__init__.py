@@ -31,8 +31,9 @@ Contracts
   changes the fingerprint.
 * **Determinism.** Stages are pure functions of their fingerprinted
   inputs. A warm rerun reproduces a cold run byte for byte, and the
-  store may be driven from multiple threads (tallies and LRU
-  operations are lock-protected).
+  store may be driven from multiple threads (LRU operations are
+  lock-protected; stage tallies go to the thread-safe metrics
+  registry).
 """
 
 from repro._lazy import lazy_exports
@@ -55,7 +56,7 @@ __getattr__, __dir__ = lazy_exports(
             "SideArtifacts",
             "describe_stages",
         ),
-        "repro.pipeline.store": ("ArtifactStore", "StageCounters"),
+        "repro.pipeline.store": ("ArtifactStore",),
         "repro.pipeline.collect": ("SIMULATOR_SALT", "CollectStage", "TraceSource"),
     },
 )
@@ -73,7 +74,6 @@ __all__ = [
     "SideArtifacts",
     "describe_stages",
     "ArtifactStore",
-    "StageCounters",
     "SIMULATOR_SALT",
     "CollectStage",
     "TraceSource",

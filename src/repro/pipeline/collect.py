@@ -45,6 +45,11 @@ are cached, and they share the registry's per-process simulation memo
 (:func:`~repro.apps.registry.default_full_crossbar_trace`); customized
 builds simulate every time. Without a disk layer nothing is encoded or
 hashed.
+
+Every lookup outcome is tallied as the ``collect`` stage in the metrics
+registry (:func:`~repro.pipeline.store.record_stage`), whichever store
+the stage reads: a daemon job's progress shows its ``collect`` row
+although the engine's collector keeps its own store.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from repro.exec.fingerprint import CACHE_SCHEMA_VERSION, trace_fingerprint
 from repro.obs import tracing as _tracing
 from repro.pipeline.artifacts import TraceShape, TraceSource, stage_fingerprint
 from repro.pipeline.runner import timed_stage
-from repro.pipeline.store import ArtifactStore
+from repro.pipeline.store import ArtifactStore, record_stage
 from repro.traffic.trace import COLUMNS, TrafficTrace
 
 __all__ = [
@@ -124,8 +129,8 @@ class CollectStage:
     trace). Both share one entry format and one lookup order per call:
     the store's in-memory layer (``memo_hit``), its disk layer
     (``disk_hit``), then a build (``computed``); :meth:`lookup` stops
-    before the build -- tallied under the ``collect`` stage of the
-    store's :class:`~repro.pipeline.store.StageCounters`. A rebuild
+    before the build -- each tallied under the ``collect`` stage by
+    :func:`~repro.pipeline.store.record_stage`. A rebuild
     after a failed load tallies ``computed`` as well. ``computed`` means
     the trace came from the simulator or a generator, not from this
     store; the registry's per-process memo answers a default build
@@ -134,10 +139,6 @@ class CollectStage:
 
     def __init__(self, store: Optional[ArtifactStore] = None) -> None:
         self.store = store if store is not None else ArtifactStore()
-
-    @property
-    def counters(self):
-        return self.store.counters
 
     def lookup(self, application) -> Optional[TraceSource]:
         """The stored source of ``application``'s trace -- from memory,
@@ -175,7 +176,7 @@ class CollectStage:
         any other is rewritten, so a later :meth:`source` reads the
         entry instead of simulating again.
         """
-        self.counters.record_computed(_STAGE)
+        record_stage("computed", _STAGE)
         source = TraceSource.of(trace)
         key = collect_key(application)
         if key is None:
@@ -204,12 +205,12 @@ class CollectStage:
     ) -> Optional[TraceSource]:
         cached = self.store.get(key)
         if cached is not None:
-            self.counters.record_memo_hit(_STAGE)
+            record_stage("memo_hit", _STAGE)
             return cached
         entry = _read_entry(self.store.get_payload(key))
         if entry is None:
             return None
-        self.counters.record_disk_hit(_STAGE)
+        record_stage("disk_hit", _STAGE)
         source = TraceSource(
             lambda: self._load(key, entry, build),
             digest=entry["digest"],
@@ -233,7 +234,7 @@ class CollectStage:
                 self._persist(key, trace)
             return trace
 
-        self.counters.record_computed(_STAGE)
+        record_stage("computed", _STAGE)
         return timed_stage(_STAGE, key, run)
 
     def _persist(self, key: str, trace: TrafficTrace) -> None:

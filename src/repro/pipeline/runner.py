@@ -11,9 +11,10 @@ stage reads), then:
    layer and the stage serializes (search/binding),
 3. else executes the stage and stores the artifact in both layers.
 
-Each path is tallied per stage in the store's
-:class:`~repro.pipeline.store.StageCounters`, which is what incremental
-re-synthesis tests assert on and ``--explain-cache`` prints.
+Each path is tallied per stage by
+:func:`~repro.pipeline.store.record_stage` into the metrics registry;
+a run's table (what incremental re-synthesis tests assert on and
+``--explain-cache`` prints) is that family's growth over the run.
 
 Persistence is best-effort by contract: the disk layers underneath
 (:meth:`ResultCache.put_json`, :meth:`ArtifactStore.put_arrays`) retry
@@ -88,7 +89,7 @@ from repro.pipeline.artifacts import (
 from repro.errors import ConfigurationError, SynthesisError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.pipeline.store import ArtifactStore
+from repro.pipeline.store import ArtifactStore, record_stage
 from repro.platform.drivers import WorkloadDriver, simulate_workload
 from repro.traffic.criticality import CriticalityReport
 from repro.traffic.trace import TrafficTrace
@@ -178,11 +179,6 @@ class PipelineRunner:
     def __init__(self, store: Optional[ArtifactStore] = None) -> None:
         self.store = store if store is not None else ArtifactStore()
 
-    @property
-    def counters(self):
-        """The store's per-stage execution/caching tallies."""
-        return self.store.counters
-
     # -- phase 1: traffic collection ----------------------------------
 
     def collect(
@@ -232,18 +228,18 @@ class PipelineRunner:
         fingerprint = stage_fingerprint("window", collected.fingerprint, spec)
         cached = self.store.get(fingerprint)
         if cached is not None:
-            self.counters.record_memo_hit("window")
+            record_stage("memo_hit", "window")
             return cached
         arrays = self.store.get_arrays(fingerprint)
         if arrays is not None:
             artifact = _window_from_arrays(arrays, fingerprint, mirrored)
             if artifact is not None:
-                self.counters.record_disk_hit("window")
+                record_stage("disk_hit", "window")
                 self.store.put(fingerprint, artifact)
                 return artifact
         # Loaded before the tally: a stale digest raises right here.
         loaded = collected.trace
-        self.counters.record_computed("window")
+        record_stage("computed", "window")
 
         def _compute() -> WindowedAnalysis:
             trace = loaded.mirrored() if mirrored else loaded
@@ -285,9 +281,9 @@ class PipelineRunner:
         )
         cached = self.store.get(fingerprint)
         if cached is not None:
-            self.counters.record_memo_hit("conflicts")
+            record_stage("memo_hit", "conflicts")
             return cached
-        self.counters.record_computed("conflicts")
+        record_stage("computed", "conflicts")
         artifact = timed_stage(
             "conflicts",
             fingerprint,
@@ -376,12 +372,12 @@ class PipelineRunner:
         ):
             # Tier 1: the same inputs of a deterministic stage.
             if from_disk:
-                self.counters.record_disk_hit(stage)
+                record_stage("disk_hit", stage)
             else:
-                self.counters.record_memo_hit(stage)
+                record_stage("memo_hit", stage)
             record_bind_reuse("same_conflicts")
             return replace(same.artifact, fingerprint=fingerprint)
-        self.counters.record_computed(stage)
+        record_stage("computed", stage)
         search, binding, proof = timed_stage(
             stage,
             fingerprint,
@@ -410,7 +406,7 @@ class PipelineRunner:
         under ``stage``."""
         cached = self.store.get(fingerprint)
         if cached is not None:
-            self.counters.record_memo_hit(stage)
+            record_stage("memo_hit", stage)
             return cached
         payload = self.store.get_payload(fingerprint)
         if payload is None:
@@ -419,7 +415,7 @@ class PipelineRunner:
             artifact = decode(payload, fingerprint)
         except (KeyError, TypeError, ValueError):
             return None  # malformed persisted stage entry: recompute
-        self.counters.record_disk_hit(stage)
+        record_stage("disk_hit", stage)
         self.store.put(fingerprint, artifact)
         return artifact
 
@@ -582,7 +578,7 @@ class PipelineRunner:
             cached = self._lookup("replay", fingerprint, ReplayArtifact.from_payload)
             if cached is not None:
                 return cached
-        self.counters.record_computed("replay")
+        record_stage("computed", "replay")
         artifact = timed_stage(
             "replay",
             fingerprint or "",

@@ -17,19 +17,27 @@ content-addressed fingerprints:
   the same cache directory as whole-result entries (one ``prune`` /
   ``usage`` covers both).
 
-Every lookup and store is tallied per stage in :class:`StageCounters`;
-the counters are what the incremental-resynthesis tests assert on and
-what ``repro scenarios run --explain-cache`` prints.
+Every stage outcome is tallied by one function, :func:`record_stage`,
+into the registry's ``repro_stage_events_total{stage,kind}`` and no
+table of its own. A per-run table -- what the incremental-resynthesis
+tests assert on, ``repro scenarios run --explain-cache`` and ``repro
+pipeline inspect`` print -- is that family's growth between two
+registry cuts (:func:`stage_tables`). The daemon's per-job progress is
+the other view: :func:`progress_sink` routes the current thread's (and
+context's) tallies to a callback for the duration of one job, so one
+store serves any number of concurrent jobs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import tempfile
 import threading
 import zipfile
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 import numpy as np
 
@@ -37,10 +45,13 @@ from repro.exec.cache import ResultCache
 from repro.obs import metrics as _metrics
 
 __all__ = [
-    "StageCounters",
     "ArtifactStore",
     "STAGE_ENTRY_FORMAT",
     "WARM_HINT_FORMAT",
+    "format_stage_tables",
+    "progress_sink",
+    "record_stage",
+    "stage_tables",
 ]
 
 STAGE_ENTRY_FORMAT = "repro-stage-artifact-v1"
@@ -58,114 +69,83 @@ _STAGE_EVENTS = _metrics.counter(
     ("stage", "kind"),
 )
 
+_TABLES = {"computed": "computed", "memo_hit": "memo_hits", "disk_hit": "disk_hits"}
+"""Stage event kind -> the per-run table it is counted in."""
+
+_SINK: "contextvars.ContextVar[Optional[Callable[[str, str], None]]]" = (
+    contextvars.ContextVar("repro_pipeline_progress_sink", default=None)
+)
+
 _DEFAULT_MEMORY_SLOTS = 128
 """In-memory artifacts kept per store before LRU eviction. Sized for the
 largest realistic sweep (tens of points, a handful of artifacts each)
 while bounding the tensor-heavy window artifacts a long session creates."""
 
 
-class StageCounters:
-    """Per-stage execution/caching tallies.
+def record_stage(kind: str, stage: str) -> None:
+    """Tally one outcome of ``stage``: ``kind`` is ``"computed"`` (a
+    real execution), ``"memo_hit"`` (the in-memory layer) or
+    ``"disk_hit"`` (the persistent layer).
 
-    ``computed[stage]`` counts real stage executions, ``memo_hits`` the
-    in-memory reuses and ``disk_hits`` the persistent-store reuses. The
-    sum of the three is the number of times the stage's output was
-    needed.
-
-    Counters double as the pipeline's *progress feed*: observers
-    registered with :meth:`subscribe` are called synchronously on every
-    tally -- ``observer(kind, stage)`` with ``kind`` one of
-    ``"computed"``/``"memo_hit"``/``"disk_hit"`` -- which is how the
-    ``repro serve`` job registry streams per-stage progress to pollers
-    while a solve is still running. Tallies and snapshots are
-    lock-protected, so one runner may be driven and observed from
-    different threads.
+    Also calls the current context's progress sink, if any (see
+    :func:`progress_sink`).
     """
+    _STAGE_EVENTS.inc(stage=stage, kind=kind)
+    sink = _SINK.get()
+    if sink is not None:
+        sink(kind, stage)
 
-    def __init__(self) -> None:
-        self.computed: Dict[str, int] = {}
-        self.memo_hits: Dict[str, int] = {}
-        self.disk_hits: Dict[str, int] = {}
-        self._lock = threading.Lock()
-        self._observers: List[Callable[[str, str], None]] = []
 
-    def subscribe(self, observer: Callable[[str, str], None]) -> None:
-        """Call ``observer(kind, stage)`` on every recorded tally.
+@contextmanager
+def progress_sink(sink: Callable[[str, str], None]) -> Iterator[None]:
+    """Call ``sink(kind, stage)`` on every :func:`record_stage` made in
+    this context (the calling thread) until the block exits.
 
-        Observers run synchronously on the recording thread; they must
-        be cheap and must not drive the pipeline themselves.
-        """
-        self._observers.append(observer)
+    The sink runs synchronously on the recording thread; it must be
+    cheap and must not drive the pipeline itself.
+    """
+    token = _SINK.set(sink)
+    try:
+        yield
+    finally:
+        _SINK.reset(token)
 
-    def unsubscribe(self, observer: Callable[[str, str], None]) -> None:
-        """Remove a previously subscribed observer."""
-        self._observers.remove(observer)
 
-    def _bump(self, table: Dict[str, int], kind: str, stage: str) -> None:
-        with self._lock:
-            table[stage] = table.get(stage, 0) + 1
-        # Registry mirror: process-global, monotonic, never reset by
-        # per-run snapshots/deltas -- the /metrics view of stage work.
-        _STAGE_EVENTS.inc(stage=stage, kind=kind)
-        for observer in list(self._observers):
-            observer(kind, stage)
+def stage_tables(
+    before: Mapping[str, Any], after: Optional[Mapping[str, Any]] = None
+) -> Dict[str, Dict[str, int]]:
+    """Per-stage tallies recorded between two
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` cuts (``after``
+    defaults to now), as ``{"computed": {stage: n}, "memo_hits": {...},
+    "disk_hits": {...}}``; stages that did not grow are left out."""
+    if after is None:
+        after = _metrics.REGISTRY.snapshot()
+    tables: Dict[str, Dict[str, int]] = {table: {} for table in _TABLES.values()}
+    for (stage, kind), count in _metrics.growth(
+        before, after, _STAGE_EVENTS.name
+    ).items():
+        tables[_TABLES[kind]][stage] = int(count)
+    return tables
 
-    def record_computed(self, stage: str) -> None:
-        self._bump(self.computed, "computed", stage)
 
-    def record_memo_hit(self, stage: str) -> None:
-        self._bump(self.memo_hits, "memo_hit", stage)
-
-    def record_disk_hit(self, stage: str) -> None:
-        self._bump(self.disk_hits, "disk_hit", stage)
-
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        """A consistent copy of the tallies (for deltas around one run,
-        and for progress polling from another thread)."""
-        with self._lock:
-            return {
-                "computed": dict(self.computed),
-                "memo_hits": dict(self.memo_hits),
-                "disk_hits": dict(self.disk_hits),
-            }
-
-    def breakdown(self) -> str:
-        """Human-readable per-stage hit/miss table."""
-        return self.format_tables(self.snapshot())
-
-    @staticmethod
-    def delta(
-        before: Dict[str, Dict[str, int]], after: Dict[str, Dict[str, int]]
-    ) -> Dict[str, Dict[str, int]]:
-        """Per-stage tallies accumulated between two snapshots."""
-        out: Dict[str, Dict[str, int]] = {}
-        for table in ("computed", "memo_hits", "disk_hits"):
-            diffs = {
-                stage: count - before.get(table, {}).get(stage, 0)
-                for stage, count in after.get(table, {}).items()
-            }
-            out[table] = {k: v for k, v in diffs.items() if v}
-        return out
-
-    @staticmethod
-    def format_tables(tables: Dict[str, Dict[str, int]]) -> str:
-        """Render snapshot/delta tables as the ``--explain-cache`` view."""
-        names = sorted(
-            set().union(*(tables.get(t, {}) for t in tables)) if tables else ()
+def format_stage_tables(tables: Mapping[str, Mapping[str, int]]) -> str:
+    """Render :func:`stage_tables` as the ``--explain-cache`` view."""
+    names = sorted(
+        set().union(*(tables.get(t, {}) for t in tables)) if tables else ()
+    )
+    lines = [
+        "stage                     computed  memo-hit  disk-hit"
+    ]
+    for stage in names:
+        lines.append(
+            f"{stage:<25} "
+            f"{tables.get('computed', {}).get(stage, 0):>8} "
+            f"{tables.get('memo_hits', {}).get(stage, 0):>9} "
+            f"{tables.get('disk_hits', {}).get(stage, 0):>9}"
         )
-        lines = [
-            "stage                     computed  memo-hit  disk-hit"
-        ]
-        for stage in names:
-            lines.append(
-                f"{stage:<25} "
-                f"{tables.get('computed', {}).get(stage, 0):>8} "
-                f"{tables.get('memo_hits', {}).get(stage, 0):>9} "
-                f"{tables.get('disk_hits', {}).get(stage, 0):>9}"
-            )
-        if len(lines) == 1:
-            lines.append("(no stage executions recorded)")
-        return "\n".join(lines)
+    if len(lines) == 1:
+        lines.append("(no stage executions recorded)")
+    return "\n".join(lines)
 
 
 class ArtifactStore:
@@ -192,7 +172,6 @@ class ArtifactStore:
         self._warm: "OrderedDict[str, List[int]]" = OrderedDict()
         self.max_memory_entries = max_memory_entries
         self.disk = disk
-        self.counters = StageCounters()
         # The LRU's mutate-and-reorder operations are not atomic on
         # their own; the lock makes one store shareable across server
         # job threads.

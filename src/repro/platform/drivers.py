@@ -331,19 +331,17 @@ class TraceDrivenInitiator:
         return self._label
 
     def build_programs(self) -> List[Iterable[Operation]]:
-        # The reference model's programs, built from record objects;
-        # the kernel replays the trace's columns instead. Programs are
-        # materialized lists so a driver can be reused across several
-        # candidate fabrics. The initial idle gap is handled by process
+        # The reference model's programs; the kernel replays the
+        # trace's columns directly instead. Programs are materialized
+        # lists so a driver can be reused across several candidate
+        # fabrics. The initial idle gap is handled by process
         # scheduling (:meth:`start_cycles`), not a leading Compute, so
         # idle initiators never enter the event queue before their
         # first recorded transaction is due.
-        records = self.trace.records
+        trace = self.trace
         return [
             list(
-                trace_replay_program(
-                    [records[row] for row in rows], pace=self.pace, start=start
-                )
+                trace_replay_program(trace, rows, pace=self.pace, start=start)
             )
             for rows, start in zip(
                 self.records_per_initiator(),

@@ -25,10 +25,12 @@ candidate crossbar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from operator import itemgetter
+from typing import Iterator, Sequence, Union
 
 from repro.errors import ApplicationError
-from repro.traffic.events import TraceRecord, TransactionKind
+from repro.traffic.events import TransactionKind
+from repro.traffic.trace import COLUMNS, KINDS, TrafficTrace
 
 __all__ = [
     "Compute",
@@ -112,13 +114,21 @@ class Barrier:
 
 Operation = Union[Compute, Read, Write, Lock, Unlock, Barrier]
 
+_ISSUE = COLUMNS.index("issue")
+
 
 def trace_replay_program(
-    records: Iterable[TraceRecord],
+    trace: TrafficTrace,
+    rows: Sequence[int],
     pace: bool = True,
     start: int = 0,
 ) -> Iterator[Operation]:
-    """Turn one initiator's trace records back into a program.
+    """Turn one initiator's recorded transactions back into a program.
+
+    ``rows`` index ``trace``'s matrix (:attr:`TrafficTrace.columns`):
+    one initiator's transactions, as
+    :meth:`TrafficTrace.initiator_rows` lists them. The program reads
+    their columns; it builds no trace record objects.
 
     With ``pace`` (default) the program inserts :class:`Compute` delays to
     issue each access at its recorded issue cycle when possible; under
@@ -138,18 +148,19 @@ def trace_replay_program(
     when the new fabric is more congested than the one that produced the
     trace.
     """
-    ordered = sorted(records, key=lambda record: record.issue)
+    streams = trace.streams
+    ordered = sorted(trace.columns[list(rows)].tolist(), key=itemgetter(_ISSUE))
     clock = start
-    for record in ordered:
-        if pace and record.issue > clock:
-            yield Compute(record.issue - clock)
-            clock = record.issue
-        op_class = Read if record.kind is TransactionKind.READ else Write
+    for _, target, kind, burst, issue, *_, complete, critical, stream in ordered:
+        if pace and issue > clock:
+            yield Compute(issue - clock)
+            clock = issue
+        op_class = Read if KINDS[kind] is TransactionKind.READ else Write
         yield op_class(
-            target=record.target,
-            burst=record.burst,
-            critical=record.critical,
-            stream=record.stream,
+            target=target,
+            burst=burst,
+            critical=bool(critical),
+            stream=streams[stream],
         )
         # account the uncontended duration so pacing stays approximate
-        clock = max(clock, record.complete)
+        clock = max(clock, complete)

@@ -36,8 +36,9 @@ suite editing incremental: re-running an edited suite rebuilds, windows
 and re-solves only the scenarios whose content changed -- everything
 else is served from the store -- and then re-runs merge/replay on the
 cached per-scenario analyses. The per-stage hit/miss breakdown of the
-last run is available from :meth:`ScenarioSuiteRunner.explain_cache`
-(surfaced by ``repro scenarios run --explain-cache``). Its stage
+last run -- the growth of the registry's stage tallies over it -- is
+available from :meth:`ScenarioSuiteRunner.explain_cache` (surfaced by
+``repro scenarios run --explain-cache``). Its stage
 entries persist through the engine's one
 :class:`~repro.exec.cache.ResultCache`, which counts them apart from
 the whole-result lookups.
@@ -78,7 +79,13 @@ from repro.pipeline.artifacts import (
 )
 from repro.pipeline.collect import CollectStage
 from repro.pipeline.runner import PipelineRunner
-from repro.pipeline.store import ArtifactStore, StageCounters
+from repro.obs import metrics as _metrics
+from repro.pipeline.store import (
+    ArtifactStore,
+    format_stage_tables,
+    record_stage,
+    stage_tables,
+)
 from repro.platform.drivers import (
     TraceDrivenInitiator,
     WorkloadDriver,
@@ -418,6 +425,9 @@ class ScenarioSuiteRunner:
             collector if collector is not None else CollectStage(pipeline.store)
         )
         self.last_run_breakdown: Dict[str, Dict[str, int]] = {}
+        """Stage tallies of the last :meth:`run`: the growth of the
+        registry's ``repro_stage_events_total`` over it, so it counts
+        every stage event the process recorded meanwhile."""
         self.last_stage_rows: List[Tuple[str, str, str, str]] = []
         """(scenario, stage, fingerprint, summary) rows of the last run's
         per-scenario stage DAG (``repro pipeline inspect <suite>``)."""
@@ -432,7 +442,7 @@ class ScenarioSuiteRunner:
         from the pipeline store and only merge/replay re-runs on the
         cached analyses.
         """
-        before = self.pipeline.counters.snapshot()
+        before = _metrics.REGISTRY.snapshot()
         # ~9 store entries per scenario and run (collect entry, 2x
         # window, 2x conflicts, 2x bind reuse record, individual,
         # replay) plus suite-level artifacts: size the LRU so one run
@@ -452,9 +462,7 @@ class ScenarioSuiteRunner:
                 continue
         else:
             report = self._run(suite)
-        self.last_run_breakdown = StageCounters.delta(
-            before, self.pipeline.counters.snapshot()
-        )
+        self.last_run_breakdown = stage_tables(before)
         return report
 
     def _run(self, suite: ScenarioSuite) -> SuiteRunReport:
@@ -563,7 +571,7 @@ class ScenarioSuiteRunner:
 
     def explain_cache(self) -> str:
         """Per-stage computed/memo-hit/disk-hit table of the last run."""
-        return StageCounters.format_tables(self.last_run_breakdown)
+        return format_stage_tables(self.last_run_breakdown)
 
     # -- per-scenario stages ------------------------------------------
 
@@ -632,7 +640,7 @@ class ScenarioSuiteRunner:
             fingerprints.append(fingerprint)
             cached = self.pipeline.store.get(fingerprint)
             if cached is not None:
-                self.pipeline.counters.record_memo_hit("individual-solve")
+                record_stage("memo_hit", "individual-solve")
                 results[index] = cached
                 continue
             pending.append((index, fingerprint))
@@ -660,7 +668,7 @@ class ScenarioSuiteRunner:
                         f"{artifact.fingerprint[:12]}"
                     )
             for (index, fingerprint), result in zip(pending, solved):
-                self.pipeline.counters.record_computed("individual-solve")
+                record_stage("computed", "individual-solve")
                 self.pipeline.store.put(fingerprint, result)
                 results[index] = result
         return results, fingerprints  # type: ignore[return-value]

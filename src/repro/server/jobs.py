@@ -3,8 +3,8 @@
 A :class:`Job` is one admitted unit of work: it carries the parsed
 request, its content fingerprint, a
 queued/running/done/failed/cancelled state machine, live per-stage
-progress (fed by the pipeline's
-:class:`~repro.pipeline.store.StageCounters` observers) and -- once
+progress (fed by :func:`~repro.pipeline.store.record_stage` through the
+job thread's :func:`~repro.pipeline.store.progress_sink`) and -- once
 terminal -- either the JSON result or the error message. Jobs are
 plain shared-state objects: HTTP handler threads read them while a
 worker thread mutates them, so every mutation happens under the job's
@@ -121,7 +121,7 @@ class Job:
         return self._terminal.is_set()
 
     def record_progress(self, kind: str, stage: str) -> None:
-        """Tally one stage event (wired to ``StageCounters.subscribe``)."""
+        """Tally one stage event (the job's progress sink)."""
         with self._lock:
             row = self.progress.setdefault(
                 stage,

@@ -19,8 +19,10 @@ One service owns:
 Warm paths stack beneath the coalescer: a design request whose design
 fingerprint the engine already holds completes instantly (disposition
 ``"cached"``) without ever enqueueing, and a request that must run still
-reuses persisted stage artifacts (windows, conflicts, bindings) through
-its job-scoped :class:`~repro.pipeline.PipelineRunner` store. The
+reuses stage artifacts (windows, conflicts, bindings) through the
+engine's one :class:`~repro.pipeline.PipelineRunner`: every design and
+suite job of the daemon runs on it, so a threshold edit reads the
+windows an earlier job computed from memory, not from disk. The
 fingerprint's trace digest comes from the input-keyed ``collect`` stage
 (:class:`~repro.pipeline.CollectStage`), so even a restarted daemon
 answers a repeat request without simulating the application. The warm
@@ -32,12 +34,15 @@ Each admission is tallied once, in the registry's
 ``repro_requests_total{disposition}``; ``/v1/stats`` and ``/v1/health``
 read that family's growth since the service was built (as they read
 ``repro_solves_total`` for ``solves.in_process``), so services that
-overlap in one process share those numbers.
+overlap in one process share those numbers. The ``cache`` section is
+the whole-result family of ``repro_cache_events_total`` since the
+engine's cache was built.
 
-Per-job progress is streamed by subscribing the job's
-:meth:`~repro.server.jobs.Job.record_progress` to the runner's
-:class:`~repro.pipeline.store.StageCounters`; pollers see live
-per-stage computed/memo-hit/disk-hit tallies while the job runs.
+Per-job progress: a job runs with its
+:meth:`~repro.server.jobs.Job.record_progress` as the worker thread's
+:func:`~repro.pipeline.store.progress_sink`, so pollers see live
+per-stage computed/memo-hit/disk-hit tallies -- ``collect`` included --
+of that job alone, however many workers share the runner.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ from repro.exec.serialize import RESULT_FORMAT, result_to_dict
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.obs.jsonlog import JsonLogger
-from repro.pipeline import ArtifactStore, PipelineRunner, TraceSource
+from repro.pipeline import PipelineRunner, TraceSource
+from repro.pipeline.store import progress_sink
 from repro.resilience import fault_summary
 from repro.scenarios import ScenarioSuiteRunner, build_suite, suite_from_dict
 from repro.server.coalesce import RequestCoalescer
@@ -326,20 +332,15 @@ class SynthesisService:
             )
         return result
 
-    def _job_runner(self) -> PipelineRunner:
-        """A job-scoped stage runner persisting through the engine's
-        cache, which counts stage entries apart from whole results."""
-        return PipelineRunner(store=ArtifactStore(disk=self.engine.cache))
-
     def _design(
         self,
         request: DesignRequest,
         source: TraceSource,
-        runner: Optional[PipelineRunner] = None,
+        solve: bool = False,
     ) -> Optional[Dict[str, Any]]:
         """The request's design payload through the engine's
-        lookup-or-solve step: solved on ``runner`` on a miss, or --
-        without a runner -- ``None`` on a miss."""
+        lookup-or-solve step: on a miss solved on the engine's runner
+        with ``solve``, else ``None``."""
         config = SynthesisConfig(
             window_size=request.window,
             overlap_threshold=request.threshold,
@@ -347,10 +348,9 @@ class SynthesisService:
         )
         window = request.resolved_window()
         result = self.engine.lookup_or_solve(
-            source.trace if runner is not None else None,
+            source.trace if solve else None,
             SynthesisTask(config=config, window_size=window),
             source.digest,
-            pipeline=runner,
         )
         if result is None:
             return None
@@ -368,13 +368,11 @@ class SynthesisService:
     def _run_design(
         self, job: Job, request: DesignRequest
     ) -> Dict[str, Any]:
-        source = self.engine.collector.source(build_application(request.app))
-        runner = self._job_runner()
-        runner.counters.subscribe(job.record_progress)
-        try:
-            return self._design(request, source, runner)
-        finally:
-            runner.counters.unsubscribe(job.record_progress)
+        with progress_sink(job.record_progress):
+            source = self.engine.collector.source(
+                build_application(request.app)
+            )
+            return self._design(request, source, solve=True)
 
     def _run_suite(self, job: Job, request: SuiteRequest) -> Dict[str, Any]:
         if request.suite:
@@ -390,15 +388,11 @@ class SynthesisService:
             policy=request.policy,
             min_weight=request.min_weight,
             replay_latency=request.replay_latency,
-            pipeline=self._job_runner(),
+            pipeline=self.engine.pipeline,
             collector=self.engine.collector,
         )
-        runner.pipeline.counters.subscribe(job.record_progress)
-        try:
-            report = runner.run(suite)
-        finally:
-            runner.pipeline.counters.unsubscribe(job.record_progress)
-        return report.to_dict()
+        with progress_sink(job.record_progress):
+            return runner.run(suite).to_dict()
 
     # -- observability ------------------------------------------------
 
@@ -497,15 +491,15 @@ class SynthesisService:
         cache = self.engine.cache
         if cache is not None:
             usage = cache.usage()
-            cache_stats = cache.stats_snapshot()
+            cache_stats = cache.stats
             payload["cache"] = {
                 "dir": str(cache.cache_dir),
                 "entries": usage.entries,
                 "total_bytes": usage.total_bytes,
-                "hits": cache_stats["hits"],
-                "misses": cache_stats["misses"],
-                "stores": cache_stats["stores"],
-                "write_errors": cache_stats["write_errors"],
+                "hits": cache_stats.hits,
+                "misses": cache_stats.misses,
+                "stores": cache_stats.stores,
+                "write_errors": cache_stats.write_errors,
             }
         else:
             payload["cache"] = None

@@ -27,6 +27,7 @@ from repro.exec import ExecutionEngine
 from repro.exec.cache import ResultCache
 from repro.obs import metrics
 from repro.pipeline import ArtifactStore, PipelineRunner
+from repro.pipeline.store import stage_tables
 from repro.pipeline.artifacts import (
     ConflictArtifact,
     WindowedAnalysis,
@@ -199,6 +200,7 @@ class TestTiers:
         windowed = window(small_problem(), "w")
         config = SynthesisConfig()
         runner = PipelineRunner()
+        cut = metrics.REGISTRY.snapshot()
         first = runner.bind(windowed, conflict_artifact(6, [(0, 1)]), config)
         before = family("repro_bind_reuse_total")
         # Same pairs under another conflict fingerprint (another threshold).
@@ -207,8 +209,9 @@ class TestTiers:
         second = runner.bind(windowed, again, config)
         assert (second.search, second.binding) == (first.search, first.binding)
         assert second.fingerprint != first.fingerprint
-        assert runner.counters.computed == {"bind": 1}
-        assert runner.counters.memo_hits == {"bind": 1}
+        stages = stage_tables(cut)
+        assert stages["computed"] == {"bind": 1}
+        assert stages["memo_hits"] == {"bind": 1}
         assert grown("repro_bind_reuse_total", before) == {"same_conflicts": 1}
 
     def test_superset_stops_at_the_stored_optimum(self):
@@ -342,9 +345,11 @@ class TestStoredRecords:
         conflicts = conflict_artifact(6, [(1, 2)])
         expected = outcome(self.disk_runner(tmp_path), windowed, conflicts, config)
         runner = self.disk_runner(tmp_path)
+        cut = metrics.REGISTRY.snapshot()
         assert outcome(runner, windowed, conflicts, config) == expected
-        assert runner.counters.disk_hits == {"bind": 1}
-        assert runner.counters.computed == {}
+        stages = stage_tables(cut)
+        assert stages["disk_hits"] == {"bind": 1}
+        assert stages["computed"] == {}
 
     @pytest.mark.parametrize(
         "damage",
@@ -367,8 +372,9 @@ class TestStoredRecords:
         path.write_text(damage(path.read_text()))
         before = family("repro_bind_reuse_total")
         runner = self.disk_runner(tmp_path)
+        cut = metrics.REGISTRY.snapshot()
         assert outcome(runner, windowed, conflicts, config) == expected
-        assert runner.counters.computed == {"bind": 1}
+        assert stage_tables(cut)["computed"] == {"bind": 1}
         assert grown("repro_bind_reuse_total", before) == {}
 
     def test_negative_proof_bound_is_a_miss(self, tmp_path):
@@ -396,8 +402,9 @@ class TestStoredRecords:
         binding["binding"] = [0, 0, 0, 1, 1, 1]  # a and b share a bus
         path.write_text(json.dumps(entry))
         runner = self.disk_runner(tmp_path)
+        cut = metrics.REGISTRY.snapshot()
         assert outcome(runner, windowed, conflicts, config) == expected
-        assert runner.counters.computed == {"bind": 1}
+        assert stage_tables(cut)["computed"] == {"bind": 1}
 
 
 @pytest.fixture(scope="module")

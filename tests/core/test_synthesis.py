@@ -18,7 +18,9 @@ from repro.core import (
     search_minimum_buses,
     shared_bus_design,
 )
+from repro.obs.metrics import REGISTRY
 from repro.pipeline import PipelineRunner
+from repro.pipeline.store import stage_tables
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +152,11 @@ class TestBaselineOracle:
         assert average_traffic_design(trace) == expected
         # A shared runner answers the same design again without solving.
         runner = PipelineRunner()
+        cut = REGISTRY.snapshot()
         assert average_traffic_design(trace, pipeline=runner) == expected
         assert average_traffic_design(trace, pipeline=runner) == expected
-        assert runner.counters.memo_hits == {"window": 2, "conflicts": 2,
-                                             "bind": 2}
+        assert stage_tables(cut)["memo_hits"] == {"window": 2, "conflicts": 2,
+                                                  "bind": 2}
 
     @pytest.mark.parametrize("name", ["qsort", "mat2"])
     def test_peak_bandwidth_matches_reference(self, name):

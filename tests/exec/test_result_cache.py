@@ -5,6 +5,7 @@ import pytest
 from repro.core import BusBinding, CrossbarDesign, SynthesisConfig
 from repro.errors import ReproError
 from repro.exec import ResultCache, SynthesisResult
+from repro.exec.cache import CacheStats
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
@@ -150,8 +151,8 @@ class TestGenericEntries:
         assert cache.stage_stats.hits == 1
         assert cache.stage_stats.stores == 1
         # Stage entries never show up in the whole-result statistics.
-        assert cache.stats_snapshot() == dict.fromkeys(
-            ("hits", "misses", "stores", "invalid", "write_errors"), 0
+        assert cache.stats == CacheStats(
+            hits=0, misses=0, stores=0, invalid=0, write_errors=0
         )
 
     def test_json_miss_and_corrupt_entry(self, tmp_path):

@@ -289,3 +289,22 @@ class TestExpositionGolden:
             "repro_jobs_active",
         ):
             assert expected in families, f"{expected} not registered"
+
+    def test_cache_events_carry_their_entry_family(self, tmp_path):
+        """Whole results and stage entries are told apart by the
+        ``family`` label, declared after ``event``."""
+        from repro.exec.cache import ResultCache
+        from repro.obs import metrics
+
+        cache = ResultCache(tmp_path)
+        assert cache.get("a" * 64) is None
+        cache.put_json("b" * 64, {"format": "x"})
+        families = parse_prometheus(metrics.render_prometheus())
+        kind, samples = families["repro_cache_events_total"]
+        assert kind == "counter"
+        labels = {dict(pairs)["family"] for (_, pairs) in samples}
+        assert {"result", "stage"} <= labels
+        family = metrics.REGISTRY.get("repro_cache_events_total")
+        assert family.labelnames == ("event", "family")
+        assert family.value(event="miss", family="result") >= 1
+        assert family.value(event="store", family="stage") >= 1

@@ -17,9 +17,11 @@ from repro.apps.descriptor import Application
 from repro.cli import main
 from repro.exec.cache import ResultCache
 from repro.exec.fingerprint import trace_fingerprint
+from repro.obs.metrics import REGISTRY
 from repro.pipeline import ArtifactStore, CollectStage
 from repro.pipeline import collect as collect_module
 from repro.pipeline.collect import SIMULATOR_SALT, collect_key
+from repro.pipeline.store import stage_tables
 from repro.platform import SIMULATION_COUNTER
 from repro.server import SynthesisService
 
@@ -66,13 +68,15 @@ class TestCollector:
     def test_disk_round_trip_is_record_identical(self, tmp_path):
         app = build_application("qsort")
         cold = collector_at(tmp_path)
+        cut = REGISTRY.snapshot()
         fresh = cold.source(app).trace()
-        assert cold.counters.computed == {"collect": 1}
+        assert stage_tables(cut)["computed"] == {"collect": 1}
 
         warm = collector_at(tmp_path)
         SIMULATION_COUNTER.reset()
+        cut = REGISTRY.snapshot()
         source = warm.source(app)
-        assert warm.counters.disk_hits == {"collect": 1}
+        assert stage_tables(cut)["disk_hits"] == {"collect": 1}
         assert source.digest == trace_fingerprint(fresh)
         assert source.target_names == fresh.target_names
         assert source.initiator_names == fresh.initiator_names
@@ -85,7 +89,7 @@ class TestCollector:
         assert loaded.total_cycles == fresh.total_cycles
         # The in-memory layer answers repeats with the same object.
         assert warm.source(app) is source
-        assert warm.counters.memo_hits == {"collect": 1}
+        assert stage_tables(cut)["memo_hits"] == {"collect": 1}
 
     def test_concurrent_cold_lookups_agree(self, tmp_path):
         """Threads racing on an empty cache may each simulate, but all
@@ -129,9 +133,10 @@ class TestCollector:
         monkeypatch.setattr(collect_module, "_encode", forbidden)
         monkeypatch.setattr(collect_module, "trace_fingerprint", forbidden)
         collector = CollectStage()
+        cut = REGISTRY.snapshot()
         source = collector.source(build_application("qsort"))
         assert source.initiator_names == source.trace().initiator_names
-        assert collector.counters.computed == {"collect": 1}
+        assert stage_tables(cut)["computed"] == {"collect": 1}
         custom = build_application("qsort", critical_targets=(0,))
         collector.source(custom).trace()
 
@@ -163,8 +168,9 @@ class TestCollector:
 
         SIMULATION_COUNTER.reset()
         reader = collector_at(tmp_path)
+        cut = REGISTRY.snapshot()
         assert reader.source(app).digest == golden
-        assert reader.counters.disk_hits == {"collect": 1}
+        assert stage_tables(cut)["disk_hits"] == {"collect": 1}
         assert SIMULATION_COUNTER.runs == 0
 
     def test_customized_build_simulates_every_time(self, tmp_path):
@@ -184,7 +190,7 @@ def design(argv, capsys):
 
 def breakdown_row(out):
     """computed/memo-hit/disk-hit of the ``collect`` stage in a
-    printed counters table (the last ``collect`` line: ``pipeline
+    printed stage table (the last ``collect`` line: ``pipeline
     inspect`` prints a stage-artifact row of that name first)."""
     rows = [line for line in out.splitlines() if line.startswith("collect ")]
     return rows[-1].split()[1:]

@@ -20,10 +20,12 @@ from repro.cli import main
 from repro.core import SynthesisConfig
 from repro.exec import ExecutionEngine, ResultCache
 from repro.obs.export import load_jsonl
+from repro.obs.metrics import REGISTRY
 from repro.pipeline import ArtifactStore, PipelineRunner, stage_fingerprint
 from repro.pipeline import collect as collect_module
 from repro.pipeline.artifacts import window_stage_spec
 from repro.pipeline.collect import collect_key
+from repro.pipeline.store import stage_tables
 from repro.platform import SIMULATION_COUNTER
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -172,8 +174,15 @@ def test_stale_digest_restarts_when_only_the_ti_window_misses(
     before = set(cache.iterdir())
 
     engine = ExecutionEngine(cache=cache)
+    cut = REGISTRY.snapshot()
     decodes = count_decodes(
-        monkeypatch, lambda: dict(engine.pipeline.counters.disk_hits)
+        monkeypatch,
+        # The runner's disk hits so far (the collector's are its own).
+        lambda: {
+            stage: count
+            for stage, count in stage_tables(cut)["disk_hits"].items()
+            if stage != "collect"
+        },
     )
     result = edit(engine)
 
@@ -195,8 +204,9 @@ def test_truncated_trace_sidecar_with_window_miss_resimulates(tmp_path, capsys):
     records.write_bytes(data[: len(data) // 2])
 
     engine = ExecutionEngine(cache=cache)
+    cut = REGISTRY.snapshot()
     assert edit(engine) == cold_edit_result()
-    assert engine.collector.counters.computed == {"collect": 1}
+    assert stage_tables(cut)["computed"].get("collect") == 1
 
 
 def test_warm_pipeline_inspect_decodes_nothing(tmp_path, capsys, monkeypatch):

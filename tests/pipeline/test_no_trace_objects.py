@@ -74,3 +74,11 @@ def test_warm_suite_builds_no_records(tmp_path, capsys):
     capsys.readouterr()
     argv = ["scenarios", "run", "smoke", "--cache-dir", cache]
     assert constructions(argv) == 0
+
+
+def test_synthetic_design_builds_no_records(tmp_path):
+    """The synthetic app replays its generated trace from the trace's
+    columns, cold and warm."""
+    argv = ["design", "synthetic", "--cache-dir", str(tmp_path / "cache")]
+    counts = {"cold": constructions(argv), "warm": constructions(argv)}
+    assert counts == {"cold": 0, "warm": 0}

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import SynthesisConfig
 from repro.exec import ResultCache
+from repro.obs.metrics import REGISTRY
 from repro.pipeline import (
     ArtifactStore,
     BindingArtifact,
@@ -11,6 +12,7 @@ from repro.pipeline import (
     stage_fingerprint,
 )
 from repro.apps import build_application
+from repro.pipeline.store import stage_tables
 from repro.apps.synthetic import synthetic_trace
 from repro.exec import trace_fingerprint
 
@@ -61,13 +63,14 @@ class TestFingerprints:
     def test_config_slices_ignore_unrelated_fields(self, trace):
         """A threshold change must not invalidate windowing artifacts."""
         runner = PipelineRunner()
+        cut = REGISTRY.snapshot()
         collected = runner.collect(trace)
         low = runner.window(collected, SynthesisConfig(overlap_threshold=0.1),
                             500, mirrored=False)
         high = runner.window(collected, SynthesisConfig(overlap_threshold=0.4),
                              500, mirrored=False)
         assert low.fingerprint == high.fingerprint
-        assert runner.counters.memo_hits.get("window") == 1
+        assert stage_tables(cut)["memo_hits"].get("window") == 1
 
     def test_equal_traces_share_collection_artifact(self):
         kwargs = dict(
@@ -83,28 +86,32 @@ class TestFingerprints:
 class TestRunnerMemoization:
     def test_repeat_design_is_fully_memoized(self, trace):
         runner = PipelineRunner()
+        cut = REGISTRY.snapshot()
         first = runner.design(trace, CONFIG, 500)
-        computed = dict(runner.counters.computed)
+        computed = stage_tables(cut)["computed"]
         second = runner.design(trace, CONFIG, 500)
         assert second.design == first.design
-        assert runner.counters.computed == computed  # nothing re-ran
-        assert runner.counters.memo_hits.get("bind") == 2
+        stages = stage_tables(cut)
+        assert stages["computed"] == computed  # nothing re-ran
+        assert stages["memo_hits"].get("bind") == 2
 
     def test_threshold_change_reuses_windows_not_conflicts(self, trace):
         runner = PipelineRunner()
+        cut = REGISTRY.snapshot()
         runner.design(trace, SynthesisConfig(max_targets_per_bus=None), 500)
         runner.design(
             trace,
             SynthesisConfig(max_targets_per_bus=None, overlap_threshold=0.1),
             500,
         )
-        assert runner.counters.computed.get("window") == 2  # it + ti, once
-        assert runner.counters.memo_hits.get("window") == 2
-        assert runner.counters.computed.get("conflicts") == 4  # re-ran
+        stages = stage_tables(cut)
+        assert stages["computed"].get("window") == 2  # it + ti, once
+        assert stages["memo_hits"].get("window") == 2
+        assert stages["computed"].get("conflicts") == 4  # re-ran
 
     def test_shared_runner_never_memoizes_bindings(self, trace):
         runner = PipelineRunner()
-        before = runner.counters.computed.get("bind", 0)
+        cut = REGISTRY.snapshot()
         design = runner.design(trace, CONFIG, 500)
         for side in (design.it, design.ti):
             assert side.binding.fingerprint not in runner.store
@@ -112,7 +119,7 @@ class TestRunnerMemoization:
         # conflict pairs), never by a stage lookup, and solves nothing.
         again = runner.design(trace, CONFIG, 500)
         assert again.design == design.design
-        assert runner.counters.computed.get("bind", 0) == before + 2
+        assert stage_tables(cut)["computed"].get("bind", 0) == 2
         for side in (again.it, again.ti):
             assert side.binding.fingerprint not in runner.store
 
@@ -130,9 +137,9 @@ class TestRunnerMemoization:
         ]
         assert held == []
         # ... while windowing artifacts still share across designs:
-        before = runner.counters.memo_hits.get("window", 0)
+        cut = REGISTRY.snapshot()
         runner.design(trace, CONFIG, 500)
-        assert runner.counters.memo_hits.get("window", 0) == before + 2
+        assert stage_tables(cut)["memo_hits"].get("window", 0) == 2
 
 
 class TestArtifactStore:
@@ -190,9 +197,10 @@ class TestBindingPersistence:
 
         warm = PipelineRunner(store=ArtifactStore(disk=ResultCache(cache)))
         SOLVE_COUNTER.reset()
+        cut = REGISTRY.snapshot()
         second = warm.design(trace, CONFIG, 500)
         assert SOLVE_COUNTER.total == 0
-        assert warm.counters.disk_hits.get("bind") == 2
+        assert stage_tables(cut)["disk_hits"].get("bind") == 2
         assert second.design == first.design
         assert second.it.binding == first.it.binding
         assert second.ti.binding == first.ti.binding
@@ -205,6 +213,7 @@ class TestBindingPersistence:
             entry.write_text('{"format": "repro-stage-artifact-v1", '
                              '"payload": {"search": {}}}', encoding="utf-8")
         warm = PipelineRunner(store=ArtifactStore(disk=ResultCache(cache_dir)))
+        cut = REGISTRY.snapshot()
         second = warm.design(trace, CONFIG, 500)
-        assert warm.counters.computed.get("bind") == 2  # recomputed cleanly
+        assert stage_tables(cut)["computed"].get("bind") == 2  # recomputed cleanly
         assert second.design == first.design

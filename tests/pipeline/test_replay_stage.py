@@ -5,11 +5,13 @@ import pytest
 
 from repro.core import SynthesisConfig
 from repro.exec import ResultCache
+from repro.obs.metrics import REGISTRY
 from repro.pipeline import (
     ArtifactStore,
     PipelineRunner,
     ReplayArtifact,
 )
+from repro.pipeline.store import stage_tables
 from repro.platform import TraceDrivenInitiator
 from repro.apps.synthetic import synthetic_trace
 
@@ -41,11 +43,13 @@ class TestReplayStage:
     def test_replay_is_memoized(self, trace, design):
         runner = PipelineRunner()
         driver = TraceDrivenInitiator(trace)
+        cut = REGISTRY.snapshot()
         first = runner.replay(driver, design)
         second = runner.replay(driver, design)
         assert first is second
-        assert runner.counters.computed.get("replay") == 1
-        assert runner.counters.memo_hits.get("replay") == 1
+        stages = stage_tables(cut)
+        assert stages["computed"].get("replay") == 1
+        assert stages["memo_hits"].get("replay") == 1
 
     def test_replay_persists_across_runners(self, trace, design, tmp_path):
         cold = PipelineRunner(
@@ -57,9 +61,11 @@ class TestReplayStage:
         warm = PipelineRunner(
             store=ArtifactStore(disk=ResultCache(tmp_path / "cache"))
         )
+        cut = REGISTRY.snapshot()
         second = warm.replay(driver, design)
-        assert warm.counters.disk_hits.get("replay") == 1
-        assert "replay" not in warm.counters.computed
+        stages = stage_tables(cut)
+        assert stages["disk_hits"].get("replay") == 1
+        assert "replay" not in stages["computed"]
         assert second.to_payload() == first.to_payload()
 
     def test_different_designs_do_not_share_replays(self, trace, design):
@@ -67,10 +73,11 @@ class TestReplayStage:
 
         runner = PipelineRunner()
         driver = TraceDrivenInitiator(trace)
+        cut = REGISTRY.snapshot()
         a = runner.replay(driver, design)
         b = runner.replay(driver, shared_bus_design(trace))
         assert a.fingerprint != b.fingerprint
-        assert runner.counters.computed.get("replay") == 2
+        assert stage_tables(cut)["computed"].get("replay") == 2
 
     def test_payload_round_trips(self, trace, design):
         runner = PipelineRunner()
@@ -90,8 +97,9 @@ class TestReplayStage:
         warm_store = ArtifactStore(disk=ResultCache(tmp_path / "cache"))
         warm_store.put_payload(artifact.fingerprint, {"stats": "garbage"})
         warm = PipelineRunner(store=warm_store)
+        cut = REGISTRY.snapshot()
         recomputed = warm.replay(driver, design)
-        assert warm.counters.computed.get("replay") == 1
+        assert stage_tables(cut)["computed"].get("replay") == 1
         assert recomputed.to_payload() == artifact.to_payload()
 
 
@@ -103,11 +111,13 @@ class TestWindowSidecars:
         assert list(cache.glob("stage-*.npz"))
 
         warm = PipelineRunner(store=ArtifactStore(disk=ResultCache(cache)))
+        cut = REGISTRY.snapshot()
         rebuilt = warm.window(
             warm.collect(trace), CONFIG, 500, mirrored=False
         )
-        assert warm.counters.disk_hits.get("window") == 1
-        assert "window" not in warm.counters.computed
+        stages = stage_tables(cut)
+        assert stages["disk_hits"].get("window") == 1
+        assert "window" not in stages["computed"]
         assert np.array_equal(rebuilt.problem.comm, original.problem.comm)
         assert np.array_equal(rebuilt.problem.wo, original.problem.wo)
         assert np.array_equal(
@@ -129,10 +139,11 @@ class TestWindowSidecars:
         reference = cold.bind(windowed, conflicts, CONFIG)
 
         rebuilt = PipelineRunner(store=ArtifactStore(disk=ResultCache(cache)))
+        cut = REGISTRY.snapshot()
         windowed2 = rebuilt.window(
             rebuilt.collect(trace), CONFIG, 500, mirrored=False
         )
-        assert rebuilt.counters.disk_hits.get("window") == 1
+        assert stage_tables(cut)["disk_hits"].get("window") == 1
         conflicts2 = rebuilt.conflicts(windowed2, CONFIG)
         solved = rebuilt.bind(windowed2, conflicts2, CONFIG)
         assert solved.binding == reference.binding
@@ -172,8 +183,9 @@ class TestWindowSidecars:
             sidecar.write_bytes(b"not an npz archive")
 
         warm = PipelineRunner(store=ArtifactStore(disk=ResultCache(cache)))
+        cut = REGISTRY.snapshot()
         rebuilt = warm.window(
             warm.collect(trace), CONFIG, 500, mirrored=False
         )
-        assert warm.counters.computed.get("window") == 1
+        assert stage_tables(cut)["computed"].get("window") == 1
         assert np.array_equal(rebuilt.problem.comm, original.problem.comm)

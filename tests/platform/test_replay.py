@@ -13,11 +13,19 @@ from repro.platform import (
 )
 from repro.traffic import (
     SyntheticTrafficConfig,
+    TrafficTrace,
     TransactionKind,
     generate_synthetic_trace,
 )
 
 from tests.traffic.conftest import make_record
+
+
+def replay_program(records, **kwargs):
+    """The replay program of one initiator's ``records``."""
+    trace = TrafficTrace(records, num_initiators=1, num_targets=1,
+                         total_cycles=100)
+    return trace_replay_program(trace, range(len(trace)), **kwargs)
 
 
 class TestReplayProgram:
@@ -26,7 +34,7 @@ class TestReplayProgram:
             make_record(start=10, duration=3, kind=TransactionKind.READ),
             make_record(start=50, duration=3, kind=TransactionKind.WRITE),
         ]
-        ops = list(trace_replay_program(records))
+        ops = list(replay_program(records))
         assert isinstance(ops[0], Compute)
         assert ops[0].cycles == 10
         assert isinstance(ops[1], Read)
@@ -35,7 +43,7 @@ class TestReplayProgram:
 
     def test_unpaced_emits_only_accesses(self):
         records = [make_record(start=10, duration=3)]
-        ops = list(trace_replay_program(records, pace=False))
+        ops = list(replay_program(records, pace=False))
         assert len(ops) == 1
 
     def test_preserves_burst_critical_and_stream(self):
@@ -43,7 +51,7 @@ class TestReplayProgram:
             make_record(start=0, duration=3, burst=7, critical=True,
                         stream="s1")
         ]
-        ops = list(trace_replay_program(records))
+        ops = list(replay_program(records))
         assert ops[0].burst == 7
         assert ops[0].critical
         assert ops[0].stream == "s1"
@@ -53,7 +61,7 @@ class TestReplayProgram:
             make_record(start=50, duration=3),
             make_record(start=10, duration=3),
         ]
-        ops = [op for op in trace_replay_program(records) if isinstance(op, Compute)]
+        ops = [op for op in replay_program(records) if isinstance(op, Compute)]
         assert ops[0].cycles == 10
 
 
@@ -64,8 +72,8 @@ class TestSyntheticReplayEndToEnd:
             targets=[TargetConfig(name=f"t{k}") for k in range(trace.num_targets)],
         )
         programs = [
-            list(trace_replay_program(trace.records_from_initiator(k)))
-            for k in range(trace.num_initiators)
+            list(trace_replay_program(trace, rows))
+            for rows in trace.initiator_rows()
         ]
         return SoC(config, it_binding, ti_binding, programs)
 

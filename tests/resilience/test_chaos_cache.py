@@ -19,7 +19,9 @@ from repro.apps.synthetic import synthetic_trace
 from repro.cli import main
 from repro.core import SynthesisConfig
 from repro.exec import ExecutionEngine, ResultCache, SynthesisTask, result_to_dict
+from repro.obs.metrics import REGISTRY
 from repro.pipeline import ArtifactStore, CollectStage
+from repro.pipeline.store import stage_tables
 from repro.platform import SIMULATION_COUNTER
 from repro.resilience import FaultPlan, FaultRule, clear_plan, install_plan
 
@@ -213,8 +215,9 @@ class TestCollectEntries:
         to collect it anew (simulate, or take this process's memo of an
         earlier simulation) instead of loading the stored entry."""
         collector = collector_at(cache_dir)
+        cut = REGISTRY.snapshot()
         trace = collector.source(build_application("qsort")).trace()
-        return trace, collector.counters.computed.get("collect", 0)
+        return trace, stage_tables(cut)["computed"].get("collect", 0)
 
     @staticmethod
     def sidecar(cache_dir):
@@ -429,6 +432,7 @@ class TestScenarioTraceEntries:
         entry.write_text(json.dumps(payload))
 
         runner = ScenarioSuiteRunner(engine=ExecutionEngine(cache=str(tmp_path)))
+        cut = REGISTRY.snapshot()
         source = runner._scenario_source(scenario)
         assert source.digest == "0" * 64
         design = PipelineRunner().design(fresh.trace(), CONFIG, 800).design
@@ -438,7 +442,7 @@ class TestScenarioTraceEntries:
             runner.pipeline.replay(stale, design)
         assert runner.pipeline.store.get(key) is None
         assert runner.pipeline.store.get_payload(key) is None
-        assert runner.pipeline.counters.computed.get("collect") == 1  # rebuilt
+        assert stage_tables(cut)["computed"].get("collect") == 1  # rebuilt
 
         # The source now carries the rebuilt trace's own digest: a
         # driver built from it replays, and stores, under that one.

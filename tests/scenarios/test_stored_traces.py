@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from repro.exec import ExecutionEngine
 from repro.exec.fingerprint import trace_fingerprint
+from repro.obs.metrics import REGISTRY
+from repro.pipeline.store import stage_tables
 from repro.scenarios import Scenario, ScenarioSuiteRunner
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -104,8 +106,9 @@ def _stored_then_loaded(scenario, cache_dir):
         engine=ExecutionEngine(cache=cache_dir)
     )._scenario_source(scenario)
     runner = ScenarioSuiteRunner(engine=ExecutionEngine(cache=cache_dir))
+    cut = REGISTRY.snapshot()
     loaded = runner._scenario_source(scenario)
-    assert runner.collector.counters.disk_hits == {"collect": 1}
+    assert stage_tables(cut)["disk_hits"] == {"collect": 1}
     return built, loaded
 
 

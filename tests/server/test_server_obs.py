@@ -237,6 +237,9 @@ class TestHTTPObservability:
             "repro_stage_seconds",
         ):
             assert family in families, f"{family} missing from /metrics"
+        _, samples = families["repro_cache_events_total"]
+        entry_families = {dict(labels)["family"] for (_, labels) in samples}
+        assert {"result", "stage"} <= entry_families
         kind, samples = families["repro_http_requests_total"]
         assert kind == "counter"
         assert any(

@@ -52,7 +52,6 @@ from repro.errors import ReproError
 from repro.exec import ExecutionEngine
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
-from repro.pipeline.collect import CollectStage
 from repro.pipeline.runner import timed_stage
 
 __all__ = ["main", "build_parser"]
@@ -505,28 +504,37 @@ def _cmd_compare(args) -> int:
         shared_bus_design,
     )
 
+    from repro.pipeline import CollectedTraffic
+    from repro.pipeline.artifacts import TraceDigestMismatch
+
     app = build_application(args.app)
     engine = _engine_from_args(args)
     profile = _Profile(args.profile)
-
-    def collect():
-        # Input-keyed, as in ``design``: a warm cache loads the stored
-        # trace instead of simulating it.
-        source = engine.collector.source(app)
-        return source.trace(), source.digest
-
-    trace, digest = timed_stage("collect", "", collect)
+    # Input-keyed and deferred, as in ``design``: a warm cache loads the
+    # stored trace only for a window stage that misses.
+    source = engine.collector.source(app)
     windowed = engine.synthesize(
-        trace,
+        source.trace,
         SynthesisConfig(),
         window_size=app.default_window,
-        trace_digest=digest,
+        trace_digest=source.digest,
     ).design
+
+    def average():
+        collected = CollectedTraffic(source, source.digest)
+        return average_traffic_design(collected, pipeline=engine.pipeline)
+
+    try:
+        average_design = average()
+    except TraceDigestMismatch:
+        # The stored digest was stale: the source now carries the
+        # re-collected trace's own.
+        average_design = average()
     designs = [
-        shared_bus_design(trace),
-        average_traffic_design(trace, pipeline=engine.pipeline),
+        shared_bus_design(source.shape),
+        average_design,
         windowed,
-        full_crossbar_design(trace),
+        full_crossbar_design(source.shape),
     ]
     evaluations = compare_designs(app, designs, pipeline=engine.pipeline)
     full_stats = evaluations["full"].stats
@@ -754,13 +762,7 @@ def _cmd_pipeline_inspect_suite(args) -> int:
 def _cmd_pipeline_inspect(args) -> int:
     from pathlib import Path
 
-    from repro.exec.cache import ResultCache
-    from repro.pipeline import (
-        ArtifactStore,
-        CollectedTraffic,
-        PipelineRunner,
-        describe_stages,
-    )
+    from repro.pipeline import CollectedTraffic, describe_stages
     from repro.pipeline.artifacts import TraceDigestMismatch
     from repro.pipeline.store import format_stage_tables, stage_tables
     from repro.scenarios import SUITES
@@ -771,8 +773,7 @@ def _cmd_pipeline_inspect(args) -> int:
         return _cmd_pipeline_inspect_suite(args)
     app = build_application(args.app)
     config = _config_from_args(args)
-    disk = ResultCache(args.cache_dir) if args.cache_dir else None
-    runner = PipelineRunner(store=ArtifactStore(disk=disk))
+    engine = _engine_from_args(args)
     window = args.window or app.default_window
     print(
         f"running the staged flow for {app.name} "
@@ -782,11 +783,11 @@ def _cmd_pipeline_inspect(args) -> int:
     # tallies: collection shows whether it simulated (computed) or read
     # (disk-hit).
     before = _metrics.REGISTRY.snapshot()
-    source = CollectStage(runner.store).source(app)
+    source = engine.collector.source(app)
 
     def design():
         collected = CollectedTraffic(source, source.digest, label=app.name)
-        return runner.design(collected, config, window, label=app.name)
+        return engine.pipeline.design(collected, config, window, label=app.name)
 
     try:
         outcome = design()

@@ -16,17 +16,21 @@
 The two designed baselines are :meth:`PipelineRunner.design
 <repro.pipeline.runner.PipelineRunner.design>` under their own
 configurations, relabelled. :func:`average_traffic_design` runs on the
-runner passed as ``pipeline`` (a fresh one by default), so a warm
-cache-backed runner solves nothing; :func:`peak_bandwidth_design` runs
-on a fresh runner.
+runner passed as ``pipeline`` (a fresh one by default) and takes a
+deferred :class:`~repro.pipeline.artifacts.CollectedTraffic` as well as
+a trace, so a warm cache-backed runner solves nothing and loads no
+trace; :func:`peak_bandwidth_design` runs on a fresh runner. The two
+fixed reference points read only the core counts, which a trace and a
+:class:`~repro.pipeline.artifacts.TraceShape` both carry.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Optional, Union
 
 from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
+from repro.pipeline.artifacts import CollectedTraffic, TraceShape
 from repro.pipeline.runner import PipelineRunner
 from repro.traffic.trace import TrafficTrace
 
@@ -39,7 +43,7 @@ __all__ = [
 
 
 def _pipeline_design(
-    trace: TrafficTrace,
+    trace: Union[TrafficTrace, CollectedTraffic],
     config: SynthesisConfig,
     label: str,
     pipeline: Optional[PipelineRunner],
@@ -50,7 +54,8 @@ def _pipeline_design(
 
 
 def average_traffic_design(
-    trace: TrafficTrace, pipeline: Optional[PipelineRunner] = None
+    trace: Union[TrafficTrace, CollectedTraffic],
+    pipeline: Optional[PipelineRunner] = None,
 ) -> CrossbarDesign:
     """Design from whole-run average bandwidth (prior-work baseline).
 
@@ -58,10 +63,13 @@ def average_traffic_design(
     threshold conflicts, no criticality separation, no per-bus target
     cap: the design minimizes bus count against average bandwidth only,
     then binds (the overlap objective is degenerate since a single
-    window's overlap carries no locality information).
+    window's overlap carries no locality information). A deferred
+    ``trace`` is read only through its shape's ``total_cycles`` until a
+    window stage must compute.
     """
+    shape = trace.source.shape if isinstance(trace, CollectedTraffic) else trace
     config = SynthesisConfig(
-        window_size=trace.total_cycles,
+        window_size=shape.total_cycles,
         overlap_threshold=0.5,  # pairs above 50% cannot share regardless
         max_targets_per_bus=None,
         use_criticality=False,
@@ -87,14 +95,14 @@ def peak_bandwidth_design(
     return _pipeline_design(trace, config, "peak-bandwidth", None)
 
 
-def shared_bus_design(trace: TrafficTrace) -> CrossbarDesign:
+def shared_bus_design(trace: Union[TrafficTrace, TraceShape]) -> CrossbarDesign:
     """One bus per direction: the paper's 'shared' reference point."""
     it = BusBinding(binding=(0,) * trace.num_targets, num_buses=1)
     ti = BusBinding(binding=(0,) * trace.num_initiators, num_buses=1)
     return CrossbarDesign(it=it, ti=ti, label="shared")
 
 
-def full_crossbar_design(trace: TrafficTrace) -> CrossbarDesign:
+def full_crossbar_design(trace: Union[TrafficTrace, TraceShape]) -> CrossbarDesign:
     """One bus per core: the paper's 'full' reference point."""
     it = BusBinding(
         binding=tuple(range(trace.num_targets)), num_buses=trace.num_targets

@@ -5,8 +5,9 @@ points. This package turns those studies from recompute-everything
 loops into cached executions:
 
 * :mod:`~repro.exec.engine` -- the :class:`ExecutionEngine` (one
-  lookup-or-solve step in front of in-order, in-process solves; latency
-  replays go through the pipeline's cached replay stage),
+  lookup-or-solve step in front of in-order, in-process solves on the
+  one pipeline runner every caller shares; latency replays go through
+  that runner's cached replay stage),
 * :mod:`~repro.exec.cache` -- the content-addressed on-disk
   :class:`ResultCache`,
 * :mod:`~repro.exec.fingerprint` -- canonical hashing of traces and
@@ -26,7 +27,8 @@ Contracts
   ``config.window_size`` is read by no stage, so a hit carries the
   request's configuration.
 * **Caching.** :meth:`ExecutionEngine.lookup_or_solve` is the only
-  reader and writer of whole results: memory first, then
+  reader and writer of whole results, and the one tally of their
+  lookups (the ``design`` stage): memory first, then
   ``<design fingerprint>.json`` entries in the :class:`ResultCache`
   directory (shared with the pipeline's per-stage entries; one
   ``prune``/``usage`` covers both). Writes are atomic,

@@ -15,23 +15,27 @@ trace's digest is checked then. Solved points are never recomputed,
 across runs and across processes, and identical points share one solve.
 
 Points are solved through the staged pipeline (:mod:`repro.pipeline`)
-on the engine's own :class:`~repro.pipeline.runner.PipelineRunner`, or
-on the runner a caller hands in (a suite solves its scenarios on its
-own, whose memory already holds their windows). The ``repro serve``
-daemon runs every job on the engine's runner, so its jobs share one
-in-memory store. With a cache directory
-the engine's runner persists the windowed tensors there, so a threshold
-edit in a fresh process reads its windows from disk and never loads its
-trace. The directory has one :class:`ResultCache`,
-:attr:`ExecutionEngine.cache`: the engine's runner, its
-:class:`~repro.pipeline.collect.CollectStage` and the runners built
-around the engine persist through it, and its whole-result statistics
+on the engine's one :class:`~repro.pipeline.runner.PipelineRunner`,
+:attr:`ExecutionEngine.pipeline`. Every caller runs there: CLI
+commands, scenario suites (whose analyses leave each scenario's windows
+in that runner's memory before its whole-result lookup) and every
+``repro serve`` job, so one store holds every stage artifact and every
+solved point of a process. Each lookup is tallied as the ``design``
+stage (memo hit, disk hit, or computed for a solve); its time belongs
+to the stages it runs. With a cache directory the engine's runner
+persists the windowed tensors there, so a threshold edit in a fresh
+process reads its windows from disk and never loads its trace. The
+directory has one :class:`ResultCache`, :attr:`ExecutionEngine.cache`:
+the engine's runner and its
+:class:`~repro.pipeline.collect.CollectStage` persist through it, and
+its whole-result statistics
 (:attr:`~repro.exec.cache.ResultCache.stats`, the registry's
 ``family="result"`` cache events) are apart from stage ones.
 
 Latency replays are not cached here: :meth:`ExecutionEngine.run_replay_batch`
-hands each plan to :meth:`~repro.pipeline.runner.PipelineRunner.replay`,
-the one cached replay stage.
+hands each plan to the engine runner's
+:meth:`~repro.pipeline.runner.PipelineRunner.replay`, the one cached
+replay stage.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from repro.pipeline.artifacts import (
 )
 from repro.pipeline.collect import CollectStage
 from repro.pipeline.runner import PipelineRunner
-from repro.pipeline.store import ArtifactStore
+from repro.pipeline.store import ArtifactStore, record_stage
 from repro.traffic.trace import TrafficTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,9 +105,9 @@ class ExecutionEngine:
     Attributes
     ----------
     pipeline:
-        The runner points are solved on unless a caller hands in its
-        own. Its store's memory layer also holds whole results; its
-        disk layer is :attr:`cache`.
+        The one runner every point is solved and every plan replayed
+        on. Its store's memory layer also holds whole results; its disk
+        layer is :attr:`cache`.
     collector:
         The input-keyed :class:`~repro.pipeline.collect.CollectStage`,
         persisting through :attr:`cache` too.
@@ -125,17 +129,18 @@ class ExecutionEngine:
         trace: Optional[TraceArg],
         task: SynthesisTask,
         trace_digest: Optional[str] = None,
-        pipeline: Optional[PipelineRunner] = None,
     ) -> Optional[SynthesisResult]:
         """The one read/write path of whole-result records.
 
         Looks the point's design fingerprint up in memory, then on
-        disk; on a miss solves on ``pipeline`` (by default the engine's
-        runner) and stores the result in both. With ``trace=None`` the
-        step only looks up and returns ``None`` on a miss. A hit comes
-        back with ``config`` set to the task's: the nominal
-        ``config.window_size`` is the one field no stage spec covers, so
-        points differing only there share an address.
+        disk; on a miss solves on :attr:`pipeline` and stores the result
+        in both. Each answer is tallied as the ``design`` stage:
+        ``memo_hit``, ``disk_hit`` or ``computed`` (a solve). With
+        ``trace=None`` the step only looks up and returns ``None`` on a
+        miss, tallying nothing. A hit comes back with ``config`` set to
+        the task's: the nominal ``config.window_size`` is the one field
+        no stage spec covers, so points differing only there share an
+        address.
 
         ``trace`` may be a zero-argument callable (e.g.
         :meth:`repro.pipeline.artifacts.TraceSource.trace`). With
@@ -153,30 +158,28 @@ class ExecutionEngine:
         key = PipelineRunner.design_fingerprint(
             trace_digest, task.config, task.window_size
         )
-        result = self._recall(key)
+        result, kind = self._recall(key)
         if result is None and trace is not None:
             load = trace if callable(trace) else lambda: trace
             source = TraceSource(load, trace_digest)
             try:
-                result = self._solve(source, task, pipeline)
+                result = self._solve(source, task)
             except TraceDigestMismatch:
                 key = PipelineRunner.design_fingerprint(
                     source.digest, task.config, task.window_size
                 )
-                result = self._recall(key)
+                result, kind = self._recall(key)
                 if result is None:
-                    result = self._solve(source, task, pipeline)
-        return None if result is None else replace(result, config=task.config)
+                    result = self._solve(source, task)
+        if result is None:
+            return None
+        record_stage(kind, "design")
+        return replace(result, config=task.config)
 
-    def _solve(
-        self,
-        source: TraceSource,
-        task: SynthesisTask,
-        pipeline: Optional[PipelineRunner],
-    ) -> SynthesisResult:
+    def _solve(self, source: TraceSource, task: SynthesisTask) -> SynthesisResult:
         """Solve the point under ``source``'s digest and store the
         result in memory and on disk."""
-        outcome = (pipeline or self.pipeline).design(
+        outcome = self.pipeline.design(
             CollectedTraffic(source, source.digest),
             task.config,
             task.window_size,
@@ -187,14 +190,18 @@ class ExecutionEngine:
             self.cache.put(outcome.fingerprint, result)
         return result
 
-    def _recall(self, key: str) -> Optional[SynthesisResult]:
-        """The record at ``key`` from memory, else from disk."""
+    def _recall(self, key: str) -> Tuple[Optional[SynthesisResult], str]:
+        """The record at ``key`` from memory, else from disk, with its
+        ``design`` tally: ``memo_hit``, ``disk_hit``, or ``computed``
+        for a miss (the caller solves it)."""
         result = self.pipeline.store.get(key)
-        if result is None and self.cache is not None:
-            result = self.cache.get(key)
-            if result is not None:
-                self.pipeline.store.put(key, result)
-        return result
+        if result is not None:
+            return result, "memo_hit"
+        result = self.cache.get(key) if self.cache is not None else None
+        if result is None:
+            return None, "computed"
+        self.pipeline.store.put(key, result)
+        return result, "disk_hit"
 
     def synthesize(
         self,
@@ -226,14 +233,9 @@ class ExecutionEngine:
 
     # -- batches (one task per trace) ---------------------------------
 
-    def run_batch(
-        self,
-        items: Sequence[Tuple],
-        pipeline: Optional[PipelineRunner] = None,
-    ) -> List[SynthesisResult]:
+    def run_batch(self, items: Sequence[Tuple]) -> List[SynthesisResult]:
         """Solve (or fetch) one synthesis point per ``(trace, task)`` or
-        ``(trace, task, trace_digest)`` item, in order, solving misses
-        on ``pipeline`` (by default the engine's runner).
+        ``(trace, task, trace_digest)`` item, in order.
 
         Where :meth:`run_sweep` solves many tasks against *one* shared
         trace, a batch solves one task per trace -- the scenario-suite
@@ -245,7 +247,7 @@ class ExecutionEngine:
         """
         with _tracing.span("engine.batch", items=len(items)):
             return [
-                self.lookup_or_solve(trace, task, *digest, pipeline=pipeline)
+                self.lookup_or_solve(trace, task, *digest)
                 for trace, task, *digest in items
             ]
 
@@ -254,10 +256,9 @@ class ExecutionEngine:
     def run_replay_batch(
         self,
         plans: Sequence[Tuple[WorkloadDriver, CrossbarDesign, int, str]],
-        pipeline: PipelineRunner,
     ) -> List[ReplayArtifact]:
         """Replay every ``(driver, design, budget, label)`` plan through
-        ``pipeline``'s cached replay stage, in plan order.
+        :attr:`pipeline`'s cached replay stage, in plan order.
 
         The scenario-suite pattern again: each suite member contributes
         one workload driver (its live programs or its recorded trace) to
@@ -266,7 +267,7 @@ class ExecutionEngine:
         cached plans from its store and stores every computed one.
         """
         with _tracing.span("engine.replay", tasks=len(plans)):
-            return [pipeline.replay(*plan) for plan in plans]
+            return [self.pipeline.replay(*plan) for plan in plans]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cache = self.cache.cache_dir if self.cache is not None else None

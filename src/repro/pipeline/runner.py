@@ -24,12 +24,12 @@ next time -- never the run in flight or the correctness of its report.
 
 Every solve entry point in the repository drives this runner:
 :class:`~repro.core.synthesis.CrossbarSynthesizer` composes
-``collect -> window -> conflicts -> bind`` per crossbar side, the
+``collect -> window -> conflicts -> bind`` per crossbar side, and the
 :class:`~repro.exec.engine.ExecutionEngine` solves sweep/batch points
-through the synthesizer on a runner it owns (so serial sweeps share
-windowing artifacts across points, and with a cache directory across
-processes), and the scenario suite runner keeps one runner alive
-across runs so editing a suite reuses the unchanged scenarios' stages.
+on the one runner it owns (so serial sweeps share windowing artifacts
+across points, and with a cache directory across processes). The CLI,
+the scenario suite runner and every daemon job run on that runner, so
+editing a suite reuses the unchanged scenarios' stages.
 :meth:`PipelineRunner.design_fingerprint` is also the address under
 which the engine caches a whole solved point.
 

@@ -6,10 +6,11 @@ and produces a :class:`SuiteRunReport`:
 1. every scenario's trace is built deterministically, or read by its
    digest and shape from the collect stage's store,
 2. every scenario is synthesized *individually* through the
-   :class:`~repro.exec.engine.ExecutionEngine` -- solved points come
-   back from the content-addressed cache on repeat runs, and a miss is
-   solved on the suite's own pipeline runner, whose memory already
-   holds the scenario's windows and conflicts from step 3's analysis,
+   :class:`~repro.exec.engine.ExecutionEngine`'s whole-result lookup --
+   solved points come back from its memory or its content-addressed
+   cache on repeat runs, and a miss is solved on the engine's runner,
+   whose memory already holds the scenario's windows and conflicts from
+   the suite's analysis,
 3. one *robust* crossbar is synthesized across all scenarios
    (:class:`~repro.core.multi.RobustSynthesizer`) under the selected
    merge policy,
@@ -30,18 +31,21 @@ and produces a :class:`SuiteRunReport`:
    (bus count, worst-case overlap) across all candidate designs.
 
 Every step above runs as a stage of the staged pipeline
-(:mod:`repro.pipeline`) through a runner-owned artifact store that
-*persists across* :meth:`ScenarioSuiteRunner.run` calls. That makes
-suite editing incremental: re-running an edited suite rebuilds, windows
-and re-solves only the scenarios whose content changed -- everything
-else is served from the store -- and then re-runs merge/replay on the
-cached per-scenario analyses. The per-stage hit/miss breakdown of the
-last run -- the growth of the registry's stage tallies over it -- is
-available from :meth:`ScenarioSuiteRunner.explain_cache` (surfaced by
-``repro scenarios run --explain-cache``). Its stage
-entries persist through the engine's one
-:class:`~repro.exec.cache.ResultCache`, which counts them apart from
-the whole-result lookups.
+(:mod:`repro.pipeline`) on the engine's runner and collector
+(:attr:`~repro.exec.engine.ExecutionEngine.pipeline`,
+:attr:`~repro.exec.engine.ExecutionEngine.collector`), whose stores
+*persist across* :meth:`ScenarioSuiteRunner.run` calls and across the
+runners and daemon jobs sharing the engine. That makes suite editing
+incremental: re-running an edited suite rebuilds, windows and re-solves
+only the scenarios whose content changed -- everything else is served
+from the store -- and then re-runs merge/replay on the cached
+per-scenario analyses. The per-stage hit/miss breakdown of the last run
+-- the growth of the registry's stage tallies over it, with each
+individual solve under the engine's ``design`` row -- is available from
+:meth:`ScenarioSuiteRunner.explain_cache` (surfaced by ``repro
+scenarios run --explain-cache``). Its stage entries persist through the
+engine's one :class:`~repro.exec.cache.ResultCache`, which counts them
+apart from the whole-result lookups.
 """
 
 from __future__ import annotations
@@ -64,28 +68,17 @@ from repro.core.spec import BusBinding, CrossbarDesign, SynthesisConfig
 from repro.core.validate import audit_binding
 from repro.errors import ConfigurationError
 from repro.exec.engine import ExecutionEngine, SynthesisTask
-from repro.exec.serialize import (
-    SynthesisResult,
-    config_to_dict,
-    result_to_dict,
-)
+from repro.exec.serialize import SynthesisResult, result_to_dict
 from repro.pipeline.artifacts import (
     CollectedTraffic,
     ReplayArtifact,
     TraceDigestMismatch,
     TraceShape,
     TraceSource,
-    stage_fingerprint,
 )
-from repro.pipeline.collect import CollectStage
 from repro.pipeline.runner import PipelineRunner
 from repro.obs import metrics as _metrics
-from repro.pipeline.store import (
-    ArtifactStore,
-    format_stage_tables,
-    record_stage,
-    stage_tables,
-)
+from repro.pipeline.store import format_stage_tables, stage_tables
 from repro.platform.drivers import (
     TraceDrivenInitiator,
     WorkloadDriver,
@@ -368,9 +361,10 @@ class ScenarioSuiteRunner:
     Parameters
     ----------
     engine:
-        Execution engine for the per-scenario individual solves
-        (whole-result caching; a miss solves on ``pipeline``) and the
-        replay batch, which it runs through ``pipeline``'s replay stage.
+        Execution engine whose runner and collector run every stage:
+        the traces, the analyses, the per-scenario individual solves
+        (its whole-result lookup) and the replay batch. Runners sharing
+        an engine share its stores.
     replay_latency:
         Also replay the robust design through the platform simulator
         for *every* scenario, reporting average packet latency next to
@@ -383,21 +377,12 @@ class ScenarioSuiteRunner:
         re-runs reuse simulated latencies instead of re-simulating; the
         rare scenario replay cannot cover (e.g. an empty trace) is
         marked ``skipped (<reason>)`` in the report.
-    pipeline:
-        The stage runner; by default a fresh
-        :class:`~repro.pipeline.PipelineRunner` whose store persists
-        across :meth:`run` calls on this runner (the incremental path)
-        and -- when the engine has a cache directory -- persists
-        serializable stages there too.
-    collector:
-        Where every scenario's trace is stored: a default full-load
-        ``app:`` scenario's as its application's collection, any other
-        as a generated entry under the scenario's spec. By default a
-        :class:`~repro.pipeline.CollectStage` on the pipeline's store:
-        with a disk layer a fresh process reads each stored trace's
-        digest and shape instead of simulating or generating it (the
-        records load only for a stage that must compute from them), and
-        :meth:`explain_cache` shows a ``collect`` row either way.
+
+    A default full-load ``app:`` scenario's trace is stored as its
+    application's collection, any other as a generated entry under the
+    scenario's spec: with a cache directory a fresh process reads each
+    stored trace's digest and shape instead of simulating or generating
+    it (the records load only for a stage that must compute from them).
     """
 
     def __init__(
@@ -407,8 +392,6 @@ class ScenarioSuiteRunner:
         policy: str = "union",
         min_weight: float = 0.5,
         replay_latency: bool = False,
-        pipeline: Optional[PipelineRunner] = None,
-        collector: Optional[CollectStage] = None,
     ) -> None:
         _check_policy(policy)
         self.engine = engine if engine is not None else ExecutionEngine()
@@ -416,14 +399,6 @@ class ScenarioSuiteRunner:
         self.policy = policy
         self.min_weight = min_weight
         self.replay_latency = replay_latency
-        if pipeline is None:
-            # Stage entries persist through the engine's cache, which
-            # counts them apart from its whole-result statistics.
-            pipeline = PipelineRunner(store=ArtifactStore(disk=self.engine.cache))
-        self.pipeline = pipeline
-        self.collector = (
-            collector if collector is not None else CollectStage(pipeline.store)
-        )
         self.last_run_breakdown: Dict[str, Dict[str, int]] = {}
         """Stage tallies of the last :meth:`run`: the growth of the
         registry's ``repro_stage_events_total`` over it, so it counts
@@ -443,12 +418,12 @@ class ScenarioSuiteRunner:
         cached analyses.
         """
         before = _metrics.REGISTRY.snapshot()
-        # ~9 store entries per scenario and run (collect entry, 2x
-        # window, 2x conflicts, 2x bind reuse record, individual,
-        # replay) plus suite-level artifacts: size the LRU so one run
-        # can never evict its own working set, or the incremental
-        # guarantee would degrade silently on big suites.
-        self.pipeline.store.reserve(10 * len(suite.scenarios) + 32)
+        # ~8 store entries per scenario and run (2x window, 2x
+        # conflicts, 2x bind reuse record, whole result, replay) plus
+        # suite-level artifacts: size the LRU so one run can never
+        # evict its own working set, or the incremental guarantee
+        # would degrade silently on big suites.
+        self.engine.pipeline.store.reserve(10 * len(suite.scenarios) + 32)
         for _ in suite.scenarios:
             try:
                 report = self._run(suite)
@@ -490,31 +465,30 @@ class ScenarioSuiteRunner:
         # policies align windows by index), matching the historical
         # CrossbarDesignProblem.from_trace behaviour.
         analysis_config = replace(self.config, variable_windows=False)
+        pipeline = self.engine.pipeline
         it_sides = []
         ti_sides = []
         for artifact, window in zip(collected, windows):
-            it_windowed = self.pipeline.window(
+            it_windowed = pipeline.window(
                 artifact, analysis_config, window, mirrored=False
             )
-            ti_windowed = self.pipeline.window(
+            ti_windowed = pipeline.window(
                 artifact, analysis_config, window, mirrored=True
             )
             it_sides.append(
-                (it_windowed, self.pipeline.conflicts(it_windowed, analysis_config))
+                (it_windowed, pipeline.conflicts(it_windowed, analysis_config))
             )
             ti_sides.append(
-                (ti_windowed, self.pipeline.conflicts(ti_windowed, analysis_config))
+                (ti_windowed, pipeline.conflicts(ti_windowed, analysis_config))
             )
 
-        individuals, individual_fingerprints = self._individual_results(
-            scenarios, collected, windows
-        )
+        individuals = self._individual_results(collected, windows)
 
         names = [scenario.name for scenario in scenarios]
         robust = RobustSynthesizer(
             self.config, policy=self.policy, min_weight=self.min_weight
         ).design_from_artifacts(
-            self.pipeline, it_sides, ti_sides, names=names, weights=suite.weights
+            pipeline, it_sides, ti_sides, names=names, weights=suite.weights
         )
 
         replays = self._replay_latencies(scenarios, collected, robust.design)
@@ -551,7 +525,6 @@ class ScenarioSuiteRunner:
             it_sides,
             ti_sides,
             individuals,
-            individual_fingerprints,
             robust,
             replays,
         )
@@ -582,6 +555,7 @@ class ScenarioSuiteRunner:
         collection; every other trace is a generated entry filed under
         the scenario's spec, so a warm run neither builds nor hashes it.
         """
+        collector = self.engine.collector
         if (
             scenario.source_kind == "app"
             and not scenario.params
@@ -589,89 +563,44 @@ class ScenarioSuiteRunner:
         ):
             from repro.apps import build_application
 
-            return self.collector.source(build_application(scenario.source_name))
-        return self.collector.generated(
-            _trace_spec(scenario), lambda: scenario.build_trace(self.collector)
+            return collector.source(build_application(scenario.source_name))
+        return collector.generated(
+            _trace_spec(scenario), lambda: scenario.build_trace(collector)
         )
 
     def _individual_results(
         self,
-        scenarios: Sequence[Scenario],
         collected: Sequence[CollectedTraffic],
         windows: Sequence[int],
-    ) -> Tuple[List[SynthesisResult], List[str]]:
-        """Each scenario's own optimum, memoized across runs.
-
-        Unmemoized scenarios go to the engine in one (engine-cached)
-        batch, solved on this runner's pipeline, whose memory already
-        holds their windows and conflicts; a rerun of an edited suite
-        therefore hands the engine only the changed scenarios.
-        ``computed`` here counts "delegated to the engine" -- the engine
-        may still serve the point from its own whole-result cache.
-        Returns the results and their stage fingerprints, both in suite
-        order.
-        """
-        tasks = [
-            SynthesisTask(
-                config=replace(self.config, window_size=window),
-                window_size=window,
-            )
-            for window in windows
-        ]
-        tags = [
-            f"scenario:{scenario.source}:{scenario.name}"
-            for scenario in scenarios
-        ]
-        results: List[Optional[SynthesisResult]] = [None] * len(scenarios)
-        fingerprints: List[str] = []
-        pending: List[Tuple[int, str]] = []
-        for index, (artifact, task, tag) in enumerate(
-            zip(collected, tasks, tags)
-        ):
-            fingerprint = stage_fingerprint(
-                "individual-solve",
-                artifact.fingerprint,
-                {
-                    "config": config_to_dict(task.config),
-                    "window": task.window_size,
-                    "tag": tag,
-                },
-            )
-            fingerprints.append(fingerprint)
-            cached = self.pipeline.store.get(fingerprint)
-            if cached is not None:
-                record_stage("memo_hit", "individual-solve")
-                results[index] = cached
-                continue
-            pending.append((index, fingerprint))
-        if pending:
-            solved = self.engine.run_batch(
-                [
-                    (
-                        collected[index].source.trace,
-                        tasks[index],
-                        collected[index].fingerprint,
-                    )
-                    for index, _ in pending
-                ],
-                pipeline=self.pipeline,
-            )
-            # The engine restarts a point whose trace loaded with another
-            # digest under that one; the scenario must restart too before
-            # anything is filed under its stale fingerprint.
-            for index, _ in pending:
-                artifact = collected[index]
-                if artifact.source.digest != artifact.fingerprint:
-                    raise TraceDigestMismatch(
-                        f"scenario {artifact.label!r}: loaded trace "
-                        f"{artifact.source.digest[:12]} is not "
-                        f"{artifact.fingerprint[:12]}"
-                    )
-            for (index, fingerprint), result in zip(pending, solved):
-                record_stage("computed", "individual-solve")
-                self.pipeline.store.put(fingerprint, result)
-                results[index] = result
-        return results, fingerprints  # type: ignore[return-value]
+    ) -> List[SynthesisResult]:
+        """Each scenario's own optimum, in suite order: one engine batch
+        over every scenario, each answered by the engine's whole-result
+        memo, its cache, or a solve on its runner, whose memory already
+        holds the scenario's windows and conflicts."""
+        solved = self.engine.run_batch(
+            [
+                (
+                    artifact.source.trace,
+                    SynthesisTask(
+                        config=replace(self.config, window_size=window),
+                        window_size=window,
+                    ),
+                    artifact.fingerprint,
+                )
+                for artifact, window in zip(collected, windows)
+            ]
+        )
+        # The engine restarts a point whose trace loaded with another
+        # digest under that one; the scenario must restart too, so that
+        # nothing downstream is keyed by its stale fingerprint.
+        for artifact in collected:
+            if artifact.source.digest != artifact.fingerprint:
+                raise TraceDigestMismatch(
+                    f"scenario {artifact.label!r}: loaded trace "
+                    f"{artifact.source.digest[:12]} is not "
+                    f"{artifact.fingerprint[:12]}"
+                )
+        return solved
 
     def _replay_plan(
         self,
@@ -744,9 +673,7 @@ class ScenarioSuiteRunner:
             self._replay_plan(scenarios[index], collected[index], design)
             for index in pending
         ]
-        for index, artifact in zip(
-            pending, self.engine.run_replay_batch(plans, self.pipeline)
-        ):
+        for index, artifact in zip(pending, self.engine.run_replay_batch(plans)):
             replays[index] = artifact
         return replays
 
@@ -757,7 +684,6 @@ class ScenarioSuiteRunner:
         it_sides: Sequence[Tuple],
         ti_sides: Sequence[Tuple],
         individuals: Sequence[SynthesisResult],
-        individual_fingerprints: Sequence[str],
         robust: RobustSynthesisReport,
         replays: Sequence[Optional[ReplayArtifact]],
     ) -> List[Tuple[str, str, str, str]]:
@@ -793,12 +719,18 @@ class ScenarioSuiteRunner:
                         conflicts.describe(),
                     )
                 )
+            individual = individuals[index]
             rows.append(
                 (
                     scenario.name,
-                    "individual-solve",
-                    individual_fingerprints[index],
-                    f"{individuals[index].bus_count} buses",
+                    "design",
+                    # The address of the engine's whole-result lookup.
+                    PipelineRunner.design_fingerprint(
+                        artifact.fingerprint,
+                        individual.config,
+                        individual.config.window_size,
+                    ),
+                    f"{individual.bus_count} buses",
                 )
             )
             if self.replay_latency:

@@ -41,8 +41,9 @@ engine's cache was built.
 Per-job progress: a job runs with its
 :meth:`~repro.server.jobs.Job.record_progress` as the worker thread's
 :func:`~repro.pipeline.store.progress_sink`, so pollers see live
-per-stage computed/memo-hit/disk-hit tallies -- ``collect`` included --
-of that job alone, however many workers share the runner.
+per-stage computed/memo-hit/disk-hit tallies -- ``collect`` and the
+engine's whole-result ``design`` lookup included -- of that job alone,
+however many workers share the runner.
 """
 
 from __future__ import annotations
@@ -388,8 +389,6 @@ class SynthesisService:
             policy=request.policy,
             min_weight=request.min_weight,
             replay_latency=request.replay_latency,
-            pipeline=self.engine.pipeline,
-            collector=self.engine.collector,
         )
         with progress_sink(job.record_progress):
             return runner.run(suite).to_dict()

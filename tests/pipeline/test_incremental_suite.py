@@ -77,14 +77,14 @@ class TestIncrementalResynthesis:
         assert computed.get("collect") == 1
         assert computed.get("window") == 2  # its IT + TI sides
         assert computed.get("conflicts") == 2
-        assert computed.get("individual-solve") == 1
+        assert computed.get("design") == 1
         # ... every other scenario was served from the store, and the
-        # edited one's individual solve, on the suite's runner, reused
+        # edited one's individual solve, on the engine's runner, reused
         # the windows and conflicts its analysis had just built ...
         assert memo.get("collect") == others
         assert memo.get("window") == 2 * others + 2
         assert memo.get("conflicts") == 2 * others + 2
-        assert memo.get("individual-solve") == others
+        assert memo.get("design") == others
         # ... and the suite-level merge re-solved both crossbar sides.
         assert computed.get("bind-merged") == 2
 
@@ -113,7 +113,7 @@ class TestIncrementalResynthesis:
         computed = runner.last_run_breakdown["computed"]
         assert "collect" not in computed
         assert "window" not in computed
-        assert "individual-solve" not in computed
+        assert "design" not in computed
         assert SOLVE_COUNTER.total == 0  # union policy ignores weights
         assert report.to_dict() == ScenarioSuiteRunner().run(reweighted).to_dict()
 
@@ -140,24 +140,56 @@ class TestIncrementalResynthesis:
         assert warm_report.to_dict() == cold_report.to_dict()
 
 
-def test_cold_suite_solves_on_its_own_windows(tmp_path):
-    """The individual solves run on the suite's runner, which already
-    holds every scenario's windows and conflicts: a cold fresh-process
-    run memo-hits each one once and decodes no window sidecar."""
+def _explain_cache_rows(cache_dir):
+    """The ``--explain-cache`` rows of a fresh-process smoke suite run:
+    stage -> [computed, memo-hit, disk-hit]."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     out = subprocess.run(
         [sys.executable, "-m", "repro", "scenarios", "run", "smoke",
-         "--cache-dir", str(tmp_path), "--explain-cache"],
+         "--cache-dir", str(cache_dir), "--explain-cache"],
         check=True, capture_output=True, text=True, env=env,
     ).stdout
-    rows = {
+    return {
         cells[0]: [int(cell) for cell in cells[1:]]
         for cells in (line.split() for line in out.splitlines())
         if len(cells) == 4 and cells[1].isdigit()
     }
+
+
+def test_suite_runs_on_the_engines_store(suite):
+    """The suite owns no store: its analyses fill the engine's runner,
+    which its individual solves and the daemon's jobs share."""
+    from repro.exec import ExecutionEngine
+
+    engine = ExecutionEngine()
+    runner = ScenarioSuiteRunner(engine=engine)
+    runner.run(suite)
+    windows = [
+        (scenario, fingerprint)
+        for scenario, stage, fingerprint, _ in runner.last_stage_rows
+        if stage.startswith("window[")
+    ]
+    assert len(windows) == 2 * len(suite)
+    for scenario, fingerprint in windows:
+        assert fingerprint in engine.pipeline.store, scenario
+
+
+def test_cold_suite_solves_on_its_own_windows(tmp_path):
+    """The individual solves run on the engine's runner, which the
+    suite's analyses already filled with every scenario's windows and
+    conflicts: a cold fresh-process run memo-hits each one once and
+    decodes no window sidecar."""
+    rows = _explain_cache_rows(tmp_path)
     for stage in ("window", "conflicts"):
         computed, memo_hits, disk_hits = rows[stage]
         assert computed > 0
         assert (memo_hits, disk_hits) == (computed, 0), stage
+
+
+def test_warm_suite_reads_every_design_from_disk(tmp_path):
+    """A fresh-process warm run answers each scenario's individual solve
+    from the engine's whole-result cache: ``design 0 0 4``."""
+    _explain_cache_rows(tmp_path)
+    assert _explain_cache_rows(tmp_path)["design"] == [0, 0, 4]

@@ -437,16 +437,16 @@ class TestScenarioTraceEntries:
         assert source.digest == "0" * 64
         design = PipelineRunner().design(fresh.trace(), CONFIG, 800).design
         stale = TraceDrivenInitiator(source)
-        key = runner.pipeline.replay_fingerprint(stale, design)
+        key = runner.engine.pipeline.replay_fingerprint(stale, design)
         with pytest.raises(TraceDigestMismatch):
-            runner.pipeline.replay(stale, design)
-        assert runner.pipeline.store.get(key) is None
-        assert runner.pipeline.store.get_payload(key) is None
+            runner.engine.pipeline.replay(stale, design)
+        assert runner.engine.pipeline.store.get(key) is None
+        assert runner.engine.pipeline.store.get_payload(key) is None
         assert stage_tables(cut)["computed"].get("collect") == 1  # rebuilt
 
         # The source now carries the rebuilt trace's own digest: a
         # driver built from it replays, and stores, under that one.
         assert source.digest == trace_fingerprint(fresh.trace())
-        replayed = runner.pipeline.replay(TraceDrivenInitiator(source), design)
+        replayed = runner.engine.pipeline.replay(TraceDrivenInitiator(source), design)
         assert replayed.fingerprint != key
-        assert runner.pipeline.store.get_payload(replayed.fingerprint) is not None
+        assert runner.engine.pipeline.store.get_payload(replayed.fingerprint) is not None

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -123,6 +125,25 @@ class TestCommands:
         assert "replay" not in _stage_rows(warm)
         assert "solves (this run)" in cold
         assert "solves (this run)" not in warm
+
+    def test_warm_compare_loads_no_trace(self, tmp_path, capsys, monkeypatch):
+        """Every design a warm comparison needs is stored, and the fixed
+        reference points read only the core counts: the stored trace is
+        never loaded, and the table equals the cold run's."""
+        from repro.pipeline.collect import CollectStage
+
+        argv = ["compare", "qsort", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        loads = []
+        load = CollectStage._load
+        monkeypatch.setattr(
+            CollectStage, "_load",
+            lambda self, *args: loads.append(args) or load(self, *args),
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert loads == []
 
 
 class TestScenarios:
@@ -407,9 +428,11 @@ class TestPipelineCommands:
         assert main(["pipeline", "inspect", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "per-scenario stage DAG for suite 'smoke'" in out
+        stages = {line.split()[1] for line in out.splitlines()
+                  if len(line.split()) > 2}
         for stage in ("collect", "window[it]", "conflicts[ti]",
-                      "individual-solve", "replay", "bind-merged[it]"):
-            assert stage in out
+                      "design", "replay", "bind-merged[it]"):
+            assert stage in stages
         assert "burst-sync" in out  # per-scenario rows, not just stages
         assert "(suite)" in out
 
@@ -458,7 +481,7 @@ class TestScenarioPipelineFlags:
         out = capsys.readouterr().out
         assert "staged-pipeline cache breakdown" in out
         assert "bind-merged" in out
-        assert "individual-solve" in out
+        assert re.search(r"^design +\d+ +\d+ +\d+$", out, re.M)
 
     def test_replay_latency_adds_column_for_app_suites(self, capsys):
         assert main(["scenarios", "run", "apps", "--replay-latency"]) == 0
